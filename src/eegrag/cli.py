@@ -19,7 +19,7 @@ from .eeg import load_recording
 from .embedding import HashedTokenEmbedder
 from .errors import EegragError, NotFoundError, PreconditionError
 from .evaluation import load_qa, run_benchmark
-from .hypergraph import CASE_LAYER
+from .hypergraph import CASE_LAYER, NameIndex
 from .knowledge import RuleBasedExtractor, build_kgh, load_documents, load_fact_sidecar
 from .pipeline import Pipeline, load_stores, save_stores
 from .retrieval import find_entity_mentions
@@ -87,9 +87,10 @@ def cmd_ingest_cases(args: argparse.Namespace) -> int:
 
     linked = 0
     if config.link_case_hyperedges and store.entities:
+        names = NameIndex(store.entities)  # case linking adds no entities
         for h in sorted(case_store.cases):
             case = case_store.cases[h]
-            mentions = find_entity_mentions(case.canonical, store)
+            mentions = find_entity_mentions(case.canonical, store, names)
             members = {m.entity_id for m in mentions}
             if members:
                 before = len(store.hyperedges)

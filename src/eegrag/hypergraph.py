@@ -7,12 +7,16 @@ retrieval-fusion stage relies on.
 
 Lifecycle: a store is mutable while being built (single writer), then
 ``seal()`` freezes it for unlimited concurrent readers. There is no
-reader/writer interleaving; re-ingestion starts from a fresh load.
+reader/writer interleaving; re-ingestion starts from a fresh load. Sealing
+also builds the query indexes (``HyperedgeIndex``, ``NameIndex``); queries
+only read them.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,6 +37,13 @@ FORMAT_VERSION = 1
 KNOWLEDGE_LAYER = "knowledge"
 CASE_LAYER = "case"
 LAYERS = (KNOWLEDGE_LAYER, CASE_LAYER)
+
+_WORD = re.compile(r"[0-9A-Za-z]+")
+
+
+def word_tokens(text: str) -> list[tuple[str, int, int]]:
+    """Lowercased alphanumeric word tokens of ``text`` with their character spans."""
+    return [(m.group(0).lower(), m.start(), m.end()) for m in _WORD.finditer(text)]
 
 
 @dataclass
@@ -72,6 +83,52 @@ class Neighborhood:
         return node_id in self.entity_ids or node_id in self.hyperedge_ids
 
 
+class HyperedgeIndex:
+    """The embedded hyperedges of a store as one read-only matrix.
+
+    Rows are grouped by layer, ascending id within a layer, so each layer is
+    one contiguous block and the whole matrix serves ``layer=None``. Every
+    edge's ``embedding`` becomes a view of its row, so each vector is held
+    once. ``inv_norms`` holds 1/||row||, and 0.0 for a zero row.
+    """
+
+    def __init__(self, hyperedges: dict[int, Hyperedge], dim: int):
+        order = sorted(
+            (LAYERS.index(e.layer), hid) for hid, e in hyperedges.items() if e.embedding is not None
+        )
+        self.ids = [hid for _, hid in order]
+        matrix = np.empty((len(order), dim))
+        for row, hid in enumerate(self.ids):
+            matrix[row] = hyperedges[hid].embedding
+        matrix.flags.writeable = False
+        for row, hid in enumerate(self.ids):
+            hyperedges[hid].embedding = matrix[row]
+        self.matrix = matrix
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+        self.inv_norms = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+        ranks = [rank for rank, _ in order]
+        self.blocks: dict[str | None, slice] = {None: slice(0, len(order))}
+        for rank, layer in enumerate(LAYERS):
+            self.blocks[layer] = slice(bisect_left(ranks, rank), bisect_right(ranks, rank))
+
+
+class NameIndex:
+    """Entity names compiled for dictionary linking.
+
+    ``by_seq`` maps each name's word-token sequence to its entity id; when
+    names share a sequence, the lowest id wins. ``width`` is the longest
+    sequence, so linking a text needs at most ``width`` lookups per token.
+    """
+
+    def __init__(self, entities: dict[int, Entity]):
+        self.by_seq: dict[tuple[str, ...], int] = {}
+        for eid in sorted(entities):
+            seq = tuple(word for word, _, _ in word_tokens(entities[eid].name))
+            if seq:
+                self.by_seq.setdefault(seq, eid)
+        self.width = max(map(len, self.by_seq), default=0)
+
+
 class BipartiteStore:
     """In-memory hypergraph with content-addressed ids and an incidence index.
 
@@ -86,6 +143,8 @@ class BipartiteStore:
         self.entities: dict[int, Entity] = {}
         self.hyperedges: dict[int, Hyperedge] = {}
         self.incidence: dict[int, set[int]] = {}
+        self.edge_index: HyperedgeIndex | None = None
+        self.names: NameIndex | None = None
         self._sealed = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -95,7 +154,12 @@ class BipartiteStore:
         return self._sealed
 
     def seal(self) -> None:
-        """Freeze the store; subsequent mutations raise ``StoreSealedError``."""
+        """Freeze the store and build its query indexes; subsequent mutations
+        raise ``StoreSealedError``."""
+        if self._sealed:
+            return
+        self.edge_index = HyperedgeIndex(self.hyperedges, self.embedding_dim)
+        self.names = NameIndex(self.entities)
         self._sealed = True
 
     def _require_unsealed(self) -> None:
@@ -292,7 +356,7 @@ class BipartiteStore:
         with open(directory / "entities.jsonl", encoding="utf-8") as fh:
             for line in fh:
                 row = json.loads(line)
-                emb = None if row["embedding"] is None else np.asarray(row["embedding"])
+                emb = store._check_dim(row["embedding"])
                 store.entities[row["id"]] = Entity(
                     row["id"], row["name"], row["etype"], row["definition"], emb
                 )
@@ -300,7 +364,9 @@ class BipartiteStore:
         with open(directory / "hyperedges.jsonl", encoding="utf-8") as fh:
             for line in fh:
                 row = json.loads(line)
-                emb = None if row["embedding"] is None else np.asarray(row["embedding"])
+                if row["layer"] not in LAYERS:
+                    raise PreconditionError(f"hyperedge {row['id']} has unknown layer {row['layer']!r}")
+                emb = store._check_dim(row["embedding"])
                 edge = Hyperedge(
                     row["id"], row["description"], frozenset(row["members"]), row["layer"], emb
                 )

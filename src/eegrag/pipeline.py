@@ -68,11 +68,14 @@ class QueryResult:
     answer: str
     generation: GenerationResult
     context: FusedContext
-    rendered_context: str
     eeg_trace: list = field(default_factory=list)
     hyperedge_trace: list = field(default_factory=list)
     entity_trace: list = field(default_factory=list)
     expansion_trace: list = field(default_factory=list)
+
+    @property
+    def rendered_context(self) -> str:
+        return render_context(self.context)
 
     def to_dict(self) -> dict:
         return {
@@ -211,13 +214,11 @@ class Pipeline:
             radius=self.config.closure_radius,
             budget=self.config.closure_budget,
         )
-        rendered = render_context(ctx)
         result = generate(mq, ctx, self.client, self.prompt_asset)
         return QueryResult(
             answer=result.answer,
             generation=result,
             context=ctx,
-            rendered_context=rendered,
             eeg_trace=eeg_matches,
             hyperedge_trace=hyperedge_hits,
             entity_trace=entity_matches,

@@ -1,21 +1,21 @@
 """Semantic retrieval: cosine search over hyperedges, entity linking, expansion.
 
-All operations here are read-only over sealed stores. Hyperedge retrieval is
-an exhaustive cosine scan (exact, sufficient at desk scale); entity linking
-is deterministic dictionary matching, longest match first.
+All operations here are read-only over sealed stores and use the indexes
+built at ``seal()``. Hyperedge retrieval is exact exhaustive cosine search
+(sufficient at desk scale); entity linking is deterministic dictionary
+matching, longest match first.
 """
 
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .embedding import Embedder
 from .errors import DimensionMismatchError, PreconditionError
-from .hypergraph import BipartiteStore
+from .hypergraph import BipartiteStore, NameIndex, word_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -70,28 +70,55 @@ def retrieve_hyperedges(
 ) -> list[ScoredHyperedge]:
     """Top-k hyperedges by cosine between the query embedding and edge embeddings.
 
-    Scans every embedded hyperedge in the selected layer (``layer=None``
-    scans all layers). Ties break by ascending hyperedge id; edges without
+    Covers every embedded hyperedge in the selected layer (``layer=None``
+    covers all layers). Ties break by ascending hyperedge id; edges without
     embeddings are skipped.
+
+    One matrix-vector product over the store's ``HyperedgeIndex`` only
+    filters: it keeps the rows whose approximate cosine is within twice the
+    rounding bound of the k-th best. Those rows are scored again with
+    ``cosine()``, so scores, top-k and tie order are exactly those of a
+    ``cosine()`` per edge.
     """
     if not store.sealed:
         raise PreconditionError("retrieval requires a sealed store")
     if k < 1:
         raise PreconditionError("k must be >= 1")
-    query_vec = embedder.embed(mq.text)
-    scored = []
-    for hid in sorted(store.hyperedges):
-        edge = store.hyperedges[hid]
-        if layer is not None and edge.layer != layer:
-            continue
-        if edge.embedding is None:
-            continue
-        scored.append((-cosine(query_vec, edge.embedding), hid))
-    scored.sort()
+    query_vec = np.asarray(embedder.embed(mq.text), dtype=np.float64)
+    index = store.edge_index
+    block = index.blocks.get(layer, slice(0, 0))
+    rows = index.matrix[block]
+    if not len(rows):
+        return []
+    if query_vec.shape != (store.embedding_dim,):
+        raise DimensionMismatchError(
+            f"query embedding has shape {query_vec.shape}, store expects ({store.embedding_dim},)"
+        )
+    q_norm = float(np.linalg.norm(query_vec))
+    approx = (rows @ (query_vec / q_norm if q_norm > 0.0 else query_vec)) * index.inv_norms[block]
+    if k < len(approx):
+        kth = np.partition(approx, len(approx) - k)[len(approx) - k]
+        # ``~(x < t)`` also keeps NaN scores, which then sort as cosine() has them
+        keep = np.flatnonzero(~(approx < kth - 2.0 * _rounding_bound(store.embedding_dim)))
+    else:
+        keep = range(len(approx))
+    scored = sorted((-cosine(query_vec, rows[r]), index.ids[block.start + r]) for r in keep)
     return [
         ScoredHyperedge(hid, -neg, rank)
         for rank, (neg, hid) in enumerate(scored[:k], start=1)
     ]
+
+
+def _rounding_bound(dim: int) -> float:
+    """Bound on |filter score - cosine()| for one edge of dimension ``dim``.
+
+    Each lies within (dim + 3) * eps of the true cosine, in any summation
+    order: a dot product of length ``dim`` errs by at most
+    dim * eps/2 * ||q|| * ||v||, each norm by (dim/2 + 2) * eps/2 relatively,
+    and each division by eps/2. Gradual underflow is not covered, so vectors
+    with norms below about 1e-290 are outside the bound.
+    """
+    return 4.0 * (dim + 2) * float(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -103,36 +130,29 @@ class EntityMatch:
     kind: str  # "exact-name" | "alias-normalized"
 
 
-_WORD = re.compile(r"[0-9A-Za-z]+")
-
-
-def _word_tokens(text: str) -> list[tuple[str, int, int]]:
-    return [(m.group(0).lower(), m.start(), m.end()) for m in _WORD.finditer(text)]
-
-
-def find_entity_mentions(text: str, store: BipartiteStore) -> list[EntityMatch]:
+def find_entity_mentions(
+    text: str, store: BipartiteStore, names: NameIndex | None = None
+) -> list[EntityMatch]:
     """Dictionary entity linking over free text (no store lifecycle check).
 
     Entity names are matched case-insensitively on word-token sequences, so
     punctuation variants of a name still link ("spike-wave" matches "spike
     wave"). Overlaps resolve longest match first, then leftmost; results
     come back in text order.
-    """
-    tokens = _word_tokens(text)
-    if not tokens:
-        return []
-    by_token_seq: dict[tuple[str, ...], int] = {}
-    for eid in sorted(store.entities):
-        seq = tuple(t.lower() for t in _WORD.findall(store.entities[eid].name))
-        if seq and seq not in by_token_seq:
-            by_token_seq[seq] = eid
 
+    ``names`` defaults to the index built when the store was sealed; an
+    unsealed store compiles one per call, so a caller linking many texts
+    against an unsealed store passes its own.
+    """
+    if names is None:
+        names = store.names if store.sealed else NameIndex(store.entities)
+    tokens = word_tokens(text)
+    words = [t[0] for t in tokens]
     candidates = []
-    token_words = [t[0] for t in tokens]
-    for seq, eid in by_token_seq.items():
-        width = len(seq)
-        for i in range(len(tokens) - width + 1):
-            if tuple(token_words[i : i + width]) == seq:
+    for i in range(len(words)):
+        for width in range(1, min(names.width, len(words) - i) + 1):
+            eid = names.by_seq.get(tuple(words[i : i + width]))
+            if eid is not None:
                 start = tokens[i][1]
                 end = tokens[i + width - 1][2]
                 candidates.append((end - start, start, eid))

@@ -1,6 +1,6 @@
 """Read-only HTTP endpoint over a built pipeline.
 
-POST /query  {"question": ..., "role"?: ..., "eeg_recording_id"?: ...}
+POST /query  {"question": ..., "role"?: ..., "domain"?: ..., "eeg_recording_id"?: ...}
              -> the same JSON document the `query` CLI subcommand prints
 GET  /healthz -> store statistics
 
@@ -18,6 +18,26 @@ from .errors import EegragError, NotFoundError, PreconditionError
 from .pipeline import Pipeline
 
 logger = logging.getLogger(__name__)
+
+
+def _parse_query(body: bytes) -> dict:
+    """``run_query`` keyword arguments from a /query body; ValueError if malformed."""
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("body nests too deeply") from None
+    if not isinstance(payload, dict):
+        raise ValueError("body must be a JSON object")
+    question = payload.get("question")
+    if not isinstance(question, str) or not question.strip():
+        raise ValueError("body must have a non-empty string 'question' field")
+    query = {"question": question}
+    for name in ("role", "domain", "eeg_recording_id"):
+        value = payload.get(name)
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"'{name}' must be a string or null")
+        query[name] = value
+    return query
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -48,20 +68,12 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-            question = payload["question"]
-            if not isinstance(question, str) or not question.strip():
-                raise KeyError("question")
-        except (json.JSONDecodeError, KeyError, ValueError, UnicodeDecodeError):
-            self._send(400, {"error": "body must be JSON with a non-empty 'question' field"})
+            query = _parse_query(self.rfile.read(length))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
+            self._send(400, {"error": f"malformed /query body: {exc}"})
             return
         try:
-            result = self.server.pipeline.run_query(
-                question,
-                role=payload.get("role"),
-                domain=payload.get("domain"),
-                eeg_recording_id=payload.get("eeg_recording_id"),
-            )
+            result = self.server.pipeline.run_query(**query)
         except NotFoundError as exc:
             self._send(404, {"error": str(exc)})
             return

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from eegrag.embedding import HashedTokenEmbedder
 from eegrag.hypergraph import BipartiteStore
+from eegrag.retrieval import cosine
 
 FIXTURES = Path(__file__).parent.parent / "fixtures" / "corpus"
 GOLDEN = Path(__file__).parent / "golden"
@@ -65,3 +67,45 @@ def reference_bfs(store: BipartiteStore, seeds: set[int], radius: int) -> set[in
                 depth[nb] = depth[node] + 1
                 queue.append(nb)
     return set(depth)
+
+
+def scan_oracle(store: BipartiteStore, query_vec, k: int, layer: str | None) -> list[tuple[int, float]]:
+    """(id, score) of the top-k hyperedges by one ``cosine()`` per edge,
+    ties by ascending id (test oracle; needs no seal)."""
+    scored = sorted(
+        (-cosine(query_vec, edge.embedding), hid)
+        for hid, edge in store.hyperedges.items()
+        if edge.embedding is not None and (layer is None or edge.layer == layer)
+    )
+    return [(hid, -neg) for neg, hid in scored[:k]]
+
+
+def link_oracle(text: str, store: BipartiteStore) -> list[tuple[int, int, int, str, str]]:
+    """(id, start, end, surface, kind) of each entity mention: every entity
+    name tried at every token position, longest match first, then leftmost,
+    in text order (test oracle; needs no seal)."""
+    word = re.compile(r"[0-9A-Za-z]+")
+    tokens = [(m.group(0).lower(), m.start(), m.end()) for m in word.finditer(text)]
+    words = [t[0] for t in tokens]
+    first_id: dict[tuple[str, ...], int] = {}
+    for eid in sorted(store.entities):
+        seq = tuple(w.lower() for w in word.findall(store.entities[eid].name))
+        if seq:
+            first_id.setdefault(seq, eid)
+    candidates = []
+    for seq, eid in first_id.items():
+        for i in range(len(words) - len(seq) + 1):
+            if tuple(words[i : i + len(seq)]) == seq:
+                start, end = tokens[i][1], tokens[i + len(seq) - 1][2]
+                candidates.append((end - start, start, eid))
+    chosen = []
+    for length, start, eid in sorted(candidates, key=lambda c: (-c[0], c[1])):
+        end = start + length
+        if all(end <= s or start >= e for s, e, _ in chosen):
+            chosen.append((start, end, eid))
+    links = []
+    for start, end, eid in sorted(chosen):
+        surface = text[start:end]
+        exact = surface.lower() == store.entities[eid].name.lower()
+        links.append((eid, start, end, surface, "exact-name" if exact else "alias-normalized"))
+    return links

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,21 @@ class TestLifecycleAndPersistence:
         assert loaded.entities.keys() == store.entities.keys()
         assert loaded.hyperedges.keys() == store.hyperedges.keys()
         assert not loaded.sealed
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [("layer", "bogus", PreconditionError), ("embedding", [1.0, 2.0], DimensionMismatchError)],
+    )
+    def test_load_rejects_malformed_hyperedge_rows(self, tmp_path, field, value, error):
+        store = BipartiteStore(embedding_dim=4)
+        store.add_hyperedge("f", {store.add_entity("a")}, embedding=np.ones(4))
+        store.save(tmp_path)
+        path = tmp_path / "hyperedges.jsonl"
+        row = json.loads(path.read_text(encoding="utf-8"))
+        row[field] = value
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        with pytest.raises(error):
+            BipartiteStore.load(tmp_path)
 
     def test_double_ingest_leaves_store_isomorphic(self, tmp_path):
         def build(times: int):

@@ -3,16 +3,17 @@ import pytest
 
 from eegrag.embedding import HashedTokenEmbedder
 from eegrag.errors import DimensionMismatchError, PreconditionError
-from eegrag.hypergraph import BipartiteStore
+from eegrag.hypergraph import BipartiteStore, NameIndex
 from eegrag.retrieval import (
     MetadataQuery,
     cosine,
     expand_entities,
     extract_query_entities,
+    find_entity_mentions,
     retrieve_hyperedges,
 )
 
-from conftest import random_store
+from conftest import link_oracle, random_store, scan_oracle
 
 EMB = HashedTokenEmbedder(64)
 
@@ -214,3 +215,144 @@ class TestExpansion:
                     hid for hid, e in store.hyperedges.items() if m.entity_id in e.members
                 }
             assert got == expected
+
+
+class FixedEmbedder:
+    """Embeds every text as one given vector."""
+
+    def __init__(self, vec):
+        self.vec = np.asarray(vec, dtype=np.float64)
+        self.dim = self.vec.size
+
+    def embed(self, text):
+        return self.vec
+
+
+def tie_store(rng, dim: int) -> tuple[BipartiteStore, np.ndarray]:
+    """Random two-layer store whose edge vectors tie exactly, tie up to
+    rounding (scaled copies), nearly tie, vanish, or are missing."""
+    store = BipartiteStore(embedding_dim=dim)
+    entities = [store.add_entity(f"e{i}") for i in range(4)]
+    base = rng.normal(size=(3, dim))
+    for j in range(int(rng.integers(1, 40))):
+        kind = int(rng.integers(0, 6))
+        if kind == 0:
+            vec = rng.normal(size=dim)
+        elif kind == 1:
+            vec = base[rng.integers(3)].copy()
+        elif kind == 2:
+            vec = base[rng.integers(3)] * rng.choice([2.0, 3.0, 1e-3, 7e5])
+        elif kind == 3:
+            vec = base[rng.integers(3)] + rng.normal(size=dim) * 1e-15
+        elif kind == 4:
+            vec = np.zeros(dim)
+        else:
+            vec = None
+        layer = "case" if rng.random() < 0.3 else "knowledge"
+        store.add_hyperedge(f"edge {j}", {entities[int(rng.integers(4))]}, layer=layer, embedding=vec)
+    return store, base
+
+
+class TestHyperedgeIndexOracle:
+    """The filtered matvec scan against one cosine() per edge, compared exactly."""
+
+    def test_equals_per_edge_scan_on_random_stores(self):
+        rng = np.random.default_rng(71)
+        for _ in range(80):
+            dim = int(rng.choice([1, 2, 3, 8, 33]))
+            store, base = tie_store(rng, dim)
+            queries = [rng.normal(size=dim), base[0], base[1] * 1e3, np.zeros(dim)]
+            cases = [
+                (q, k, layer)
+                for q in queries
+                for k in (1, 2, 5, 50)
+                for layer in ("knowledge", "case", None)
+            ]
+            # the oracle reads the vectors as they were before seal() moved them
+            want = [scan_oracle(store, q, k, layer) for q, k, layer in cases]
+            store.seal()
+            for (q, k, layer), expected in zip(cases, want):
+                hits = retrieve_hyperedges(MetadataQuery("q"), FixedEmbedder(q), store, k=k, layer=layer)
+                assert [(h.hyperedge_id, h.score) for h in hits] == expected
+                assert [h.rank for h in hits] == list(range(1, len(hits) + 1))
+
+    def test_text_embedder_equals_per_edge_scan(self, embedder):
+        rng = np.random.default_rng(72)
+        for _ in range(10):
+            store = random_store(rng, max_entities=10, max_edges=60, embedder=embedder)
+            texts = [f"edge {int(rng.integers(0, 60))} over", "!!!", "over over edge"]
+            want = {(t, k): scan_oracle(store, embedder.embed(t), k, None) for t in texts for k in (1, 3, 99)}
+            store.seal()
+            for (text, k), expected in want.items():
+                hits = retrieve_hyperedges(MetadataQuery(text), embedder, store, k=k, layer=None)
+                assert [(h.hyperedge_id, h.score) for h in hits] == expected
+
+    def test_embeddings_are_views_of_the_index(self, tmp_path):
+        store, _ = tie_store(np.random.default_rng(73), 8)
+        store.save(tmp_path)
+        for sealed in (store, BipartiteStore.load(tmp_path)):
+            sealed.seal()
+            matrix = sealed.edge_index.matrix
+            assert not matrix.flags.writeable
+            embedded = [e for e in sealed.hyperedges.values() if e.embedding is not None]
+            assert matrix.shape == (len(embedded), 8)
+            for edge in embedded:
+                assert np.shares_memory(edge.embedding, matrix)
+
+    def test_query_dimension_mismatch(self):
+        store, _ = tie_store(np.random.default_rng(74), 8)
+        store.seal()
+        with pytest.raises(DimensionMismatchError):
+            retrieve_hyperedges(MetadataQuery("q"), FixedEmbedder(np.ones(3)), store, k=1, layer=None)
+
+
+WORDS = ["spike", "wave", "Alpha", "rhythm", "beta", "3", "hz", "delta", "slow"]
+FILLER = ["and", "the", "alphabet", "waves", "of"]
+
+
+def random_phrase(rng, words, n) -> str:
+    seps = [" ", "-", " - ", ", ", "/", "  "]
+    picked = [str(words[i]) for i in rng.integers(0, len(words), size=n)]
+    picked = [w.upper() if rng.random() < 0.2 else w for w in picked]
+    out = picked[0]
+    for w in picked[1:]:
+        out += seps[int(rng.integers(len(seps)))] + w
+    return out
+
+
+class TestEntityLinkerOracle:
+    """The compiled linker against every name tried at every position, compared exactly."""
+
+    def test_equals_exhaustive_scan_on_random_stores(self):
+        rng = np.random.default_rng(81)
+        for _ in range(60):
+            store = BipartiteStore(embedding_dim=4)
+            for _ in range(int(rng.integers(1, 15))):
+                store.add_entity(random_phrase(rng, WORDS, int(rng.integers(1, 4))))
+            texts = [random_phrase(rng, WORDS + FILLER, int(rng.integers(1, 25))) for _ in range(5)]
+            want = [link_oracle(text, store) for text in texts]
+            unsealed = [find_entity_mentions(text, store) for text in texts]
+            names = NameIndex(store.entities)
+            with_names = [find_entity_mentions(text, store, names) for text in texts]
+            store.seal()
+            for text, expected, got_unsealed, got_names in zip(texts, want, unsealed, with_names):
+                for got in (
+                    got_unsealed,
+                    got_names,
+                    find_entity_mentions(text, store),
+                    extract_query_entities(MetadataQuery(text), store),
+                ):
+                    assert [(m.entity_id, m.start, m.end, m.surface, m.kind) for m in got] == expected
+
+    def test_hyphenated_alias_and_shared_token_sequence(self):
+        store = BipartiteStore(embedding_dim=4)
+        spaced = store.add_entity("spike wave")
+        hyphen = store.add_entity("Spike-Wave")
+        store.add_entity("wave")
+        text = "SPIKE-wave, spike wave and spike--wave"
+        expected = link_oracle(text, store)
+        store.seal()
+        got = [(m.entity_id, m.start, m.end, m.surface, m.kind) for m in find_entity_mentions(text, store)]
+        assert got == expected
+        assert {m[0] for m in got} == {min(spaced, hyphen)}
+        assert store.names.width == 2

@@ -108,6 +108,42 @@ class TestQueryEndpoint:
         status, _ = post(f"{url}/query", {"question": "   "})
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            "question",
+            None,
+            42,
+            {"question": 5},
+            {"question": ["q"]},
+            {"question": "q", "role": 3},
+            {"question": "q", "domain": ["epilepsy"]},
+            {"question": "q", "eeg_recording_id": 1},
+            {"question": "q", "eeg_recording_id": {"id": "rec-001"}},
+            b"\xff\xfe not utf-8",
+            b"[" * 100_000,
+        ],
+        ids=[
+            "array", "string", "null", "number", "int-question", "list-question",
+            "int-role", "list-domain", "int-recording-id", "object-recording-id",
+            "not-utf8", "deep-nesting",
+        ],
+    )
+    def test_malformed_shape_is_400_with_json_error(self, endpoint, payload):
+        url, _ = endpoint
+        status, body = post(f"{url}/query", payload)
+        assert status == 400
+        assert isinstance(body["error"], str) and body["error"]
+
+    def test_null_optional_fields_are_accepted(self, endpoint):
+        url, _ = endpoint
+        status, body = post(
+            f"{url}/query", {"question": "q", "role": None, "domain": None, "eeg_recording_id": None}
+        )
+        assert status == 200
+        assert body["answer"].startswith("Mock diagnostic answer for: q")
+
     def test_post_to_unknown_path_404(self, endpoint):
         url, _ = endpoint
         status, _ = post(f"{url}/other", {"question": "q"})
