@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -81,8 +82,10 @@ class PatientCase:
     synthetic: bool = False
     eeg_refs: list[str] = field(default_factory=list)
 
-    @property
+    @cached_property
     def canonical(self) -> str:
+        """The attribute tuple's rendering, computed once; a stored case's
+        attributes do not change."""
         return serialize_case(self.attributes)
 
 

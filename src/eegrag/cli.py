@@ -21,7 +21,7 @@ from .errors import EegragError, NotFoundError, PreconditionError
 from .evaluation import load_qa, run_benchmark
 from .hypergraph import CASE_LAYER, NameIndex
 from .knowledge import RuleBasedExtractor, build_kgh, load_documents, load_fact_sidecar
-from .pipeline import Pipeline, load_stores, save_stores
+from .pipeline import Pipeline, load_cases, load_hypergraph, load_stores, save_stores
 from .retrieval import find_entity_mentions
 
 
@@ -48,7 +48,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def cmd_ingest_docs(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    store, case_store, evd = load_stores(args.store, config)
+    store = load_hypergraph(args.store, config)
     if args.facts:
         sidecar = load_fact_sidecar(args.facts)
     else:
@@ -65,7 +65,8 @@ def cmd_ingest_docs(args: argparse.Namespace) -> int:
 
 def cmd_ingest_cases(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    store, case_store, evd = load_stores(args.store, config)
+    store = load_hypergraph(args.store, config)
+    case_store = load_cases(args.store)
     embedder = HashedTokenEmbedder(config.embedding_dim)
     records = load_records(args.input)
     added = merged = 0

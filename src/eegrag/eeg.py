@@ -107,18 +107,6 @@ def load_recording(path: str | Path) -> EegRecording:
         return recording_from_dict(json.load(fh))
 
 
-def convert_edf(path: str | Path) -> EegRecording:
-    """Placeholder for clinical-format ingestion.
-
-    Convert EDF/BDF files offline with your tool of choice and emit the JSON
-    documented in the module docstring; this package only reads that JSON.
-    """
-    raise NotImplementedError(
-        "EDF/BDF parsing is not bundled; convert recordings to the JSON layout "
-        "described in eegrag.eeg and ingest those files instead"
-    )
-
-
 # -- piecewise aggregate approximation ----------------------------------------
 
 
@@ -207,7 +195,10 @@ def eeg_embed(rec: EegRecording, n: int, normalize: bool = True) -> PaaEmbedding
 
 
 def _dtw_python(a: np.ndarray, b: np.ndarray, w: int) -> float:
-    n, m = a.shape[0], b.shape[0]
+    # Python floats do the same IEEE double arithmetic as numpy float64
+    # scalars, without a numpy scalar object per cell.
+    a, b = a.tolist(), b.tolist()
+    n, m = len(a), len(b)
     inf = math.inf
     prev = [inf] * (m + 1)
     prev[0] = 0.0
@@ -287,7 +278,7 @@ class EvdEntry:
     embedding: PaaEmbedding
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class EegMatch:
     recording_id: str
     patient_hash: str | None
@@ -433,26 +424,38 @@ class EegVectorDatabase:
         path: str | Path,
         band: int | None = None,
         channel_blocked: bool = False,
+        n_segments: int | None = None,
+        normalize: bool | None = None,
     ) -> "EegVectorDatabase":
-        """Load persisted embeddings; n_segments/normalize are adopted from the file."""
+        """Load persisted embeddings.
+
+        ``n_segments`` and ``normalize`` default to the file's values; when
+        given, a file that disagrees is rejected, since its embeddings could
+        not be compared with queries embedded under the given settings.
+        """
         rows = []
         with open(path, encoding="utf-8") as fh:
             for line in fh:
                 if line.strip():
                     rows.append(json.loads(line))
+        settings = {"n_segments": n_segments, "normalize": normalize}
         if rows:
             n_set = {r["n_segments"] for r in rows}
             norm_set = {r["normalized"] for r in rows}
             if len(n_set) != 1 or len(norm_set) != 1:
                 raise PreconditionError("inconsistent n_segments/normalized flags in database file")
-            db = cls(
-                n_segments=rows[0]["n_segments"],
-                normalize=rows[0]["normalized"],
-                band=band,
-                channel_blocked=channel_blocked,
-            )
-        else:
-            db = cls(band=band, channel_blocked=channel_blocked)
+            stored = {"n_segments": rows[0]["n_segments"], "normalize": rows[0]["normalized"]}
+            for name, value in settings.items():
+                if value is not None and value != stored[name]:
+                    raise PreconditionError(
+                        f"EEG database {name} {stored[name]} != configured {value}"
+                    )
+            settings = stored
+        db = cls(
+            band=band,
+            channel_blocked=channel_blocked,
+            **{name: value for name, value in settings.items() if value is not None},
+        )
         for r in rows:
             emb = PaaEmbedding(r["n_segments"], np.asarray(r["values"]), r["channel_order"])
             db.entries[r["id"]] = EvdEntry(r["id"], r["patient_hash"], r["sample_rate"], emb)

@@ -21,10 +21,10 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
-from .cases import CaseStore
+from .cases import CaseStore, PatientCase
 from .eeg import EegMatch
 from .errors import PreconditionError, ReferentialError, TransportError
-from .hypergraph import BipartiteStore
+from .hypergraph import BipartiteStore, Entity
 from .retrieval import EntityMatch, MetadataQuery, ScoredHyperedge, find_entity_mentions
 
 logger = logging.getLogger(__name__)
@@ -69,7 +69,7 @@ class RetrievalBundle:
     expansion_edges: set[int] = field(default_factory=set)
 
 
-@dataclass
+@dataclass(slots=True)
 class ContextEdge:
     hyperedge_id: int
     description: str
@@ -78,35 +78,18 @@ class ContextEdge:
     score: float | None
 
 
-@dataclass
-class ContextEntity:
-    entity_id: int
-    name: str
-    definition: str
-
-
-@dataclass
-class ContextCase:
-    h: str
-    canonical: str
-    synthetic: bool
-
-
-@dataclass
-class EegSummary:
-    recording_id: str
-    patient_hash: str | None
-    distance: float
-
-
-@dataclass
+@dataclass(slots=True)
 class FusedContext:
-    """The fused subgraph context: ranked edges plus their full entity support."""
+    """The fused subgraph context: ranked edges plus their full entity support.
+
+    Entities, cases and EEG matches are the sealed stores' own records,
+    shared rather than copied; a context only reads them.
+    """
 
     hyperedges: list[ContextEdge] = field(default_factory=list)
-    entities: list[ContextEntity] = field(default_factory=list)
-    cases: list[ContextCase] = field(default_factory=list)
-    eeg_summaries: list[EegSummary] = field(default_factory=list)
+    entities: list[Entity] = field(default_factory=list)
+    cases: list[PatientCase] = field(default_factory=list)
+    eeg_summaries: list[EegMatch] = field(default_factory=list)
     radius: int = 0
     budget: int = 0
     truncated: bool = False
@@ -128,7 +111,7 @@ class FusedContext:
                 for e in self.hyperedges
             ],
             "entities": [
-                {"id": e.entity_id, "name": e.name, "definition": e.definition}
+                {"id": e.id, "name": e.name, "definition": e.definition}
                 for e in self.entities
             ],
             "cases": [
@@ -192,7 +175,7 @@ def fuse(
     seed_set: set[int] = {h.hyperedge_id for h in bundle.hyperedge_hits}
     seed_set.update(m.entity_id for m in bundle.entity_matches)
 
-    cases: list[ContextCase] = []
+    cases: list[PatientCase] = []
     seen_cases: set[str] = set()
     for match in bundle.eeg_matches:
         ph = match.patient_hash
@@ -201,41 +184,41 @@ def fuse(
         case = case_store.cases[ph]
         if case.h not in seen_cases:
             seen_cases.add(case.h)
-            cases.append(ContextCase(case.h, case.canonical, case.synthetic))
+            cases.append(case)
         for mention in find_entity_mentions(case.canonical, store):
             seed_set.add(mention.entity_id)
 
     ctx = FusedContext(
         cases=cases,
-        eeg_summaries=[
-            EegSummary(m.recording_id, m.patient_hash, m.distance)
-            for m in bundle.eeg_matches
-        ],
+        eeg_summaries=list(bundle.eeg_matches),
         radius=radius,
         budget=budget,
     )
     if not seed_set:
         return ctx
 
-    hood = store.neighborhood(seed_set, radius)
     direct_scores: dict[int, float] = {}
     for hit in bundle.hyperedge_hits:
         prev = direct_scores.get(hit.hyperedge_id)
         if prev is None or hit.score > prev:
             direct_scores[hit.hyperedge_id] = hit.score
 
+    seed_entities = {s for s in seed_set if s in store.entities}
+    if radius == 1:
+        candidates, ctx.truncated = _radius_one_candidates(
+            store, seed_entities, set(direct_scores), budget
+        )
+    else:
+        candidates, ctx.truncated = _closure_candidates(store, seed_set, radius, budget)
     ranked = []
-    for hid in hood.hyperedge_ids:
-        edge = store.hyperedges[hid]
-        connectivity = len(edge.members & seed_set) + (1 if hid in seed_set else 0)
+    for hid, connectivity in candidates.items():
         score = direct_scores.get(hid)
         sort_score = _UNSCORED if score is None else score
         ranked.append((-connectivity, -sort_score, hid, score, connectivity))
     ranked.sort()
 
     kept = ranked[:budget]
-    ctx.truncated = len(ranked) > budget
-    entity_ids = {s for s in seed_set if s in store.entities}
+    entity_ids = set(seed_entities)
     for _, _, hid, score, connectivity in kept:
         edge = store.hyperedges[hid]
         if hid in direct_scores:
@@ -249,11 +232,50 @@ def fuse(
         )
         entity_ids |= edge.members
 
-    ctx.entities = [
-        ContextEntity(eid, store.entities[eid].name, store.entities[eid].definition)
-        for eid in sorted(entity_ids)
-    ]
+    ctx.entities = [store.entities[eid] for eid in sorted(entity_ids)]
     return ctx
+
+
+def _closure_candidates(
+    store: BipartiteStore, seed_set: set[int], radius: int, budget: int
+) -> tuple[dict[int, int], bool]:
+    """Every hyperedge within ``radius`` hops of a seed, with its connectivity
+    (distinct seeds it connects), and whether there are more than ``budget``."""
+    hood = store.neighborhood(seed_set, radius)
+    candidates = {
+        hid: len(store.hyperedges[hid].members & seed_set) + (1 if hid in seed_set else 0)
+        for hid in hood.hyperedge_ids
+    }
+    return candidates, len(candidates) > budget
+
+
+def _radius_one_candidates(
+    store: BipartiteStore, seed_entities: set[int], seed_edges: set[int], budget: int
+) -> tuple[dict[int, int], bool]:
+    """A superset of the ``budget`` best radius-1 closure hyperedges, with
+    their connectivity, and whether the closure holds more than ``budget``.
+
+    At radius 1 the closure is the seed hyperedges (the retrieved, scored
+    ones) plus every hyperedge holding a seed entity. Any other edge that
+    connects two or more seeds holds two seed entities, so it turns up in
+    two seed incidence sets. Every remaining edge connects one seed and is
+    unscored, so those rank by ascending id and only the first ``budget``
+    of them can be kept. Set operations and one sort of ids find both
+    groups; only the shared edges are counted one by one.
+    """
+    reached: set[int] = set()
+    shared = set(seed_edges)
+    for eid in seed_entities:
+        edges = store.incidence.get(eid, set())
+        shared |= reached & edges
+        reached |= edges
+    candidates = {
+        hid: len(store.hyperedges[hid].members & seed_entities) + (1 if hid in seed_edges else 0)
+        for hid in shared
+    }
+    single = sorted(reached - shared)
+    candidates.update(dict.fromkeys(single[:budget], 1))
+    return candidates, len(shared) + len(single) > budget
 
 
 def render_context(ctx: FusedContext) -> str:
@@ -389,7 +411,7 @@ class HttpChatClient:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class GenerationResult:
     answer: str
     context_hash: str

@@ -61,7 +61,7 @@ def make_client(config: PipelineConfig) -> GenerationClient:
     return MockGenerationClient()
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryResult:
     """Answer plus full provenance: traces per channel and the fused context."""
 
@@ -256,36 +256,51 @@ def load_stores(
     Missing case/EEG files yield empty stores; a missing hypergraph yields
     an empty store unless ``require_hypergraph`` is set.
     """
+    return (
+        load_hypergraph(directory, config, required=require_hypergraph),
+        load_cases(directory),
+        load_evd(directory, config),
+    )
+
+
+def load_hypergraph(
+    directory: str | Path, config: PipelineConfig, required: bool = False
+) -> BipartiteStore:
+    """The hypergraph under ``directory``; empty when absent unless ``required``."""
     directory = Path(directory)
-    if (directory / META_FILE).exists():
-        store = BipartiteStore.load(directory)
-        if store.embedding_dim != config.embedding_dim:
-            raise PreconditionError(
-                f"store embedding_dim {store.embedding_dim} != configured {config.embedding_dim}"
+    if not (directory / META_FILE).exists():
+        if required:
+            raise NotFoundError(
+                f"no store found under {directory}; run the ingest commands first"
             )
-    elif require_hypergraph:
-        raise NotFoundError(
-            f"no store found under {directory}; run the ingest commands first"
+        return BipartiteStore(embedding_dim=config.embedding_dim)
+    store = BipartiteStore.load(directory)
+    if store.embedding_dim != config.embedding_dim:
+        raise PreconditionError(
+            f"store embedding_dim {store.embedding_dim} != configured {config.embedding_dim}"
         )
-    else:
-        store = BipartiteStore(embedding_dim=config.embedding_dim)
+    return store
 
-    cases_path = directory / CASES_FILE
-    case_store = CaseStore.load(cases_path) if cases_path.exists() else CaseStore()
 
-    evd_path = directory / EVD_FILE
-    if evd_path.exists():
-        evd = EegVectorDatabase.load(
-            evd_path, band=config.dtw_band, channel_blocked=config.channel_blocked_dtw
-        )
-    else:
-        evd = EegVectorDatabase(
-            n_segments=config.paa_segments,
-            normalize=config.eeg_normalize,
-            band=config.dtw_band,
-            channel_blocked=config.channel_blocked_dtw,
-        )
-    return store, case_store, evd
+def load_cases(directory: str | Path) -> CaseStore:
+    """The case store under ``directory``; empty when absent."""
+    path = Path(directory) / CASES_FILE
+    return CaseStore.load(path) if path.exists() else CaseStore()
+
+
+def load_evd(directory: str | Path, config: PipelineConfig) -> EegVectorDatabase:
+    """The EEG database under ``directory``; empty when absent. A file whose
+    PAA segments or normalization differ from ``config`` is rejected."""
+    path = Path(directory) / EVD_FILE
+    settings = dict(
+        n_segments=config.paa_segments,
+        normalize=config.eeg_normalize,
+        band=config.dtw_band,
+        channel_blocked=config.channel_blocked_dtw,
+    )
+    if path.exists():
+        return EegVectorDatabase.load(path, **settings)
+    return EegVectorDatabase(**settings)
 
 
 def save_stores(

@@ -54,7 +54,7 @@ def cosine(u, v) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-@dataclass
+@dataclass(slots=True)
 class ScoredHyperedge:
     hyperedge_id: int
     score: float
@@ -121,7 +121,7 @@ def _rounding_bound(dim: int) -> float:
     return 4.0 * (dim + 2) * float(np.finfo(np.float64).eps)
 
 
-@dataclass
+@dataclass(slots=True)
 class EntityMatch:
     entity_id: int
     start: int

@@ -186,7 +186,7 @@ def test_fusion_properties():
         hood = rstore.neighborhood({hid}, radius)
         kept = {e.hyperedge_id for e in rctx.hyperedges}
         ok &= kept <= hood.hyperedge_ids
-        included = {e.entity_id for e in rctx.entities}
+        included = {e.id for e in rctx.entities}
         ok &= all(rstore.hyperedges[h].members <= included for h in kept)
         ok &= rctx.truncated or hid in kept
 

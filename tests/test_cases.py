@@ -120,6 +120,17 @@ class TestCaseStore:
         (case,) = loaded.cases.values()
         assert case.eeg_refs == ["rec-1"]
 
+    def test_canonical_is_serialized_once(self, monkeypatch):
+        import eegrag.cases as cases_module
+
+        (case,) = build_store(record(age="34", sex="F")).cases.values()
+        calls = []
+        monkeypatch.setattr(
+            cases_module, "serialize_case", lambda attrs: calls.append(1) or serialize_case(attrs)
+        )
+        assert [case.canonical for _ in range(3)] == ["age=34;sex=F"] * 3
+        assert len(calls) == 1
+
     def test_sealed_rejects_mutation(self):
         store = build_store(record(age="1"))
         store.seal()

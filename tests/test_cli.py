@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from eegrag.cases import CaseStore
 from eegrag.cli import main
+from eegrag.eeg import EegVectorDatabase
 
 from conftest import FIXTURES, GOLDEN
 
@@ -58,6 +60,39 @@ class TestIngest:
         report = json.loads(capsys.readouterr().out)
         assert report["recordings_inserted"] == 0
         assert report["recordings_skipped"] == 6
+
+    @pytest.mark.parametrize(
+        "command, unused",
+        [
+            ("ingest-docs", [CaseStore, EegVectorDatabase]),
+            ("ingest-cases", [EegVectorDatabase]),
+        ],
+    )
+    def test_ingest_loads_only_the_stores_it_uses(
+        self, built_store, tmp_path, monkeypatch, capsys, command, unused
+    ):
+        inputs = {
+            "ingest-docs": FIXTURES / "docs.jsonl",
+            "ingest-cases": FIXTURES / "cases.jsonl",
+        }
+        store = tmp_path / "store"
+        store.mkdir()
+        for f in built_store.iterdir():
+            (store / f.name).write_bytes(f.read_bytes())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{command} loaded a store it does not use")
+
+        for cls in unused:
+            monkeypatch.setattr(cls, "load", refuse)
+        assert main([command, str(inputs[command]), "--store", str(store)]) == 0
+        for f in built_store.iterdir():
+            assert (store / f.name).read_bytes() == f.read_bytes()
+
+    def test_ingest_eeg_rejects_other_paa_settings(self, built_store, capsys):
+        args = ["ingest-eeg", str(FIXTURES / "eeg"), "--store", str(built_store)]
+        assert main(args + ["--set", "paa_segments=10"]) == 2
+        assert "n_segments 20 != configured 10" in capsys.readouterr().err
 
 
 class TestQuery:
@@ -133,6 +168,12 @@ class TestQuery:
         code = main(["query", "q", "--eeg-id", "rec-nope", "--store", str(built_store)])
         assert code == 2
         assert "rec-nope" in capsys.readouterr().err
+
+    def test_evd_settings_must_match_config(self, built_store, capsys):
+        for setting in ("paa_segments=12", "eeg_normalize=false"):
+            code = main(QUERY_ARGS + ["--store", str(built_store), "--set", setting])
+            assert code == 2
+            assert "configured" in capsys.readouterr().err
 
 
 class TestBench:

@@ -19,6 +19,18 @@ from eegrag.eeg import (
 from eegrag.errors import ComparabilityError, PreconditionError, StoreSealedError
 
 
+def float64_recurrence(a: np.ndarray, b: np.ndarray, w: int) -> np.float64:
+    """The banded DTW recurrence evaluated on numpy float64 scalars."""
+    prev = [np.float64(0.0)] + [np.float64(math.inf)] * b.size
+    for i in range(1, a.size + 1):
+        cur = [np.float64(math.inf)] * (b.size + 1)
+        for j in range(max(1, i - w), min(b.size, i + w) + 1):
+            best = min(prev[j - 1], prev[j], cur[j - 1])
+            cur[j] = np.abs(a[i - 1] - b[j - 1]) + best
+        prev = cur
+    return prev[b.size]
+
+
 def paa_oracle(x: np.ndarray, n: int) -> np.ndarray:
     """Independent fractional-PAA oracle: upsample each sample n times, then
     average contiguous blocks of length T. Exactly equivalent to integrating
@@ -231,6 +243,17 @@ class TestDtw:
         with pytest.raises(PreconditionError):
             dtw([1.0], [1.0], band=-1)
 
+    def test_kernel_equals_the_recurrence_on_float64_scalars(self):
+        # the kernel reads Python floats; numpy float64 scalars must give
+        # the same IEEE results, cell by cell, with and without a band
+        rng = np.random.default_rng(46)
+        for _ in range(60):
+            a = rng.normal(size=int(rng.integers(1, 40))) * 10.0 ** rng.uniform(-6, 6)
+            b = rng.normal(size=int(rng.integers(1, 40))) * 10.0 ** rng.uniform(-6, 6)
+            band = None if rng.random() < 0.5 else int(rng.integers(0, 10))
+            w = max(a.size, b.size) if band is None else max(band, abs(a.size - b.size))
+            assert dtw(a, b, band=band) == float64_recurrence(a, b, w)
+
     def test_python_fallback_bit_identical_to_default_kernel(self):
         # goldens depend on both kernels producing the same IEEE results
         from eegrag.eeg import _dtw_python
@@ -360,3 +383,20 @@ class TestVectorDatabase:
         assert (tmp_path / "evd.jsonl").read_bytes() == (tmp_path / "evd2.jsonl").read_bytes()
         assert loaded.n_segments == 3
         assert sorted(loaded.entries) == sorted(db.entries)
+
+    def test_load_rejects_configured_settings_that_differ(self, tmp_path):
+        rng = np.random.default_rng(57)
+        db = fill_db([make_recording(rng.normal(size=(2, 15)), rec_id="r1")], n=3)
+        db.save(tmp_path / "evd.jsonl")
+        loaded = EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=3, normalize=True)
+        assert (loaded.n_segments, loaded.normalize) == (3, True)
+        with pytest.raises(PreconditionError, match="n_segments 3 != configured 4"):
+            EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=4)
+        with pytest.raises(PreconditionError, match="normalize True != configured False"):
+            EegVectorDatabase.load(tmp_path / "evd.jsonl", normalize=False)
+
+    def test_load_of_empty_file_takes_configured_settings(self, tmp_path):
+        (tmp_path / "evd.jsonl").write_text("")
+        loaded = EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=7, normalize=False)
+        assert (loaded.n_segments, loaded.normalize, len(loaded)) == (7, False, 0)
+

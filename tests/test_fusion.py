@@ -78,7 +78,7 @@ class TestFuse:
         bundle = RetrievalBundle(hyperedge_hits=[ScoredHyperedge(edge, 0.9, 1)])
         ctx = fuse(bundle, store, radius=0)
         assert [e.hyperedge_id for e in ctx.hyperedges] == [edge]
-        assert {e.entity_id for e in ctx.entities} == {a, b}
+        assert {e.id for e in ctx.entities} == {a, b}
         assert ctx.hyperedges[0].reason == "retrieved"
         assert other not in {e.hyperedge_id for e in ctx.hyperedges}
 
@@ -125,11 +125,60 @@ class TestFuse:
             hood = store.neighborhood(seeds, radius)
             kept = {e.hyperedge_id for e in ctx.hyperedges}
             assert kept <= hood.hyperedge_ids
-            included_entities = {e.entity_id for e in ctx.entities}
+            included_entities = {e.id for e in ctx.entities}
             for edge in ctx.hyperedges:
                 assert store.hyperedges[edge.hyperedge_id].members <= included_entities
             if not ctx.truncated:
                 assert edge_ids[0] in kept
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_radius_one_equals_ranking_the_walked_closure(self, seed):
+        """Radius 1 picks its candidates by set operations; the kept edges,
+        their order and the truncation flag must equal ranking every edge of
+        the walked closure. Skewed membership makes hubs, shared edges and
+        ties in connectivity and score."""
+        rng = np.random.default_rng(seed)
+        store = BipartiteStore(embedding_dim=32)
+        ents = [store.add_entity(f"node{i}") for i in range(30)]
+        weights = 1.0 / (np.arange(30) + 2.0)
+        for j in range(150):
+            size = int(rng.integers(1, 5))
+            members = rng.choice(30, size=size, replace=False, p=weights / weights.sum())
+            layer = "case" if j % 10 == 0 else "knowledge"
+            store.add_hyperedge(f"fact {j}", {ents[m] for m in members}, layer=layer)
+        store.seal()
+        edge_ids = sorted(store.hyperedges)
+        for _ in range(20):
+            hit_ids = rng.choice(len(edge_ids), size=int(rng.integers(0, 4)), replace=False)
+            hits = [
+                ScoredHyperedge(edge_ids[h], float(rng.choice([0.2, 0.5, 0.5])), rank)
+                for rank, h in enumerate(hit_ids, start=1)
+            ]
+            picked = rng.choice(30, size=int(rng.integers(0, 9)), replace=False)
+            matches = [EntityMatch(ents[e], 0, 1, "e", "exact-name") for e in picked]
+            seeds = {h.hyperedge_id for h in hits} | {m.entity_id for m in matches}
+            budget = int(rng.integers(1, 13))
+            ctx = fuse(
+                RetrievalBundle(hyperedge_hits=hits, entity_matches=matches),
+                store,
+                radius=1,
+                budget=budget,
+            )
+            scores = {h.hyperedge_id: h.score for h in hits}
+            ranked = sorted(
+                (
+                    -(len(store.hyperedges[hid].members & seeds) + (hid in seeds)),
+                    -scores.get(hid, -2.0),
+                    hid,
+                )
+                for hid in store.neighborhood(seeds, 1).hyperedge_ids
+            )
+            got = [
+                (-e.connectivity, -(-2.0 if e.score is None else e.score), e.hyperedge_id)
+                for e in ctx.hyperedges
+            ]
+            assert got == ranked[:budget]
+            assert ctx.truncated == (len(ranked) > budget)
 
     def test_directly_retrieved_edge_survives_or_truncates(self):
         store, seeds, (a, b, x, y, bridge, side_a, side_b) = bridging_fixture()
@@ -158,6 +207,21 @@ class TestFuse:
         assert [c.h for c in ctx.cases] == [h]
         assert {e.hyperedge_id for e in ctx.hyperedges} == {edge}
         assert [s.recording_id for s in ctx.eeg_summaries] == ["rec-1"]
+
+    def test_context_shares_the_stores_records(self):
+        store = BipartiteStore(embedding_dim=32)
+        epilepsy = store.add_entity("epilepsy")
+        store.add_hyperedge("epilepsy fact", {epilepsy})
+        store.seal()
+        cases = CaseStore()
+        h = cases.add_record(PatientRecord.from_raw({"diagnosis": "epilepsy"}), EMB)
+        cases.seal()
+        matches = [EegMatch("rec-1", h, 0.5, 1), EegMatch("rec-2", None, 0.75, 2)]
+        ctx = fuse(RetrievalBundle(eeg_matches=matches), store, cases, radius=1)
+        assert ctx.entities[0] is store.entities[epilepsy]
+        assert ctx.cases[0] is cases.cases[h]
+        assert ctx.eeg_summaries == matches and ctx.eeg_summaries is not matches
+        assert all(a is b for a, b in zip(ctx.eeg_summaries, matches))
 
     def test_unknown_patient_hash_is_skipped(self):
         store = BipartiteStore(embedding_dim=4)
