@@ -51,13 +51,11 @@ from .evaluation import (
 )
 from .fusion import (
     AblationFlags,
-    CannedAnswerClient,
     FusedContext,
     GenerationClient,
     HttpChatClient,
     MockGenerationClient,
     RetrievalBundle,
-    configure_ablation,
     fuse,
     generate,
     render_context,
@@ -65,12 +63,10 @@ from .fusion import (
 from .hypergraph import BipartiteStore, Entity, Hyperedge, Neighborhood
 from .knowledge import (
     Document,
-    ExtractionResult,
     Extractor,
     Fact,
     RuleBasedExtractor,
     build_kgh,
-    extract_hyperedges,
     load_documents,
 )
 from .pipeline import Pipeline, QueryResult, load_stores, save_stores

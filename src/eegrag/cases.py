@@ -9,8 +9,6 @@ the most similar complete neighbor; real cases are never mutated.
 
 from __future__ import annotations
 
-import json
-import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -18,10 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import Embedder
-from .errors import NotFoundError, PreconditionError, StoreSealedError
+from .errors import PreconditionError, StoreSealedError
 from .hashing import collapse_whitespace, fnv1a64_text
-
-logger = logging.getLogger(__name__)
+from .jsonl import read_jsonl, write_jsonl
 
 SYNTHETIC_SUFFIX = "-s"
 
@@ -151,47 +148,40 @@ class CaseStore:
         for name in case.attributes:
             self.attribute_index.setdefault(name, set()).add(case.h)
 
-    def get(self, h: str) -> PatientCase:
-        try:
-            return self.cases[h]
-        except KeyError:
-            raise NotFoundError(f"unknown case hash {h!r}") from None
-
     def real_cases(self) -> list[PatientCase]:
         return [self.cases[h] for h in sorted(self.cases) if not self.cases[h].synthetic]
 
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for h in sorted(self.cases):
-                case = self.cases[h]
-                row = {
+        write_jsonl(
+            path,
+            (
+                {
                     "h": case.h,
                     "e": {k: case.attributes[k] for k in sorted(case.attributes)},
                     "embedding": case.embedding.tolist(),
                     "synthetic": case.synthetic,
                     "eeg_refs": case.eeg_refs,
                 }
-                fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+                for _, case in sorted(self.cases.items())
+            ),
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "CaseStore":
+        def case(row: dict) -> PatientCase:
+            return PatientCase(
+                h=row["h"],
+                attributes={k: list(v) for k, v in row["e"].items()},
+                embedding=np.asarray(row["embedding"], dtype=np.float64),
+                synthetic=row["synthetic"],
+                eeg_refs=list(row.get("eeg_refs", [])),
+            )
+
         store = cls()
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                store._insert(
-                    PatientCase(
-                        h=row["h"],
-                        attributes={k: list(v) for k, v in row["e"].items()},
-                        embedding=np.asarray(row["embedding"]),
-                        synthetic=row["synthetic"],
-                        eeg_refs=list(row.get("eeg_refs", [])),
-                    )
-                )
+        for c in read_jsonl(path, case):
+            store._insert(c)
         return store
 
 
@@ -274,17 +264,11 @@ def augment_pseudo_cases(
 
 def load_records(path: str | Path) -> list[PatientRecord]:
     """Read ``cases.jsonl``: one JSON object of free attributes per patient."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                record = PatientRecord.from_raw(obj)
-                if not record.attributes:
-                    raise PreconditionError("record has no attributes")
-                records.append(record)
-            except (PreconditionError, json.JSONDecodeError, AttributeError) as exc:
-                raise PreconditionError(f"{path}: line {lineno}: {exc}") from exc
-    return records
+
+    def record(obj: dict) -> PatientRecord:
+        rec = PatientRecord.from_raw(obj)
+        if not rec.attributes:
+            raise PreconditionError("record has no attributes")
+        return rec
+
+    return read_jsonl(path, record)

@@ -17,7 +17,7 @@ from .cases import augment_pseudo_cases, load_records
 from .config import PipelineConfig
 from .eeg import load_recording
 from .embedding import HashedTokenEmbedder
-from .errors import EegragError, NotFoundError, PreconditionError
+from .errors import EegragError, PreconditionError
 from .evaluation import load_qa, run_benchmark
 from .hypergraph import CASE_LAYER, NameIndex
 from .knowledge import RuleBasedExtractor, build_kgh, load_documents, load_fact_sidecar
@@ -232,13 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EegragError as exc:
+    except (FileNotFoundError, EegragError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

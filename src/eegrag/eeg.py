@@ -16,8 +16,6 @@ with every channel carrying the same number of finite samples.
 
 from __future__ import annotations
 
-import json
-import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,8 +28,7 @@ from .errors import (
     PreconditionError,
     StoreSealedError,
 )
-
-logger = logging.getLogger(__name__)
+from .jsonl import read_json, read_jsonl, write_jsonl
 
 try:
     from numba import njit
@@ -103,8 +100,7 @@ def recording_from_dict(obj: dict) -> EegRecording:
 
 
 def load_recording(path: str | Path) -> EegRecording:
-    with open(path, encoding="utf-8") as fh:
-        return recording_from_dict(json.load(fh))
+    return read_json(path, recording_from_dict)
 
 
 # -- piecewise aggregate approximation ----------------------------------------
@@ -290,11 +286,10 @@ class EegMatch:
 class EegVectorDatabase:
     """Exhaustive DTW search over PAA-compressed recordings.
 
-    Build phase is single-writer; ``seal()`` freezes the database, computes
-    the per-patient fused vectors, and enables retrieval. ``channel_blocked``
-    switches DTW from one pass over the whole concatenated vector to one
-    pass per channel block with the distances summed, which forbids warping
-    across channel boundaries.
+    Build phase is single-writer; ``seal()`` freezes the database and
+    enables retrieval. ``channel_blocked`` switches DTW from one pass over
+    the whole concatenated vector to one pass per channel block with the
+    distances summed, which forbids warping across channel boundaries.
     """
 
     n_segments: int = 20
@@ -307,7 +302,6 @@ class EegVectorDatabase:
         if self.n_segments < 1:
             raise PreconditionError("n_segments must be >= 1")
         self._sealed = False
-        self._patient_fused: dict[str, np.ndarray] = {}
 
     @property
     def sealed(self) -> bool:
@@ -332,36 +326,7 @@ class EegVectorDatabase:
             raise NotFoundError(f"unknown recording id {recording_id!r}") from None
 
     def seal(self) -> None:
-        self._patient_fused = self._fuse_patients()
         self._sealed = True
-
-    def _fuse_patients(self) -> dict[str, np.ndarray]:
-        """Element-wise mean of each patient's embeddings (order-invariant).
-
-        Fusion needs a uniform channel count per patient; patients whose
-        recordings disagree are skipped with a warning rather than failing
-        the build.
-        """
-        groups: dict[str, list[EvdEntry]] = {}
-        for rid in sorted(self.entries):
-            entry = self.entries[rid]
-            if entry.patient_hash:
-                groups.setdefault(entry.patient_hash, []).append(entry)
-        fused = {}
-        for patient, group in groups.items():
-            shapes = {e.embedding.values.shape[0] for e in group}
-            if len(shapes) != 1:
-                logger.warning(
-                    "patient %s has recordings with differing channel counts; skipping fusion",
-                    patient,
-                )
-                continue
-            fused[patient] = np.mean([e.embedding.values for e in group], axis=0)
-        return fused
-
-    def patient_embedding(self, patient_hash: str) -> np.ndarray | None:
-        """The fused per-patient vector, available once the database is sealed."""
-        return self._patient_fused.get(patient_hash)
 
     def _distance(self, query: PaaEmbedding, entry: PaaEmbedding) -> float:
         if self.channel_blocked:
@@ -404,10 +369,10 @@ class EegVectorDatabase:
 
     def save(self, path: str | Path) -> None:
         """One JSON object per entry, sorted by recording id (``evd.jsonl``)."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for rid in sorted(self.entries):
-                e = self.entries[rid]
-                row = {
+        write_jsonl(
+            path,
+            (
+                {
                     "id": e.id,
                     "patient_hash": e.patient_hash,
                     "sample_rate": e.sample_rate,
@@ -416,7 +381,9 @@ class EegVectorDatabase:
                     "channel_order": e.embedding.channel_order,
                     "values": e.embedding.values.tolist(),
                 }
-                fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+                for _, e in sorted(self.entries.items())
+            ),
+        )
 
     @classmethod
     def load(
@@ -433,30 +400,26 @@ class EegVectorDatabase:
         given, a file that disagrees is rejected, since its embeddings could
         not be compared with queries embedded under the given settings.
         """
-        rows = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    rows.append(json.loads(line))
-        settings = {"n_segments": n_segments, "normalize": normalize}
-        if rows:
-            n_set = {r["n_segments"] for r in rows}
-            norm_set = {r["normalized"] for r in rows}
-            if len(n_set) != 1 or len(norm_set) != 1:
-                raise PreconditionError("inconsistent n_segments/normalized flags in database file")
-            stored = {"n_segments": rows[0]["n_segments"], "normalize": rows[0]["normalized"]}
-            for name, value in settings.items():
-                if value is not None and value != stored[name]:
-                    raise PreconditionError(
-                        f"EEG database {name} {stored[name]} != configured {value}"
-                    )
-            settings = stored
+
+        def entry(row: dict) -> tuple[EvdEntry, bool]:
+            if not isinstance(row["normalized"], bool):
+                raise PreconditionError(f"normalized is {row['normalized']!r}, not a boolean")
+            emb = PaaEmbedding(row["n_segments"], row["values"], row["channel_order"])
+            return EvdEntry(row["id"], row["patient_hash"], row["sample_rate"], emb), row["normalized"]
+
+        rows = read_jsonl(path, entry)
+        configured = {"n_segments": n_segments, "normalize": normalize}
+        stored = {(e.embedding.segments_per_channel, normalized) for e, normalized in rows}
+        if len(stored) > 1:
+            raise PreconditionError("inconsistent n_segments/normalized flags in database file")
+        settings = dict(zip(configured, stored.pop())) if stored else configured
+        for name, value in configured.items():
+            if value is not None and value != settings[name]:
+                raise PreconditionError(f"EEG database {name} {settings[name]} != configured {value}")
         db = cls(
             band=band,
             channel_blocked=channel_blocked,
             **{name: value for name, value in settings.items() if value is not None},
         )
-        for r in rows:
-            emb = PaaEmbedding(r["n_segments"], np.asarray(r["values"]), r["channel_order"])
-            db.entries[r["id"]] = EvdEntry(r["id"], r["patient_hash"], r["sample_rate"], emb)
+        db.entries = {e.id: e for e, _ in rows}
         return db

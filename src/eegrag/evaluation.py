@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import NotFoundError, PreconditionError
 from .hashing import fnv1a64_text
+from .jsonl import read_jsonl
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 _ARTICLES = {"a", "an", "the"}
@@ -93,26 +94,17 @@ class QaExample:
 
 def load_qa(path: str | Path) -> list[QaExample]:
     """Read ``qa.jsonl``: id, domain, role, question, eeg_ref?, gold."""
-    examples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                examples.append(
-                    QaExample(
-                        id=row["id"],
-                        domain=row.get("domain", ""),
-                        role=row.get("role", ""),
-                        question=row["question"],
-                        gold=row["gold"],
-                        eeg_ref=row.get("eeg_ref"),
-                    )
-                )
-            except (KeyError, TypeError, json.JSONDecodeError, PreconditionError) as exc:
-                raise PreconditionError(f"{path}: line {lineno}: {exc}") from exc
-    return examples
+    return read_jsonl(
+        path,
+        lambda row: QaExample(
+            id=row["id"],
+            domain=row.get("domain", ""),
+            role=row.get("role", ""),
+            question=row["question"],
+            gold=row["gold"],
+            eeg_ref=row.get("eeg_ref"),
+        ),
+    )
 
 
 @dataclass

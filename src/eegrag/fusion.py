@@ -11,12 +11,12 @@ inputs so end-to-end runs are byte-reproducible.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
 import threading
 import time
-import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
@@ -44,19 +44,6 @@ class AblationFlags:
     cl: bool = True
     il: bool = True
     el: bool = True
-
-
-def configure_ablation(flags: dict[str, bool]) -> AblationFlags:
-    """Build ablation flags from a {"CL": bool, "IL": bool, "EL": bool} mapping."""
-    normalized = {k.lower(): v for k, v in flags.items()}
-    unknown = set(normalized) - {"cl", "il", "el"}
-    if unknown:
-        raise PreconditionError(f"unknown ablation flags: {sorted(unknown)}")
-    return AblationFlags(
-        cl=normalized.get("cl", True),
-        il=normalized.get("il", True),
-        el=normalized.get("el", True),
-    )
 
 
 @dataclass
@@ -329,19 +316,6 @@ class MockGenerationClient:
         return f"Mock diagnostic answer for: {question} [grounding:{digest}]"
 
 
-class CannedAnswerClient:
-    """Returns a configured answer per question; used for benchmark harness tests."""
-
-    client_id = "canned"
-
-    def __init__(self, answers: dict[str, str], default: str = "unknown"):
-        self.answers = dict(answers)
-        self.default = default
-
-    def complete(self, prompt: str, context: str, question: str) -> str:
-        return self.answers.get(question, self.default)
-
-
 class HttpChatClient:
     """Minimal chat-completion-style HTTP backend.
 
@@ -349,7 +323,10 @@ class HttpChatClient:
     question as the user message. Authentication is read from the
     environment variable named by ``auth_env`` at call time. Calls are
     retried ``retries`` times with linear backoff before raising
-    ``TransportError``; concurrent in-flight requests are capped.
+    ``TransportError``: a failed connection, a dropped or cut-off response,
+    an error status, and a body without a string
+    ``choices[0].message.content`` all count as failures. Concurrent
+    in-flight requests are capped.
     """
 
     def __init__(
@@ -388,7 +365,9 @@ class HttpChatClient:
             token = os.environ.get(self.auth_env, "")
             if token:
                 headers["Authorization"] = f"Bearer {token}"
-        body = json.dumps(payload).encode("utf-8")
+        request = urllib.request.Request(
+            self.endpoint, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
+        )
 
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
@@ -396,13 +375,15 @@ class HttpChatClient:
                 time.sleep(self.backoff * attempt)
             try:
                 with self._gate:
-                    request = urllib.request.Request(
-                        self.endpoint, data=body, headers=headers, method="POST"
-                    )
                     with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                         data = json.loads(resp.read().decode("utf-8"))
-                return data["choices"][0]["message"]["content"]
-            except (urllib.error.URLError, TimeoutError, KeyError, json.JSONDecodeError) as exc:
+                answer = data["choices"][0]["message"]["content"]
+                if not isinstance(answer, str):
+                    raise TypeError(f"answer content is {type(answer).__name__}, not str")
+                return answer
+            # OSError: URLError, HTTPError, a reset connection; HTTPException:
+            # RemoteDisconnected, IncompleteRead; the rest: a malformed body
+            except (OSError, http.client.HTTPException, LookupError, TypeError, ValueError) as exc:
                 last_error = exc
                 logger.warning("generation call failed (attempt %d): %s", attempt + 1, exc)
         raise TransportError(

@@ -14,7 +14,6 @@ only read them.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -31,6 +30,7 @@ from .errors import (
     StoreSealedError,
 )
 from .hashing import collapse_whitespace, entity_id, hyperedge_id, is_hyperedge_id
+from .jsonl import read_json, read_jsonl, write_json, write_jsonl
 
 FORMAT_VERSION = 1
 
@@ -78,9 +78,6 @@ class Neighborhood:
     @property
     def nodes(self) -> set[int]:
         return self.entity_ids | self.hyperedge_ids
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self.entity_ids or node_id in self.hyperedge_ids
 
 
 class HyperedgeIndex:
@@ -306,75 +303,80 @@ class BipartiteStore:
         """Write ``entities.jsonl``, ``hyperedges.jsonl``, and ``meta.json``.
 
         Rows are sorted by id and sets are serialized sorted, so identical
-        stores serialize byte-identically.
+        stores serialize byte-identically. Each file is replaced whole, in
+        that order: a store only gains entities, so a crash between files
+        leaves no hyperedge on disk without its members.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        with open(directory / "entities.jsonl", "w", encoding="utf-8") as fh:
-            for eid in sorted(self.entities):
-                ent = self.entities[eid]
-                row = {
+        write_jsonl(
+            directory / "entities.jsonl",
+            (
+                {
                     "id": ent.id,
                     "name": ent.name,
                     "etype": ent.etype,
                     "definition": ent.definition,
                     "embedding": None if ent.embedding is None else ent.embedding.tolist(),
                 }
-                fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
-        with open(directory / "hyperedges.jsonl", "w", encoding="utf-8") as fh:
-            for hid in sorted(self.hyperedges):
-                edge = self.hyperedges[hid]
-                row = {
+                for _, ent in sorted(self.entities.items())
+            ),
+        )
+        write_jsonl(
+            directory / "hyperedges.jsonl",
+            (
+                {
                     "id": edge.id,
                     "description": edge.description,
                     "members": sorted(edge.members),
                     "layer": edge.layer,
                     "embedding": None if edge.embedding is None else edge.embedding.tolist(),
                 }
-                fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
-        meta = {
-            "format_version": FORMAT_VERSION,
-            "embedding_dim": self.embedding_dim,
-            "entity_count": len(self.entities),
-            "hyperedge_count": len(self.hyperedges),
-        }
-        with open(directory / "meta.json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+                for _, edge in sorted(self.hyperedges.items())
+            ),
+        )
+        write_json(
+            directory / "meta.json",
+            {
+                "format_version": FORMAT_VERSION,
+                "embedding_dim": self.embedding_dim,
+                "entity_count": len(self.entities),
+                "hyperedge_count": len(self.hyperedges),
+            },
+        )
 
     @classmethod
     def load(cls, directory: str | Path) -> "BipartiteStore":
         """Load a persisted store; the result is unsealed (callers seal it)."""
         directory = Path(directory)
-        with open(directory / "meta.json", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        if meta.get("format_version") != FORMAT_VERSION:
-            raise PreconditionError(
-                f"unsupported store format version {meta.get('format_version')!r}"
-            )
-        store = cls(embedding_dim=meta["embedding_dim"])
-        with open(directory / "entities.jsonl", encoding="utf-8") as fh:
-            for line in fh:
-                row = json.loads(line)
-                emb = store._check_dim(row["embedding"])
-                store.entities[row["id"]] = Entity(
-                    row["id"], row["name"], row["etype"], row["definition"], emb
+
+        def from_meta(meta: dict) -> "BipartiteStore":
+            if meta.get("format_version") != FORMAT_VERSION:
+                raise PreconditionError(
+                    f"unsupported store format version {meta.get('format_version')!r}"
                 )
-                store.incidence.setdefault(row["id"], set())
-        with open(directory / "hyperedges.jsonl", encoding="utf-8") as fh:
-            for line in fh:
-                row = json.loads(line)
-                if row["layer"] not in LAYERS:
-                    raise PreconditionError(f"hyperedge {row['id']} has unknown layer {row['layer']!r}")
-                emb = store._check_dim(row["embedding"])
-                edge = Hyperedge(
-                    row["id"], row["description"], frozenset(row["members"]), row["layer"], emb
-                )
-                store.hyperedges[edge.id] = edge
-                for m in edge.members:
-                    if m not in store.entities:
-                        raise ReferentialError(
-                            f"hyperedge {edge.id} references unknown entity {m}"
-                        )
-                    store.incidence[m].add(edge.id)
+            return cls(embedding_dim=meta["embedding_dim"])
+
+        def entity(row: dict) -> Entity:
+            emb = store._check_dim(row["embedding"])
+            return Entity(row["id"], row["name"], row["etype"], row["definition"], emb)
+
+        def hyperedge(row: dict) -> Hyperedge:
+            if row["layer"] not in LAYERS:
+                raise PreconditionError(f"hyperedge {row['id']} has unknown layer {row['layer']!r}")
+            emb = store._check_dim(row["embedding"])
+            members = frozenset(row["members"])
+            for m in members:
+                if m not in store.entities:
+                    raise ReferentialError(f"hyperedge {row['id']} references unknown entity {m}")
+            return Hyperedge(row["id"], row["description"], members, row["layer"], emb)
+
+        store = read_json(directory / "meta.json", from_meta)
+        for ent in read_jsonl(directory / "entities.jsonl", entity):
+            store.entities[ent.id] = ent
+            store.incidence.setdefault(ent.id, set())
+        for edge in read_jsonl(directory / "hyperedges.jsonl", hyperedge):
+            store.hyperedges[edge.id] = edge
+            for m in edge.members:
+                store.incidence[m].add(edge.id)
         return store

@@ -1,0 +1,81 @@
+"""The one reader and writer of the package's JSON and JSONL files.
+
+Reading skips blank lines and reports a malformed line as
+``PreconditionError("<path>: line N: ...")``; a store's own typed errors
+(``DimensionMismatchError``, ``ReferentialError``) keep their type and gain
+the same location. Writing goes to a sibling temporary file that replaces
+the target only once it is complete, so an exception or a process crash
+mid-write leaves the previous file as it was. Nothing is fsynced: the
+guarantee does not cover a power loss.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from collections.abc import Callable, Iterable
+from contextlib import contextmanager
+from pathlib import Path
+from typing import TypeVar
+
+from .errors import DimensionMismatchError, PreconditionError, ReferentialError
+
+T = TypeVar("T")
+
+# what parsing a malformed value raises: JSONDecodeError, UnicodeDecodeError
+# and PreconditionError are ValueErrors, a missing key is a LookupError, and
+# a row of the wrong JSON type raises TypeError or AttributeError
+_MALFORMED = (ValueError, LookupError, TypeError, AttributeError)
+
+
+def _located(exc: Exception, where: str) -> Exception:
+    typed = isinstance(exc, (DimensionMismatchError, ReferentialError))
+    return (type(exc) if typed else PreconditionError)(f"{where}: {exc}")
+
+
+def read_jsonl(path: str | Path, parse: Callable[[object], T]) -> list[T]:
+    """``parse`` of each non-blank line of ``path``, in file order."""
+    rows = []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    rows.append(parse(json.loads(line.decode("utf-8"))))
+                except _MALFORMED as exc:
+                    raise _located(exc, f"{path}: line {lineno}") from exc
+    return rows
+
+
+def read_json(path: str | Path, parse: Callable[[object], T]) -> T:
+    """``parse`` of the one JSON document in ``path``."""
+    try:
+        return parse(json.loads(Path(path).read_bytes()))
+    except _MALFORMED as exc:
+        raise _located(exc, str(path)) from exc
+
+
+@contextmanager
+def _replacing(path: str | Path):
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+    """One sorted-key JSON object per line, replacing ``path`` when complete."""
+    with _replacing(path) as fh:
+        for row in rows:
+            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def write_json(path: str | Path, obj: dict) -> None:
+    """``obj`` indented with sorted keys, replacing ``path`` when complete."""
+    with _replacing(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")

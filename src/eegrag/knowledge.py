@@ -8,11 +8,9 @@ falling back to a crude capitalized-term heuristic.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
-from dataclasses import dataclass, field
-from importlib import resources
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
@@ -20,6 +18,7 @@ from .embedding import Embedder
 from .errors import PreconditionError, TransportError
 from .hashing import collapse_whitespace
 from .hypergraph import KNOWLEDGE_LAYER, BipartiteStore
+from .jsonl import read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -51,46 +50,30 @@ class Fact:
     entities: list[EntitySpec]
 
 
-@dataclass
-class ExtractionResult:
-    facts: list[Fact] = field(default_factory=list)
-
-
 @runtime_checkable
 class Extractor(Protocol):
-    """Turns a document plus an extraction prompt into candidate facts.
+    """Turns a document into candidate facts.
 
     Remote implementations may be nondeterministic and are excluded from
     golden tests; the bundled rule-based extractor is deterministic.
     """
 
-    def extract(self, doc: Document, prompt: str) -> ExtractionResult: ...
-
-
-def load_extraction_prompt() -> str:
-    """The versioned extraction prompt asset (an interface to remote extractors)."""
-    return resources.files("eegrag.prompts").joinpath("extraction.txt").read_text("utf-8")
+    def extract(self, doc: Document) -> list[Fact]: ...
 
 
 def load_fact_sidecar(path: str | Path) -> dict[str, list[Fact]]:
     """Read curated facts keyed by document id from a ``*.facts.jsonl`` file."""
+
+    def fact(row: dict) -> tuple[str, Fact]:
+        entities = [
+            EntitySpec(e["name"], e.get("etype", ""), e.get("definition", ""))
+            for e in row["entities"]
+        ]
+        return row["doc_id"], Fact(row["description"], entities)
+
     sidecar: dict[str, list[Fact]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                fact = Fact(
-                    description=row["description"],
-                    entities=[
-                        EntitySpec(e["name"], e.get("etype", ""), e.get("definition", ""))
-                        for e in row["entities"]
-                    ],
-                )
-                sidecar.setdefault(row["doc_id"], []).append(fact)
-            except (KeyError, TypeError, json.JSONDecodeError) as exc:
-                raise PreconditionError(f"{path}: line {lineno}: {exc}") from exc
+    for doc_id, f in read_jsonl(path, fact):
+        sidecar.setdefault(doc_id, []).append(f)
     return sidecar
 
 
@@ -109,9 +92,9 @@ class RuleBasedExtractor:
     def __init__(self, sidecar: dict[str, list[Fact]] | None = None):
         self.sidecar = sidecar or {}
 
-    def extract(self, doc: Document, prompt: str) -> ExtractionResult:
+    def extract(self, doc: Document) -> list[Fact]:
         if doc.id in self.sidecar:
-            return ExtractionResult(facts=list(self.sidecar[doc.id]))
+            return list(self.sidecar[doc.id])
         facts = []
         for sentence in _SENTENCE_SPLIT.split(doc.body):
             sentence = sentence.strip()
@@ -125,13 +108,13 @@ class RuleBasedExtractor:
                 facts.append(
                     Fact(sentence, [EntitySpec(t, etype="term") for t in terms])
                 )
-        return ExtractionResult(facts=facts)
+        return facts
 
 
-def _validate_facts(raw: ExtractionResult, doc_id: str) -> tuple[ExtractionResult, int]:
-    """Drop degenerate facts and normalize entity names; returns (result, dropped)."""
+def _validate_facts(raw: list[Fact], doc_id: str) -> list[Fact]:
+    """Drop degenerate facts and whitespace-normalize entity names."""
     kept = []
-    for fact in raw.facts:
+    for fact in raw:
         entities = [
             EntitySpec(collapse_whitespace(e.name), e.etype, e.definition)
             for e in fact.entities
@@ -141,29 +124,7 @@ def _validate_facts(raw: ExtractionResult, doc_id: str) -> tuple[ExtractionResul
             logger.info("dropping degenerate fact from document %s: %r", doc_id, fact.description)
             continue
         kept.append(Fact(fact.description, entities))
-    return ExtractionResult(facts=kept), len(raw.facts) - len(kept)
-
-
-def _extract_with_provenance(doc: Document, extractor: Extractor, prompt: str) -> ExtractionResult:
-    try:
-        return extractor.extract(doc, prompt)
-    except TransportError as exc:
-        raise TransportError(
-            f"extraction failed for document {doc.id!r}: {exc}", retryable=exc.retryable
-        ) from exc
-
-
-def extract_hyperedges(doc: Document, extractor: Extractor, prompt: str) -> ExtractionResult:
-    """Run the extractor and validate its output.
-
-    Facts with an empty description or no surviving entities are dropped
-    (logged, not fatal); entity names are whitespace-normalized. Extractor
-    transport failures are re-raised carrying the document id.
-    """
-    if not doc.body.strip():
-        raise PreconditionError(f"document {doc.id!r} has an empty body")
-    validated, _ = _validate_facts(_extract_with_provenance(doc, extractor, prompt), doc.id)
-    return validated
+    return kept
 
 
 @dataclass
@@ -184,27 +145,30 @@ def build_kgh(
     extractor: Extractor,
     embedder: Embedder,
     store: BipartiteStore,
-    prompt: str | None = None,
 ) -> IngestReport:
     """Ingest documents into the knowledge layer of ``store``.
 
-    Every surviving fact becomes a knowledge-layer hyperedge with an
-    embedded description; every entity is registered (or merged) with an
+    Degenerate facts are dropped (logged and counted, not fatal); every
+    other fact becomes a knowledge-layer hyperedge with an embedded
+    description, and every entity is registered (or merged) with an
     embedding of its name plus definition. Documents are processed in id
-    order so the build is deterministic regardless of input order.
+    order so the build is deterministic regardless of input order. An
+    extractor's ``TransportError`` is re-raised naming the document.
     """
     if store.sealed:
         raise PreconditionError("cannot ingest into a sealed store")
-    if prompt is None:
-        prompt = load_extraction_prompt()
     report = IngestReport()
     for doc in sorted(docs, key=lambda d: d.id):
         report.documents += 1
-        validated, dropped = _validate_facts(
-            _extract_with_provenance(doc, extractor, prompt), doc.id
-        )
-        report.facts_dropped += dropped
-        for fact in validated.facts:
+        try:
+            raw = extractor.extract(doc)
+        except TransportError as exc:
+            raise TransportError(
+                f"extraction failed for document {doc.id!r}: {exc}", retryable=exc.retryable
+            ) from exc
+        facts = _validate_facts(raw, doc.id)
+        report.facts_dropped += len(raw) - len(facts)
+        for fact in facts:
             member_ids = set()
             for spec in fact.entities:
                 before = len(store.entities)
@@ -235,16 +199,7 @@ def build_kgh(
 
 def load_documents(path: str | Path) -> list[Document]:
     """Read ``docs.jsonl`` (id, title, body, source), one document per line."""
-    docs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                docs.append(
-                    Document(row["id"], row.get("title", ""), row["body"], row.get("source", ""))
-                )
-            except (KeyError, TypeError, json.JSONDecodeError, PreconditionError) as exc:
-                raise PreconditionError(f"{path}: line {lineno}: {exc}") from exc
-    return docs
+    return read_jsonl(
+        path,
+        lambda row: Document(row["id"], row.get("title", ""), row["body"], row.get("source", "")),
+    )

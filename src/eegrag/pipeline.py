@@ -35,7 +35,6 @@ from .retrieval import (
 
 logger = logging.getLogger(__name__)
 
-ENTITIES_FILE = "entities.jsonl"
 META_FILE = "meta.json"
 CASES_FILE = "cases.jsonl"
 EVD_FILE = "evd.jsonl"
@@ -309,11 +308,12 @@ def save_stores(
     case_store: CaseStore | None = None,
     evd: EegVectorDatabase | None = None,
 ) -> None:
+    """Write the given stores; each file is replaced whole, ``meta.json`` last."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if store is not None:
-        store.save(directory)
     if case_store is not None:
         case_store.save(directory / CASES_FILE)
     if evd is not None:
         evd.save(directory / EVD_FILE)
+    if store is not None:
+        store.save(directory)

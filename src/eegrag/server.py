@@ -1,7 +1,8 @@
 """Read-only HTTP endpoint over a built pipeline.
 
 POST /query  {"question": ..., "role"?: ..., "domain"?: ..., "eeg_recording_id"?: ...}
-             -> the same JSON document the `query` CLI subcommand prints
+             -> the same JSON document the `query` CLI subcommand prints;
+             a body over MAX_BODY_BYTES is refused with 413
 GET  /healthz -> store statistics
 
 Requests are independent and the stores are sealed, so the threading
@@ -14,10 +15,12 @@ import json
 import logging
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .errors import EegragError, NotFoundError, PreconditionError
+from .errors import EegragError, NotFoundError, TransportError
 from .pipeline import Pipeline
 
 logger = logging.getLogger(__name__)
+
+MAX_BODY_BYTES = 1 << 20
 
 
 def _parse_query(body: bytes) -> dict:
@@ -63,24 +66,28 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(404, {"error": f"unknown path {self.path}"})
 
     def do_POST(self) -> None:
+        self._send(*self._answer_query())
+
+    def _answer_query(self) -> tuple[int, dict | str]:
         if self.path != "/query":
-            self._send(404, {"error": f"unknown path {self.path}"})
-            return
+            return 404, {"error": f"unknown path {self.path}"}
+        length = self.headers.get("Content-Length", "0").strip()
+        if not length.isdecimal():
+            return 400, {"error": "Content-Length must be a non-negative integer"}
+        if int(length) > MAX_BODY_BYTES:
+            return 413, {"error": f"body over {MAX_BODY_BYTES} bytes"}
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            query = _parse_query(self.rfile.read(length))
+            query = _parse_query(self.rfile.read(int(length)))
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
-            self._send(400, {"error": f"malformed /query body: {exc}"})
-            return
+            return 400, {"error": f"malformed /query body: {exc}"}
         try:
-            result = self.server.pipeline.run_query(**query)
+            return 200, self.server.pipeline.run_query(**query).to_json()
         except NotFoundError as exc:
-            self._send(404, {"error": str(exc)})
-            return
-        except (PreconditionError, EegragError) as exc:
-            self._send(400, {"error": str(exc)})
-            return
-        self._send(200, result.to_json())
+            return 404, {"error": str(exc)}
+        except TransportError as exc:
+            return 502, {"error": str(exc)}
+        except EegragError as exc:
+            return 400, {"error": str(exc)}
 
 
 class PipelineServer(ThreadingHTTPServer):

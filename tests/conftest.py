@@ -24,6 +24,19 @@ def embedder() -> HashedTokenEmbedder:
     return HashedTokenEmbedder(64)
 
 
+class CannedAnswerClient:
+    """Generation client returning a configured answer per question."""
+
+    client_id = "canned"
+
+    def __init__(self, answers: dict[str, str], default: str = "unknown"):
+        self.answers = dict(answers)
+        self.default = default
+
+    def complete(self, prompt: str, context: str, question: str) -> str:
+        return self.answers.get(question, self.default)
+
+
 def random_store(
     rng: np.random.Generator,
     max_entities: int = 30,

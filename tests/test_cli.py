@@ -169,6 +169,39 @@ class TestQuery:
         assert code == 2
         assert "rec-nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, key",
+        [
+            ("entities.jsonl", "name"),
+            ("hyperedges.jsonl", "members"),
+            ("cases.jsonl", "e"),
+            ("evd.jsonl", "values"),
+        ],
+    )
+    @pytest.mark.parametrize("damage", ["torn-last-line", "missing-key"])
+    def test_malformed_store_file_exits_2_naming_path_and_line(
+        self, built_store, tmp_path, capsys, name, key, damage
+    ):
+        store = tmp_path / "store"
+        store.mkdir()
+        for f in built_store.iterdir():
+            (store / f.name).write_bytes(f.read_bytes())
+        path = store / name
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        if damage == "torn-last-line":
+            lines[-1] = lines[-1][: len(lines[-1]) // 2]
+            line = len(lines)
+        else:
+            row = json.loads(lines[0])
+            del row[key]
+            lines[0] = json.dumps(row) + "\n"
+            line = 1
+        path.write_text("".join(lines), encoding="utf-8")
+        assert main(QUERY_ARGS + ["--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line {line}: " in err
+        assert "Traceback" not in err
+
     def test_evd_settings_must_match_config(self, built_store, capsys):
         for setting in ("paa_segments=12", "eeg_normalize=false"):
             code = main(QUERY_ARGS + ["--store", str(built_store), "--set", setting])
@@ -194,7 +227,7 @@ class TestBench:
     def test_echo_gold_client_scores_hundred_everywhere(self, built_store):
         from eegrag.config import PipelineConfig
         from eegrag.evaluation import load_qa, run_benchmark
-        from eegrag.fusion import CannedAnswerClient
+        from conftest import CannedAnswerClient
         from eegrag.pipeline import Pipeline
 
         dataset = load_qa(FIXTURES / "qa.jsonl")

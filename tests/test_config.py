@@ -68,13 +68,18 @@ class TestFileParsing:
         assert config.seed == 99
 
     def test_none_and_bool_parsing(self):
-        config = PipelineConfig.from_mapping({"dtw_band": "none", "el": "no", "il": "1"})
+        config = PipelineConfig.from_mapping(
+            {"dtw_band": "none", "el": "no", "il": "1", "CL": "off"}
+        )
         assert config.dtw_band is None
         assert not config.ablation.el and config.ablation.il
+        assert not config.ablation.cl
 
     def test_unknown_key_rejected(self):
         with pytest.raises(PreconditionError, match="unknown config key"):
             PipelineConfig.from_mapping({"warp_speed": "9"})
+        with pytest.raises(PreconditionError, match="unknown config key"):
+            PipelineConfig.from_mapping({"XX": "true"})
 
     def test_bad_value_rejected(self):
         with pytest.raises(PreconditionError):

@@ -293,18 +293,6 @@ class TestVectorDatabase:
         with pytest.raises(StoreSealedError):
             db.insert_recording(make_recording([[1, 2]], rec_id="r2"))
 
-    def test_patient_fusion_is_segmentwise_mean(self):
-        rng = np.random.default_rng(51)
-        recs = [
-            make_recording(rng.normal(size=(2, 20)), rec_id=f"r{i}", patient="p1")
-            for i in range(3)
-        ]
-        db = fill_db(recs, n=5)
-        db.seal()
-        expected = np.mean([eeg_embed(r, 5).values for r in recs], axis=0)
-        np.testing.assert_allclose(db.patient_embedding("p1"), expected, atol=1e-12)
-        assert db.patient_embedding("unknown") is None
-
     def test_retrieval_requires_seal(self):
         db = fill_db([make_recording([[1, 2, 3]], rec_id="r1")])
         with pytest.raises(PreconditionError):
@@ -394,6 +382,19 @@ class TestVectorDatabase:
             EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=4)
         with pytest.raises(PreconditionError, match="normalize True != configured False"):
             EegVectorDatabase.load(tmp_path / "evd.jsonl", normalize=False)
+
+    @pytest.mark.parametrize("field, value", [("normalized", [True]), ("values", "abc")])
+    def test_load_rejects_malformed_row_naming_its_line(self, tmp_path, field, value):
+        rng = np.random.default_rng(58)
+        recs = [make_recording(rng.normal(size=(2, 15)), rec_id=f"r{i}") for i in range(2)]
+        fill_db(recs, n=3).save(tmp_path / "evd.jsonl")
+        lines = (tmp_path / "evd.jsonl").read_text().splitlines()
+        row = json.loads(lines[1])
+        row[field] = value
+        lines[1] = json.dumps(row)
+        (tmp_path / "evd.jsonl").write_text("\n".join(lines) + "\n")
+        with pytest.raises(PreconditionError, match="evd.jsonl: line 2: "):
+            EegVectorDatabase.load(tmp_path / "evd.jsonl")
 
     def test_load_of_empty_file_takes_configured_settings(self, tmp_path):
         (tmp_path / "evd.jsonl").write_text("")

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from eegrag.cases import CaseStore, PatientRecord
+from eegrag.config import PipelineConfig
 from eegrag.eeg import EegMatch
 from eegrag.embedding import HashedTokenEmbedder
 from eegrag.errors import PreconditionError, ReferentialError, TransportError
 from eegrag.fusion import (
     AblationFlags,
-    CannedAnswerClient,
     HttpChatClient,
     MockGenerationClient,
     RetrievalBundle,
-    configure_ablation,
     fuse,
     generate,
     render_context,
@@ -46,17 +45,19 @@ def bridging_fixture():
 
 
 class TestConfigureAblation:
+    """The cl/il/el ablation flags are configured through PipelineConfig."""
+
     def test_all_true_default(self):
-        flags = configure_ablation({})
+        flags = PipelineConfig.from_mapping({}).ablation
         assert flags == AblationFlags(True, True, True)
 
     def test_uppercase_keys(self):
-        flags = configure_ablation({"CL": False, "IL": True, "EL": False})
+        flags = PipelineConfig.from_mapping({"CL": "false", "IL": "true", "EL": "false"}).ablation
         assert flags == AblationFlags(cl=False, il=True, el=False)
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(PreconditionError):
-            configure_ablation({"XX": True})
+            PipelineConfig.from_mapping({"XX": "true"})
 
 
 class TestFuse:
@@ -322,14 +323,10 @@ class TestGeneration:
 
         assert result.context_hash == hashlib.sha256(b"").hexdigest()
 
-    def test_canned_client(self):
-        client = CannedAnswerClient({"q1": "a1"}, default="dunno")
-        assert client.complete("p", "c", "q1") == "a1"
-        assert client.complete("p", "c", "q2") == "dunno"
-
 
 class _StubHandler(BaseHTTPRequestHandler):
     fail_times = 0
+    failure = "status-500"
     calls = 0
 
     def do_POST(self):
@@ -338,8 +335,18 @@ class _StubHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length))
         if _StubHandler.fail_times > 0:
             _StubHandler.fail_times -= 1
-            self.send_response(500)
-            self.end_headers()
+            if _StubHandler.failure == "status-500":
+                self.send_response(500)
+                self.end_headers()
+            elif _StubHandler.failure == "cut-off-body":
+                self.send_response(200)
+                self.send_header("Content-Length", "100")
+                self.end_headers()
+                self.wfile.write(b'{"choices": ')
+            elif _StubHandler.failure != "no-response":
+                self.send_response(200)
+                self.end_headers()
+                self.wfile.write(_StubHandler.failure.encode())
             return
         answer = {
             "choices": [
@@ -386,3 +393,28 @@ class TestHttpChatClient:
         with pytest.raises(TransportError):
             client.complete("p", "c", "q")
         _StubHandler.fail_times = 0
+
+    @pytest.mark.parametrize(
+        "failure",
+        [
+            "no-response",
+            "cut-off-body",
+            '{"choices": []}',
+            "[]",
+            '{"choices": [{"message": {"content": null}}]}',
+        ],
+        ids=["no-response", "cut-off-body", "empty-choices", "array-body", "null-content"],
+    )
+    def test_failed_response_is_retried_then_transport_error(self, stub_server, failure):
+        _StubHandler.failure = failure
+        try:
+            _StubHandler.fail_times, _StubHandler.calls = 1, 0
+            client = HttpChatClient(stub_server, "m", retries=1, backoff=0.0)
+            assert client.complete("p", "c", "q").startswith("echo:")
+            assert _StubHandler.calls == 2
+            _StubHandler.fail_times, _StubHandler.calls = 10, 0
+            with pytest.raises(TransportError, match="after 2 attempts"):
+                client.complete("p", "c", "q")
+            assert _StubHandler.calls == 2
+        finally:
+            _StubHandler.failure, _StubHandler.fail_times = "status-500", 0

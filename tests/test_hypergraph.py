@@ -148,7 +148,7 @@ class TestNeighborhood:
         isolated = store.add_entity("island")
         hood = store.neighborhood({v1}, 10)
         assert hood.nodes == {v1, v2, v3, e1, e2}
-        assert isolated not in hood
+        assert isolated not in hood.entity_ids
 
     def test_unknown_seed(self):
         store, _ = make_path_store()

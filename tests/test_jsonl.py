@@ -1,0 +1,91 @@
+import numpy as np
+import pytest
+
+from eegrag.cases import CaseStore, PatientCase
+from eegrag.errors import DimensionMismatchError, PreconditionError, ReferentialError
+from eegrag.jsonl import read_json, read_jsonl, write_json, write_jsonl
+
+
+class TestRead:
+    def test_blank_lines_skipped_and_rows_parsed_in_order(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('\n{"a": 1}\n   \n{"a": 2}\n\n', encoding="utf-8")
+        assert read_jsonl(path, lambda row: row["a"]) == [1, 2]
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ('{"a": 1}\n{"a": 2', 2),  # torn last line
+            ('{"a": 1}\n\n{"b": 2}\n', 3),  # missing key
+            ('{"a": 1}\n[1, 2]\n', 2),  # not an object
+            ('"text"\n', 1),
+            ('{"a": "\xe9"}\n'.encode("latin-1"), 1),  # not UTF-8
+        ],
+        ids=["torn", "missing-key", "array-row", "string-row", "not-utf8"],
+    )
+    def test_malformed_line_names_path_and_line(self, tmp_path, text, line):
+        path = tmp_path / "rows.jsonl"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8")
+        with pytest.raises(PreconditionError, match=f"rows.jsonl: line {line}: "):
+            read_jsonl(path, lambda row: row["a"])
+
+    @pytest.mark.parametrize("error", [DimensionMismatchError, ReferentialError])
+    def test_store_errors_keep_their_type(self, tmp_path, error):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n{"a": 2}\n', encoding="utf-8")
+
+        def parse(row):
+            if row["a"] == 2:
+                raise error("bad row")
+            return row
+
+        with pytest.raises(error, match="rows.jsonl: line 2: bad row"):
+            read_jsonl(path, parse)
+
+    def test_malformed_json_document_names_path(self, tmp_path):
+        path = tmp_path / "meta.json"
+        path.write_text('{"format_version": ', encoding="utf-8")
+        with pytest.raises(PreconditionError, match="meta.json: "):
+            read_json(path, dict)
+
+
+class TestWrite:
+    def test_rows_are_sorted_key_lines(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, [{"b": 1, "a": "é"}, {"c": None}])
+        assert path.read_bytes() == '{"a": "é", "b": 1}\n{"c": null}\n'.encode("utf-8")
+        write_json(tmp_path / "meta.json", {"b": 1, "a": 2})
+        assert (tmp_path / "meta.json").read_text() == '{\n  "a": 2,\n  "b": 1\n}\n'
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, error):
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, [{"a": 1}])
+        before = path.read_bytes()
+
+        def rows():
+            yield {"a": 2}
+            yield {"a": 3}
+            raise error("interrupted")
+
+        with pytest.raises(error):
+            write_jsonl(path, rows())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+
+    def test_interrupted_store_save_keeps_previous_file(self, tmp_path):
+        store = CaseStore()
+        for h in ("a", "b"):
+            store._insert(PatientCase(h, {"age": ["30"]}, np.ones(2)))
+        path = tmp_path / "cases.jsonl"
+        store.save(path)
+        before = path.read_bytes()
+        # sorts after the saved rows, so the save fails part-way through
+        store._insert(PatientCase("c", {"age": ["31"]}, np.ones(2), eeg_refs=[object()]))
+        with pytest.raises(TypeError):
+            store.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cases.jsonl"]

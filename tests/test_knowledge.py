@@ -6,11 +6,9 @@ from eegrag.hypergraph import BipartiteStore
 from eegrag.knowledge import (
     Document,
     EntitySpec,
-    ExtractionResult,
     Fact,
     RuleBasedExtractor,
     build_kgh,
-    extract_hyperedges,
     load_documents,
     load_fact_sidecar,
 )
@@ -26,32 +24,41 @@ class FixedExtractor:
     def __init__(self, facts):
         self.facts = facts
 
-    def extract(self, doc, prompt):
-        return ExtractionResult(facts=list(self.facts))
+    def extract(self, doc):
+        return list(self.facts)
+
+
+def descriptions(store: BipartiteStore) -> list[str]:
+    return sorted(e.description for e in store.hyperedges.values())
 
 
 class TestExtraction:
     def test_mock_extractor_passthrough(self):
+        store = BipartiteStore(embedding_dim=32)
         doc = Document("d1", "t", "body text")
         facts = [make_fact("f1", "A", "B"), make_fact("f2", "C")]
-        result = extract_hyperedges(doc, FixedExtractor(facts), "prompt")
-        assert [f.description for f in result.facts] == ["f1", "f2"]
+        report = build_kgh([doc], FixedExtractor(facts), EMB, store)
+        assert descriptions(store) == ["f1", "f2"]
+        assert report.facts_dropped == 0
 
     def test_fact_without_entities_dropped(self):
+        store = BipartiteStore(embedding_dim=32)
         doc = Document("d1", "t", "body")
         facts = [make_fact("keep", "A"), Fact("drop", []), Fact("drop2", [EntitySpec(" ")])]
-        result = extract_hyperedges(doc, FixedExtractor(facts), "p")
-        assert [f.description for f in result.facts] == ["keep"]
+        report = build_kgh([doc], FixedExtractor(facts), EMB, store)
+        assert descriptions(store) == ["keep"]
+        assert report.facts_dropped == 2
 
     def test_empty_body_rejected(self):
         with pytest.raises(PreconditionError):
             Document("d1", "t", "   ")
 
     def test_entity_names_normalized(self):
+        store = BipartiteStore(embedding_dim=32)
         doc = Document("d1", "t", "body")
         facts = [make_fact("f", "  Spike   Wave ")]
-        result = extract_hyperedges(doc, FixedExtractor(facts), "p")
-        assert result.facts[0].entities[0].name == "Spike Wave"
+        build_kgh([doc], FixedExtractor(facts), EMB, store)
+        assert [e.name for e in store.entities.values()] == ["Spike Wave"]
 
     def test_rule_based_sentence_heuristic(self):
         doc = Document(
@@ -60,27 +67,28 @@ class TestExtraction:
             "Valproate treats Epilepsy. lowercase sentence stays out. "
             "Single Capitalized here? no.",
         )
-        result = RuleBasedExtractor().extract(doc, "p")
-        assert len(result.facts) == 1
-        names = [e.name for e in result.facts[0].entities]
+        facts = RuleBasedExtractor().extract(doc)
+        assert len(facts) == 1
+        names = [e.name for e in facts[0].entities]
         assert names == ["Valproate", "Epilepsy"]
 
     def test_rule_based_groups_capitalized_phrases(self):
         doc = Document("d1", "t", "Temporal Lobe Epilepsy often follows Febrile Seizures.")
-        result = RuleBasedExtractor().extract(doc, "p")
-        names = [e.name for e in result.facts[0].entities]
+        facts = RuleBasedExtractor().extract(doc)
+        names = [e.name for e in facts[0].entities]
         assert names == ["Temporal Lobe Epilepsy", "Febrile Seizures"]
 
     def test_transport_failure_carries_document_id(self):
         from eegrag.errors import TransportError
 
         class FlakyExtractor:
-            def extract(self, doc, prompt):
-                raise TransportError("connection reset")
+            def extract(self, doc):
+                raise TransportError("connection reset", retryable=False)
 
         doc = Document("doc-42", "t", "body")
-        with pytest.raises(TransportError, match="doc-42"):
-            extract_hyperedges(doc, FlakyExtractor(), "p")
+        with pytest.raises(TransportError, match="doc-42") as err:
+            build_kgh([doc], FlakyExtractor(), EMB, BipartiteStore(embedding_dim=32))
+        assert not err.value.retryable
 
     def test_sidecar_takes_precedence(self, tmp_path):
         sidecar_file = tmp_path / "facts.jsonl"
@@ -90,14 +98,14 @@ class TestExtraction:
         )
         sidecar = load_fact_sidecar(sidecar_file)
         doc = Document("d1", "t", "Valproate treats Epilepsy.")
-        result = RuleBasedExtractor(sidecar).extract(doc, "p")
-        assert [f.description for f in result.facts] == ["curated"]
+        facts = RuleBasedExtractor(sidecar).extract(doc)
+        assert [f.description for f in facts] == ["curated"]
 
 
 class TestBuildKgh:
     def test_zero_documents(self):
         store = BipartiteStore(embedding_dim=32)
-        report = build_kgh([], FixedExtractor([]), EMB, store, prompt="p")
+        report = build_kgh([], FixedExtractor([]), EMB, store)
         assert report.to_dict() == {
             "documents": 0,
             "facts_dropped": 0,
@@ -111,7 +119,7 @@ class TestBuildKgh:
     def test_counts_one_fact_three_entities(self):
         store = BipartiteStore(embedding_dim=32)
         doc = Document("d1", "t", "body")
-        report = build_kgh([doc], FixedExtractor([make_fact("f", "A", "B", "C")]), EMB, store, prompt="p")
+        report = build_kgh([doc], FixedExtractor([make_fact("f", "A", "B", "C")]), EMB, store)
         assert report.entities_added == 3
         assert report.hyperedges_added == 1
         assert report.entities_merged == 0
@@ -119,7 +127,7 @@ class TestBuildKgh:
     def test_every_edge_is_knowledge_layer_with_embedding(self):
         store = BipartiteStore(embedding_dim=32)
         doc = Document("d1", "t", "body")
-        build_kgh([doc], FixedExtractor([make_fact("f", "A", "B")]), EMB, store, prompt="p")
+        build_kgh([doc], FixedExtractor([make_fact("f", "A", "B")]), EMB, store)
         for edge in store.hyperedges.values():
             assert edge.layer == "knowledge"
             assert edge.embedding is not None
@@ -129,7 +137,7 @@ class TestBuildKgh:
     def test_no_orphan_entities(self):
         store = BipartiteStore(embedding_dim=32)
         docs = [Document("d1", "t", "body"), Document("d2", "t", "body")]
-        build_kgh(docs, FixedExtractor([make_fact("f", "A", "B")]), EMB, store, prompt="p")
+        build_kgh(docs, FixedExtractor([make_fact("f", "A", "B")]), EMB, store)
         for eid in store.entities:
             assert store.incident_hyperedges(eid)
 
@@ -139,9 +147,9 @@ class TestBuildKgh:
         extractor = RuleBasedExtractor(sidecar)
 
         store = BipartiteStore(embedding_dim=32)
-        first = build_kgh(docs, extractor, EMB, store, prompt="p")
+        first = build_kgh(docs, extractor, EMB, store)
         store.save(tmp_path / "a")
-        second = build_kgh(docs, extractor, EMB, store, prompt="p")
+        second = build_kgh(docs, extractor, EMB, store)
         store.save(tmp_path / "b")
 
         assert first.entities_added > 0 and first.hyperedges_added > 0
@@ -157,10 +165,10 @@ class TestBuildKgh:
         extractor = RuleBasedExtractor(sidecar)
 
         store_a = BipartiteStore(embedding_dim=32)
-        build_kgh(docs, extractor, EMB, store_a, prompt="p")
+        build_kgh(docs, extractor, EMB, store_a)
         store_a.save(tmp_path / "a")
         store_b = BipartiteStore(embedding_dim=32)
-        build_kgh(list(reversed(docs)), extractor, EMB, store_b, prompt="p")
+        build_kgh(list(reversed(docs)), extractor, EMB, store_b)
         store_b.save(tmp_path / "b")
         for name in ("entities.jsonl", "hyperedges.jsonl", "meta.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
@@ -169,7 +177,7 @@ class TestBuildKgh:
         store = BipartiteStore(embedding_dim=32)
         store.seal()
         with pytest.raises(PreconditionError):
-            build_kgh([], FixedExtractor([]), EMB, store, prompt="p")
+            build_kgh([], FixedExtractor([]), EMB, store)
 
 
 class TestLoadDocuments:

@@ -1,3 +1,4 @@
+import http.client
 import json
 import threading
 import urllib.error
@@ -7,8 +8,9 @@ import pytest
 
 from eegrag.cli import main
 from eegrag.config import PipelineConfig
+from eegrag.errors import TransportError
 from eegrag.pipeline import Pipeline
-from eegrag.server import PipelineServer
+from eegrag.server import MAX_BODY_BYTES, PipelineServer
 
 from conftest import FIXTURES
 
@@ -148,3 +150,43 @@ class TestQueryEndpoint:
         url, _ = endpoint
         status, _ = post(f"{url}/other", {"question": "q"})
         assert status == 404
+
+    @pytest.mark.parametrize(
+        "length, status",
+        [("-1", 400), ("abc", 400), (str(MAX_BODY_BYTES + 1), 413), ("1000000000000", 413)],
+        ids=["negative", "not-a-number", "just-over-cap", "terabyte"],
+    )
+    def test_bad_content_length_answered_without_reading(self, endpoint, length, status):
+        url, _ = endpoint
+        conn = http.client.HTTPConnection(url.removeprefix("http://"), timeout=10)
+        try:
+            conn.putrequest("POST", "/query")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == status
+            assert json.loads(resp.read().decode())["error"]
+        finally:
+            conn.close()
+
+    def test_generation_transport_error_is_502(self, endpoint):
+        class DownClient:
+            client_id = "down"
+
+            def complete(self, prompt, context, question):
+                raise TransportError("backend unreachable")
+
+        _, store = endpoint
+        pipeline = Pipeline.from_directory(store, PipelineConfig(), client=DownClient())
+        server = PipelineServer(pipeline, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            status, body = post(f"http://127.0.0.1:{server.server_address[1]}/query", {"question": "q"})
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert status == 502
+        assert "backend unreachable" in body["error"]
