@@ -172,9 +172,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     from .server import serve
 
+    host, _, port = args.bind.rpartition(":")
+    if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise PreconditionError(f"--bind expects host:port, port 0-65535; got {args.bind!r}")
     config = _load_config(args)
     pipeline = Pipeline.from_directory(args.store, config)
-    host, _, port = args.bind.rpartition(":")
     serve(pipeline, host or "127.0.0.1", int(port))
     return 0
 
@@ -232,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, EegragError) as exc:
+    except (OSError, EegragError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from .errors import PreconditionError
 from .fusion import AblationFlags
+from .hypergraph import LAYERS
 
 
 @dataclass
@@ -62,6 +63,11 @@ class PipelineConfig:
             raise PreconditionError("pseudo_tau must be in (0, 1]")
         if self.dtw_band is not None and self.dtw_band < 0:
             raise PreconditionError("dtw_band must be >= 0")
+        if self.retrieval_layer not in (None, *LAYERS):
+            raise PreconditionError(
+                f"unknown retrieval_layer {self.retrieval_layer!r}; "
+                f"expected one of {', '.join(LAYERS)} or none"
+            )
         if self.client not in ("mock", "remote"):
             raise PreconditionError(f"unknown client {self.client!r}")
 
@@ -73,20 +79,16 @@ class PipelineConfig:
         return config
 
     def apply(self, mapping: dict[str, str]) -> None:
-        simple = {f.name: f for f in fields(self) if f.name not in ("ablation", "remote")}
+        own = {f.name: f.type for f in fields(self) if f.name not in ("ablation", "remote")}
+        remote = {f"remote_{f.name}": f.type for f in fields(self.remote)}
         for key, raw in mapping.items():
             key = key.strip().lower()
             if key in ("cl", "il", "el"):
                 setattr(self.ablation, key, _parse_bool(key, raw))
-            elif key.startswith("remote_"):
-                attr = key[len("remote_") :]
-                if not hasattr(self.remote, attr):
-                    raise PreconditionError(f"unknown config key {key!r}")
-                current = getattr(self.remote, attr)
-                setattr(self.remote, attr, _coerce(key, raw, type(current) if current is not None else str))
-            elif key in simple:
-                f = simple[key]
-                setattr(self, key, _coerce_field(key, raw, f.type))
+            elif key in remote:
+                setattr(self.remote, key[len("remote_") :], _coerce_field(key, raw, remote[key]))
+            elif key in own:
+                setattr(self, key, _coerce_field(key, raw, own[key]))
             else:
                 raise PreconditionError(f"unknown config key {key!r}")
         self.__post_init__()
@@ -95,15 +97,19 @@ class PipelineConfig:
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         """Parse a ``key = value`` file; blank lines and ``#`` comments ignored."""
         mapping: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise PreconditionError(f"{path}: line {lineno}: expected key = value")
-                key, _, value = stripped.partition("=")
-                mapping[key.strip()] = value.strip()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise PreconditionError(f"{path}: not UTF-8 text: {exc}") from exc
+        for lineno, line in enumerate(lines, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise PreconditionError(f"{path}: line {lineno}: expected key = value")
+            key, _, value = stripped.partition("=")
+            mapping[key.strip()] = value.strip()
         return cls.from_mapping(mapping)
 
 
@@ -120,25 +126,18 @@ def _parse_bool(key: str, raw: str) -> bool:
     raise PreconditionError(f"config key {key!r}: expected a boolean, got {raw!r}")
 
 
-def _coerce(key: str, raw: str, target: type):
-    raw = raw.strip()
-    if raw.lower() in ("none", ""):
-        return None
-    if target is bool:
-        return _parse_bool(key, raw)
-    try:
-        return target(raw)
-    except ValueError as exc:
-        raise PreconditionError(f"config key {key!r}: {exc}") from exc
-
-
 def _coerce_field(key: str, raw: str, annotation: str):
     # annotations are strings under `from __future__ import annotations`
     ann = str(annotation)
     if "bool" in ann:
         return _parse_bool(key, raw)
-    if "int" in ann:
-        return _coerce(key, raw, int)
-    if "float" in ann:
-        return _coerce(key, raw, float)
-    return _coerce(key, raw, str)
+    raw = raw.strip()
+    if raw.lower() in ("none", ""):
+        if "None" not in ann:
+            raise PreconditionError(f"config key {key!r} must not be none")
+        return None
+    target = int if "int" in ann else float if "float" in ann else str
+    try:
+        return target(raw)
+    except ValueError as exc:
+        raise PreconditionError(f"config key {key!r}: {exc}") from exc

@@ -30,13 +30,6 @@ from .errors import (
 )
 from .jsonl import read_json, read_jsonl, write_jsonl
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without the extra
-    _HAVE_NUMBA = False
-
 
 # -- recordings ---------------------------------------------------------------
 
@@ -214,34 +207,6 @@ def _dtw_python(a: np.ndarray, b: np.ndarray, w: int) -> float:
     return prev[m]
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _dtw_numba(a, b, w):  # pragma: no cover - thin compiled twin of _dtw_python
-        n = a.shape[0]
-        m = b.shape[0]
-        inf = np.inf
-        prev = np.full(m + 1, inf)
-        prev[0] = 0.0
-        cur = np.empty(m + 1)
-        for i in range(1, n + 1):
-            for j in range(m + 1):
-                cur[j] = inf
-            lo = max(1, i - w)
-            hi = min(m, i + w)
-            ai = a[i - 1]
-            for j in range(lo, hi + 1):
-                best = prev[j - 1]
-                if prev[j] < best:
-                    best = prev[j]
-                if cur[j - 1] < best:
-                    best = cur[j - 1]
-                cur[j] = abs(ai - b[j - 1]) + best
-            for j in range(m + 1):
-                prev[j] = cur[j]
-        return prev[m]
-
-
 def dtw(a, b, band: int | None = None) -> float:
     """Classic DTW distance with |a_i - b_j| local cost.
 
@@ -256,9 +221,7 @@ def dtw(a, b, band: int | None = None) -> float:
     if band is not None and band < 0:
         raise PreconditionError("band width must be >= 0")
     w = max(a.size, b.size) if band is None else max(band, abs(a.size - b.size))
-    if _HAVE_NUMBA:
-        return float(_dtw_numba(a, b, w))
-    return float(_dtw_python(a, b, w))
+    return _dtw_python(a, b, w)
 
 
 # -- the vector database -------------------------------------------------------
@@ -389,37 +352,31 @@ class EegVectorDatabase:
     def load(
         cls,
         path: str | Path,
+        n_segments: int,
+        normalize: bool,
         band: int | None = None,
         channel_blocked: bool = False,
-        n_segments: int | None = None,
-        normalize: bool | None = None,
     ) -> "EegVectorDatabase":
-        """Load persisted embeddings.
+        """Load embeddings persisted under ``n_segments`` and ``normalize``.
 
-        ``n_segments`` and ``normalize`` default to the file's values; when
-        given, a file that disagrees is rejected, since its embeddings could
-        not be compared with queries embedded under the given settings.
+        A row embedded under other settings is rejected, naming its line:
+        it could not be compared with queries embedded under these.
         """
 
-        def entry(row: dict) -> tuple[EvdEntry, bool]:
+        def entry(row: dict) -> EvdEntry:
             if not isinstance(row["normalized"], bool):
                 raise PreconditionError(f"normalized is {row['normalized']!r}, not a boolean")
+            for name, stored, configured in (
+                ("n_segments", row["n_segments"], n_segments),
+                ("normalize", row["normalized"], normalize),
+            ):
+                if stored != configured:
+                    raise PreconditionError(
+                        f"EEG database {name} {stored} != configured {configured}"
+                    )
             emb = PaaEmbedding(row["n_segments"], row["values"], row["channel_order"])
-            return EvdEntry(row["id"], row["patient_hash"], row["sample_rate"], emb), row["normalized"]
+            return EvdEntry(row["id"], row["patient_hash"], row["sample_rate"], emb)
 
-        rows = read_jsonl(path, entry)
-        configured = {"n_segments": n_segments, "normalize": normalize}
-        stored = {(e.embedding.segments_per_channel, normalized) for e, normalized in rows}
-        if len(stored) > 1:
-            raise PreconditionError("inconsistent n_segments/normalized flags in database file")
-        settings = dict(zip(configured, stored.pop())) if stored else configured
-        for name, value in configured.items():
-            if value is not None and value != settings[name]:
-                raise PreconditionError(f"EEG database {name} {settings[name]} != configured {value}")
-        db = cls(
-            band=band,
-            channel_blocked=channel_blocked,
-            **{name: value for name, value in settings.items() if value is not None},
-        )
-        db.entries = {e.id: e for e, _ in rows}
+        db = cls(n_segments, normalize, band, channel_blocked)
+        db.entries = {e.id: e for e in read_jsonl(path, entry)}
         return db

@@ -84,9 +84,8 @@ class FusedContext:
     def is_empty(self) -> bool:
         return not (self.hyperedges or self.cases or self.eeg_summaries)
 
-    def to_json(self) -> str:
-        """Deterministic serialization (stable ordering, sorted keys)."""
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "hyperedges": [
                 {
                     "id": e.hyperedge_id,
@@ -117,7 +116,10 @@ class FusedContext:
             "budget": self.budget,
             "truncated": self.truncated,
         }
-        return json.dumps(payload, ensure_ascii=False, sort_keys=True)
+
+    def to_json(self) -> str:
+        """Deterministic serialization (stable ordering, sorted keys)."""
+        return json.dumps(self.to_dict(), ensure_ascii=False, sort_keys=True)
 
 
 def fuse(
@@ -191,12 +193,9 @@ def fuse(
             direct_scores[hit.hyperedge_id] = hit.score
 
     seed_entities = {s for s in seed_set if s in store.entities}
-    if radius == 1:
-        candidates, ctx.truncated = _radius_one_candidates(
-            store, seed_entities, set(direct_scores), budget
-        )
-    else:
-        candidates, ctx.truncated = _closure_candidates(store, seed_set, radius, budget)
+    candidates, ctx.truncated = _candidates(
+        store, seed_entities, set(direct_scores), radius, budget
+    )
     ranked = []
     for hid, connectivity in candidates.items():
         score = direct_scores.get(hid)
@@ -223,36 +222,28 @@ def fuse(
     return ctx
 
 
-def _closure_candidates(
-    store: BipartiteStore, seed_set: set[int], radius: int, budget: int
+def _candidates(
+    store: BipartiteStore,
+    seed_entities: set[int],
+    seed_edges: set[int],
+    radius: int,
+    budget: int,
 ) -> tuple[dict[int, int], bool]:
-    """Every hyperedge within ``radius`` hops of a seed, with its connectivity
-    (distinct seeds it connects), and whether there are more than ``budget``."""
-    hood = store.neighborhood(seed_set, radius)
-    candidates = {
-        hid: len(store.hyperedges[hid].members & seed_set) + (1 if hid in seed_set else 0)
-        for hid in hood.hyperedge_ids
-    }
-    return candidates, len(candidates) > budget
+    """A superset of the ``budget`` best hyperedges within ``radius`` hops of
+    a seed, with their connectivity, and whether there are more than ``budget``.
 
-
-def _radius_one_candidates(
-    store: BipartiteStore, seed_entities: set[int], seed_edges: set[int], budget: int
-) -> tuple[dict[int, int], bool]:
-    """A superset of the ``budget`` best radius-1 closure hyperedges, with
-    their connectivity, and whether the closure holds more than ``budget``.
-
-    At radius 1 the closure is the seed hyperedges (the retrieved, scored
-    ones) plus every hyperedge holding a seed entity. Any other edge that
-    connects two or more seeds holds two seed entities, so it turns up in
-    two seed incidence sets. Every remaining edge connects one seed and is
-    unscored, so those rank by ascending id and only the first ``budget``
-    of them can be kept. Set operations and one sort of ids find both
-    groups; only the shared edges are counted one by one.
+    Only the seed hyperedges (the retrieved, scored ones) and the hyperedges
+    holding a seed entity connect a seed. Any of the latter that connects
+    two or more seeds holds two seed entities, so it turns up in two seed
+    incidence sets; those and the seed hyperedges are counted one by one.
+    Every other edge is unscored and connects one seed if it holds a seed
+    entity, none if it lies further out, so each group ranks by ascending
+    id and only its first ``budget`` edges can be kept. Only that outer
+    group needs the walked closure.
     """
     reached: set[int] = set()
     shared = set(seed_edges)
-    for eid in seed_entities:
+    for eid in seed_entities if radius else ():
         edges = store.incidence.get(eid, set())
         shared |= reached & edges
         reached |= edges
@@ -262,7 +253,13 @@ def _radius_one_candidates(
     }
     single = sorted(reached - shared)
     candidates.update(dict.fromkeys(single[:budget], 1))
-    return candidates, len(shared) + len(single) > budget
+    n_closure = len(shared) + len(single)
+    if radius > 1:
+        hood = store.neighborhood(seed_entities | seed_edges, radius)
+        outer = sorted(hood.hyperedge_ids - shared - reached)
+        candidates.update(dict.fromkeys(outer[:budget], 0))
+        n_closure += len(outer)
+    return candidates, n_closure > budget
 
 
 def render_context(ctx: FusedContext) -> str:

@@ -84,7 +84,7 @@ class QueryResult:
                 "client_id": self.generation.client_id,
                 "ungrounded": self.generation.ungrounded,
             },
-            "context": json.loads(self.context.to_json()),
+            "context": self.context.to_dict(),
             "rendered_context": self.rendered_context,
             "traces": {
                 "eeg": [

@@ -308,3 +308,32 @@ class TestAblationSemantics:
         assert naive["rendered_context"] == (
             "[Knowledge]\n(none)\n\n[Similar Cases]\n(none)\n\n[EEG Matches]\n(none)"
         )
+
+
+class TestBadInput:
+    """Malformed command-line input prints ``error: ...`` and exits 2."""
+
+    def run(self, capsys, *argv: str) -> str:
+        assert main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    def test_none_for_a_setting_that_must_not_be_none(self, built_store, capsys):
+        err = self.run(capsys, *QUERY_ARGS, "--store", str(built_store), "--set", "seed=none")
+        assert "'seed' must not be none" in err
+
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.conf"
+        path.write_bytes("seed = 1 # caf\xe9\n".encode("latin-1"))
+        err = self.run(capsys, "query", "q", "--store", str(tmp_path), "--config", str(path))
+        assert "not UTF-8" in err
+
+    def test_config_file_that_is_a_directory(self, tmp_path, capsys):
+        self.run(capsys, "query", "q", "--store", str(tmp_path), "--config", str(tmp_path))
+
+    @pytest.mark.parametrize("bind", ["127.0.0.1:abc", "127.0.0.1:99999", "127.0.0.1:"])
+    def test_serve_rejects_a_bad_port_before_loading_the_store(self, tmp_path, capsys, bind):
+        # the store does not exist, so only a check made before loading it names --bind
+        err = self.run(capsys, "serve", "--bind", bind, "--store", str(tmp_path / "nowhere"))
+        assert "--bind" in err

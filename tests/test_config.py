@@ -40,6 +40,10 @@ class TestValidation:
         with pytest.raises(PreconditionError):
             PipelineConfig(client="carrier-pigeon")
 
+    def test_unknown_retrieval_layer_names_the_valid_ones(self):
+        with pytest.raises(PreconditionError, match="'knowlege'.*knowledge, case or none"):
+            PipelineConfig.from_mapping({"retrieval_layer": "knowlege"})
+
 
 class TestFileParsing:
     def test_round_trip(self, tmp_path):
@@ -100,3 +104,25 @@ class TestFileParsing:
         config.apply({"seed": "2", "el": "false"})
         assert config.seed == 2
         assert not config.ablation.el
+
+
+class TestNoneValues:
+    @pytest.mark.parametrize(
+        "key",
+        ["embedding_dim", "closure_budget", "seed", "client", "remote_endpoint", "remote_timeout"],
+    )
+    def test_none_rejected_for_a_setting_that_must_not_be_none(self, key):
+        with pytest.raises(PreconditionError, match=f"'{key}' must not be none"):
+            PipelineConfig.from_mapping({key: "none"})
+
+    def test_none_clears_each_optional_setting(self):
+        optional = {
+            "dtw_band": "3",
+            "pseudo_max_fills": "2",
+            "retrieval_layer": "case",
+            "remote_auth_env": "TOKEN",
+        }
+        config = PipelineConfig.from_mapping(optional)
+        config.apply(dict.fromkeys(optional, "none"))
+        cleared = (config.dtw_band, config.pseudo_max_fills, config.retrieval_layer)
+        assert cleared == (None, None, None) and config.remote.auth_env is None

@@ -133,11 +133,13 @@ class TestFuse:
                 assert edge_ids[0] in kept
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_radius_one_equals_ranking_the_walked_closure(self, seed):
-        """Radius 1 picks its candidates by set operations; the kept edges,
-        their order and the truncation flag must equal ranking every edge of
-        the walked closure. Skewed membership makes hubs, shared edges and
-        ties in connectivity and score."""
+    @pytest.mark.parametrize("radius", range(4))
+    def test_fused_edges_equal_ranking_the_walked_closure(self, radius, seed):
+        """Fusion picks its candidates by set operations, walking only for
+        the edges beyond one hop; at every radius the kept edges, their
+        order and the truncation flag must equal ranking every edge of the
+        walked closure. Skewed membership makes hubs, shared edges and ties
+        in connectivity and score."""
         rng = np.random.default_rng(seed)
         store = BipartiteStore(embedding_dim=32)
         ents = [store.add_entity(f"node{i}") for i in range(30)]
@@ -158,11 +160,11 @@ class TestFuse:
             picked = rng.choice(30, size=int(rng.integers(0, 9)), replace=False)
             matches = [EntityMatch(ents[e], 0, 1, "e", "exact-name") for e in picked]
             seeds = {h.hyperedge_id for h in hits} | {m.entity_id for m in matches}
-            budget = int(rng.integers(1, 13))
+            budget = int(rng.integers(1, 40))
             ctx = fuse(
                 RetrievalBundle(hyperedge_hits=hits, entity_matches=matches),
                 store,
-                radius=1,
+                radius=radius,
                 budget=budget,
             )
             scores = {h.hyperedge_id: h.score for h in hits}
@@ -172,7 +174,7 @@ class TestFuse:
                     -scores.get(hid, -2.0),
                     hid,
                 )
-                for hid in store.neighborhood(seeds, 1).hyperedge_ids
+                for hid in store.neighborhood(seeds, radius).hyperedge_ids
             )
             got = [
                 (-e.connectivity, -(-2.0 if e.score is None else e.score), e.hyperedge_id)
