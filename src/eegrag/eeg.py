@@ -17,7 +17,9 @@ with every channel carrying the same number of finite samples.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -99,24 +101,18 @@ def load_recording(path: str | Path) -> EegRecording:
 # -- piecewise aggregate approximation ----------------------------------------
 
 
-def paa(series, n: int) -> np.ndarray:
-    """Compress a series of length T into n segment means.
+# distinct (T, n) pairs whose plan is kept; one ingest or server sees a few
+_PAA_PLANS = 16
 
-    Segment j covers the real interval [j*T/n, (j+1)*T/n); each sample
-    contributes to a segment proportionally to its overlap with that
-    interval, so T need not be divisible by n and n may exceed T (samples
-    are then replicated proportionally). The segment-length-weighted mean
-    of the output equals the input mean.
+
+@lru_cache(maxsize=_PAA_PLANS)
+def _paa_plan(t: int, n: int) -> tuple[tuple[int, int, np.ndarray, np.float64], ...]:
+    """``(i0, i1, weights, weights.sum())`` of each of ``paa``'s n segments of T samples.
+
+    The weights depend on T and n only, so one read-only plan serves every
+    channel of every recording of that length, from any thread.
     """
-    x = np.asarray(series, dtype=np.float64)
-    if x.ndim != 1:
-        raise PreconditionError("paa expects a 1-D series")
-    if x.size == 0:
-        raise PreconditionError("paa input must be non-empty")
-    if n < 1:
-        raise PreconditionError("segment count must be >= 1")
-    t = x.size
-    out = np.empty(n, dtype=np.float64)
+    plan = []
     for j in range(n):
         a = j * t / n
         b = (j + 1) * t / n
@@ -125,8 +121,32 @@ def paa(series, n: int) -> np.ndarray:
         idx = np.arange(i0, i1, dtype=np.float64)
         weights = np.minimum(b, idx + 1.0) - np.maximum(a, idx)
         weights = np.clip(weights, 0.0, None)
-        out[j] = float(np.dot(weights, x[i0:i1]) / weights.sum())
-    return out
+        weights.flags.writeable = False
+        plan.append((i0, i1, weights, weights.sum()))
+    return tuple(plan)
+
+
+def paa(series, n: int) -> np.ndarray:
+    """Compress a series of length T into n segment means.
+
+    Segment j covers the real interval [j*T/n, (j+1)*T/n); each sample
+    contributes to a segment proportionally to its overlap with that
+    interval, so T need not be divisible by n and n may exceed T (samples
+    are then replicated proportionally). The segment-length-weighted mean
+    of the output equals the input mean.
+
+    Each segment is one ``np.dot`` of its cached weights (``_paa_plan``).
+    A weight-matrix product would round differently and change the output.
+    """
+    x = np.asarray(series, dtype=np.float64)
+    if x.ndim != 1:
+        raise PreconditionError("paa expects a 1-D series")
+    if x.size == 0:
+        raise PreconditionError("paa input must be non-empty")
+    if n < 1:
+        raise PreconditionError("segment count must be >= 1")
+    plan = _paa_plan(x.size, operator.index(n))
+    return np.array([float(np.dot(w, x[i0:i1]) / total) for i0, i1, w, total in plan])
 
 
 def zscore(series) -> np.ndarray:

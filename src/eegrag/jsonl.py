@@ -23,9 +23,10 @@ from .errors import DimensionMismatchError, PreconditionError, ReferentialError
 T = TypeVar("T")
 
 # what parsing a malformed value raises: JSONDecodeError, UnicodeDecodeError
-# and PreconditionError are ValueErrors, a missing key is a LookupError, and
-# a row of the wrong JSON type raises TypeError or AttributeError
-_MALFORMED = (ValueError, LookupError, TypeError, AttributeError)
+# and PreconditionError are ValueErrors, a missing key is a LookupError, a
+# row of the wrong JSON type raises TypeError or AttributeError, and JSON
+# nested past the interpreter's recursion limit raises RecursionError
+_MALFORMED = (ValueError, LookupError, TypeError, AttributeError, RecursionError)
 
 
 def _located(exc: Exception, where: str) -> Exception:

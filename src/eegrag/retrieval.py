@@ -15,7 +15,7 @@ import numpy as np
 
 from .embedding import Embedder
 from .errors import DimensionMismatchError, PreconditionError
-from .hypergraph import BipartiteStore, NameIndex, word_tokens
+from .hypergraph import LAYERS, BipartiteStore, NameIndex, word_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -71,8 +71,8 @@ def retrieve_hyperedges(
     """Top-k hyperedges by cosine between the query embedding and edge embeddings.
 
     Covers every embedded hyperedge in the selected layer (``layer=None``
-    covers all layers). Ties break by ascending hyperedge id; edges without
-    embeddings are skipped.
+    covers all layers; an unknown layer is a ``PreconditionError``). Ties
+    break by ascending hyperedge id; edges without embeddings are skipped.
 
     One matrix-vector product over the store's ``HyperedgeIndex`` only
     filters: it keeps the rows whose approximate cosine is within twice the
@@ -84,9 +84,13 @@ def retrieve_hyperedges(
         raise PreconditionError("retrieval requires a sealed store")
     if k < 1:
         raise PreconditionError("k must be >= 1")
+    if layer not in (None, *LAYERS):
+        raise PreconditionError(
+            f"unknown layer {layer!r}; expected one of {', '.join(LAYERS)} or none"
+        )
     query_vec = np.asarray(embedder.embed(mq.text), dtype=np.float64)
     index = store.edge_index
-    block = index.blocks.get(layer, slice(0, 0))
+    block = index.blocks[layer]
     rows = index.matrix[block]
     if not len(rows):
         return []

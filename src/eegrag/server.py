@@ -1,7 +1,9 @@
 """Read-only HTTP endpoint over a built pipeline.
 
 POST /query  {"question": ..., "role"?: ..., "domain"?: ..., "eeg_recording_id"?: ...}
-             -> the same JSON document the `query` CLI subcommand prints;
+             -> the same JSON document the `query` CLI subcommand prints,
+             on one line with sorted keys instead of indented (the
+             indenting encoder is pure Python and slow);
              a body over MAX_BODY_BYTES is refused with 413
 GET  /healthz -> store statistics
 
@@ -46,10 +48,8 @@ def _parse_query(body: bytes) -> dict:
 class _Handler(BaseHTTPRequestHandler):
     server: "PipelineServer"
 
-    def _send(self, status: int, payload: dict | str) -> None:
-        body = (
-            payload if isinstance(payload, str) else json.dumps(payload, sort_keys=True) + "\n"
-        ).encode("utf-8")
+    def _send(self, status: int, payload: dict) -> None:
+        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
@@ -68,7 +68,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:
         self._send(*self._answer_query())
 
-    def _answer_query(self) -> tuple[int, dict | str]:
+    def _answer_query(self) -> tuple[int, dict]:
         if self.path != "/query":
             return 404, {"error": f"unknown path {self.path}"}
         length = self.headers.get("Content-Length", "0").strip()
@@ -81,7 +81,7 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
             return 400, {"error": f"malformed /query body: {exc}"}
         try:
-            return 200, self.server.pipeline.run_query(**query).to_json()
+            return 200, self.server.pipeline.run_query(**query).to_dict()
         except NotFoundError as exc:
             return 404, {"error": str(exc)}
         except TransportError as exc:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from eegrag.eeg import (
+    _paa_plan,
     Channel,
     EegRecording,
     EegVectorDatabase,
@@ -37,6 +38,23 @@ def paa_oracle(x: np.ndarray, n: int) -> np.ndarray:
     the sample step function over the n equal subintervals."""
     x = np.asarray(x, dtype=np.float64)
     return np.repeat(x, n).reshape(n, x.size).mean(axis=1)
+
+
+def paa_per_segment(x, n: int) -> np.ndarray:
+    """``paa`` as it was before its segment weights were cached: the bit-exact oracle."""
+    x = np.asarray(x, dtype=np.float64)
+    t = x.size
+    out = np.empty(n, dtype=np.float64)
+    for j in range(n):
+        a = j * t / n
+        b = (j + 1) * t / n
+        i0 = min(int(math.floor(a)), t - 1)
+        i1 = min(int(math.ceil(b)), t)
+        idx = np.arange(i0, i1, dtype=np.float64)
+        weights = np.minimum(b, idx + 1.0) - np.maximum(a, idx)
+        weights = np.clip(weights, 0.0, None)
+        out[j] = float(np.dot(weights, x[i0:i1]) / weights.sum())
+    return out
 
 
 def dtw_oracle(a, b) -> float:
@@ -112,6 +130,42 @@ class TestPaa:
             paa([], 2)
         with pytest.raises(PreconditionError):
             paa([1.0], 0)
+
+
+class TestPaaPlan:
+    def test_bit_identical_to_per_segment_weights(self):
+        rng = np.random.default_rng(36)
+        # T = 1, n > T, n = T and T % n != 0 all occur, at magnitudes 1e-8 to 1e8.
+        # Four series per (T, n) reuse its cached plan, and many lengths share
+        # an n, so a plan keyed by n alone would be reused wrongly.
+        pairs = [(1, 1), (1, 7), (3, 2), (5, 5), (7, 3), (512, 20), (20, 512), (13, 13)]
+        pairs += [(int(rng.integers(1, 161)), int(rng.integers(1, 17))) for _ in range(2_500)]
+        for t, n in pairs:
+            for _ in range(4):
+                x = rng.normal(size=t) * 10.0 ** rng.uniform(-8.0, 8.0)
+                assert paa(x, n).tobytes() == paa_per_segment(x, n).tobytes(), (t, n)
+
+    def test_weights_are_read_only(self):
+        for i0, i1, weights, total in _paa_plan(10, 3):
+            assert not weights.flags.writeable
+            assert weights.shape == (i1 - i0,)
+            assert total == weights.sum()
+            with pytest.raises(ValueError):
+                weights[0] = 2.0
+
+    def test_one_plan_serves_every_channel_of_a_recording(self):
+        rec = make_recording(np.random.default_rng(37).normal(size=(4, 509)))
+        _paa_plan.cache_clear()
+        eeg_embed(rec, 11)
+        info = _paa_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        assert _paa_plan(509, 11) is _paa_plan(509, 11)
+
+    def test_numpy_integer_segment_count_shares_the_plan(self):
+        x = np.arange(9.0)
+        assert paa(x, np.int64(4)).tobytes() == paa(x, 4).tobytes()
+        with pytest.raises(TypeError):
+            paa(x, 4.0)
 
 
 class TestZscore:

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eegrag.cases import CaseStore, PatientCase
 from eegrag.errors import DimensionMismatchError, PreconditionError, ReferentialError
@@ -20,8 +24,9 @@ class TestRead:
             ('{"a": 1}\n[1, 2]\n', 2),  # not an object
             ('"text"\n', 1),
             ('{"a": "\xe9"}\n'.encode("latin-1"), 1),  # not UTF-8
+            ('{"a": 1}\n' + "[" * 100_000 + "\n", 2),  # past the recursion limit
         ],
-        ids=["torn", "missing-key", "array-row", "string-row", "not-utf8"],
+        ids=["torn", "missing-key", "array-row", "string-row", "not-utf8", "deep-nesting"],
     )
     def test_malformed_line_names_path_and_line(self, tmp_path, text, line):
         path = tmp_path / "rows.jsonl"
@@ -50,6 +55,58 @@ class TestRead:
         path.write_text('{"format_version": ', encoding="utf-8")
         with pytest.raises(PreconditionError, match="meta.json: "):
             read_json(path, dict)
+
+    def test_document_nested_past_the_recursion_limit_names_path(self, tmp_path):
+        path = tmp_path / "meta.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        with pytest.raises(PreconditionError, match="meta.json: .*recursion"):
+            read_json(path, dict)
+
+
+def _first_bad_line(lines: list[bytes]) -> int | None:
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                json.loads(line.decode("utf-8"))["a"]
+            except Exception:
+                return lineno
+    return None
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from("ab"), inner, max_size=2),
+    max_leaves=6,
+)
+_LINES = st.one_of(
+    st.dictionaries(st.just("a"), _JSON_VALUES, min_size=1).map(lambda row: json.dumps(row).encode()),
+    _JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+    st.sampled_from([b"", b"  ", b"\t\r"]),
+    st.binary(max_size=24).map(lambda raw: raw.replace(b"\n", b"")),
+)
+
+
+class TestReadFuzz:
+    @settings(
+        max_examples=150,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(lines=st.lists(_LINES, max_size=6))
+    def test_rows_or_the_first_bad_line(self, tmp_path, lines):
+        path = tmp_path / "fuzz.jsonl"
+        path.write_bytes(b"\n".join(lines))
+        bad = _first_bad_line(lines)
+        if bad is None:
+            expected = [json.loads(line.decode("utf-8"))["a"] for line in lines if line.strip()]
+            # compared as JSON text, since NaN != NaN
+            assert json.dumps(read_jsonl(path, lambda row: row["a"])) == json.dumps(expected)
+        else:
+            with pytest.raises(PreconditionError) as err:
+                read_jsonl(path, lambda row: row["a"])
+            assert str(err.value).startswith(f"{path}: line {bad}: ")
 
 
 class TestWrite:

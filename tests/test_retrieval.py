@@ -122,6 +122,18 @@ class TestRetrieveHyperedges:
         hits_any = retrieve_hyperedges(MetadataQuery("case tuple"), EMB, store, k=1, layer=None)
         assert len(hits_any) == 1
 
+    def test_unknown_layer_names_the_valid_ones(self):
+        store = BipartiteStore(embedding_dim=EMB.dim)
+        a = store.add_entity("a", embedding=EMB.embed("a"))
+        store.add_hyperedge("fact", {a}, layer="knowledge", embedding=EMB.embed("fact"))
+        store.seal()
+        for layer in ("knowlege", "", "none", 0):
+            with pytest.raises(PreconditionError) as err:
+                retrieve_hyperedges(MetadataQuery("fact"), EMB, store, k=1, layer=layer)
+            message = str(err.value)
+            assert repr(layer) in message
+            assert all(name in message for name in ("knowledge", "case", "none"))
+
     def test_unsealed_store_rejected(self):
         store = BipartiteStore(embedding_dim=EMB.dim)
         with pytest.raises(PreconditionError):

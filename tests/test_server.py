@@ -5,12 +5,14 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eegrag.cli import main
 from eegrag.config import PipelineConfig
 from eegrag.errors import TransportError
 from eegrag.pipeline import Pipeline
-from eegrag.server import MAX_BODY_BYTES, PipelineServer
+from eegrag.server import MAX_BODY_BYTES, PipelineServer, _parse_query
 
 from conftest import FIXTURES
 
@@ -94,6 +96,21 @@ class TestQueryEndpoint:
         ) == 0
         cli_payload = json.loads(capsys.readouterr().out)
         assert body == cli_payload
+
+    def test_answer_is_one_compact_line_equal_to_cli_output(self, endpoint, capsys):
+        url, store = endpoint
+        request = urllib.request.Request(
+            f"{url}/query",
+            data=json.dumps({"question": self.QUESTION, "eeg_recording_id": "rec-002"}).encode(),
+            method="POST",
+        )
+        with urllib.request.urlopen(request, timeout=10) as resp:
+            raw = resp.read()
+        assert raw.endswith(b"\n") and raw.count(b"\n") == 1
+        assert main(["query", self.QUESTION, "--eeg-id", "rec-002", "--store", str(store)]) == 0
+        cli_text = capsys.readouterr().out
+        assert cli_text.count("\n") > 1  # the CLI keeps its indented form
+        assert json.loads(raw) == json.loads(cli_text)
 
     def test_unknown_recording_is_404(self, endpoint):
         url, _ = endpoint
@@ -190,3 +207,31 @@ class TestQueryEndpoint:
         assert not thread.is_alive()
         assert status == 502
         assert "backend unreachable" in body["error"]
+
+
+_FIELD_VALUES = (
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6) | st.lists(st.integers(), max_size=2)
+)
+_PAYLOADS = st.one_of(
+    st.binary(max_size=64),
+    st.dictionaries(
+        st.sampled_from(["question", "role", "domain", "eeg_recording_id", "other"]),
+        _FIELD_VALUES,
+        max_size=5,
+    ).map(lambda obj: json.dumps(obj).encode()),
+    _FIELD_VALUES.map(lambda value: json.dumps(value).encode()),
+)
+
+
+class TestParseQueryFuzz:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(body=_PAYLOADS)
+    def test_returns_a_query_or_raises_value_error(self, body):
+        try:
+            query = _parse_query(body)
+        except ValueError:
+            return
+        assert set(query) == {"question", "role", "domain", "eeg_recording_id"}
+        assert isinstance(query["question"], str) and query["question"].strip()
+        for name in ("role", "domain", "eeg_recording_id"):
+            assert query[name] is None or isinstance(query[name], str)
