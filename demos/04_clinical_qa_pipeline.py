@@ -9,6 +9,8 @@ embedder, mock generation client); swap in remote clients via
 configuration for real deployments.
 """
 
+import atexit
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -18,9 +20,12 @@ from eegrag.pipeline import Pipeline
 
 CORPUS = Path(__file__).parent.parent / "fixtures" / "corpus"
 store = Path(tempfile.mkdtemp(prefix="eegrag-demo-"))
+atexit.register(shutil.rmtree, store, ignore_errors=True)
 
 # Offline single-writer ingestion, one layer at a time. Each command loads
-# the store directory, extends it, and writes it back.
+# only the store files it extends and writes them back: ingest-docs the
+# hypergraph, ingest-cases the hypergraph and the cases, ingest-eeg the EEG
+# database.
 main(["ingest-docs", str(CORPUS / "docs.jsonl"), "--store", str(store)])
 main(["ingest-cases", str(CORPUS / "cases.jsonl"), "--store", str(store)])
 main(["ingest-eeg", str(CORPUS / "eeg"), "--store", str(store)])

@@ -69,7 +69,7 @@ from .knowledge import (
     build_kgh,
     load_documents,
 )
-from .pipeline import Pipeline, QueryResult, load_stores, save_stores
+from .pipeline import Pipeline, QueryResult, save_stores
 from .retrieval import (
     EntityMatch,
     MetadataQuery,

@@ -9,6 +9,7 @@ the most similar complete neighbor; real cases are never mutated.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -104,11 +105,10 @@ class AugmentationReport:
 
 
 class CaseStore:
-    """Case hyperedges keyed by hash, with an attribute-name inverted index."""
+    """Case hyperedges keyed by hash."""
 
     def __init__(self):
         self.cases: dict[str, PatientCase] = {}
-        self.attribute_index: dict[str, set[str]] = {}
         self._sealed = False
 
     @property
@@ -132,21 +132,14 @@ class CaseStore:
                 collapse_whitespace(k): [collapse_whitespace(v) for v in vs]
                 for k, vs in record.attributes.items()
             }
-            self._insert(
-                PatientCase(
-                    h=h,
-                    attributes=attrs,
-                    embedding=embed_case(h, canonical, embedder),
-                    synthetic=False,
-                    eeg_refs=list(record.eeg_refs),
-                )
+            self.cases[h] = PatientCase(
+                h=h,
+                attributes=attrs,
+                embedding=embed_case(h, canonical, embedder),
+                synthetic=False,
+                eeg_refs=list(record.eeg_refs),
             )
         return h
-
-    def _insert(self, case: PatientCase) -> None:
-        self.cases[case.h] = case
-        for name in case.attributes:
-            self.attribute_index.setdefault(name, set()).add(case.h)
 
     def real_cases(self) -> list[PatientCase]:
         return [self.cases[h] for h in sorted(self.cases) if not self.cases[h].synthetic]
@@ -180,8 +173,7 @@ class CaseStore:
             )
 
         store = cls()
-        for c in read_jsonl(path, case):
-            store._insert(c)
+        store.cases = {c.h: c for c in read_jsonl(path, case)}
         return store
 
 
@@ -211,11 +203,8 @@ def augment_pseudo_cases(
         raise PreconditionError("augmentation needs at least 2 cases")
 
     threshold = len(real) / 2.0
-    prevalent = sorted(
-        name
-        for name in store.attribute_index
-        if sum(1 for c in real if name in c.attributes) >= threshold
-    )
+    counts = Counter(name for c in real for name in c.attributes)
+    prevalent = sorted(name for name, n in counts.items() if n >= threshold)
 
     report = AugmentationReport()
     for case in real:
@@ -247,14 +236,12 @@ def augment_pseudo_cases(
         synthetic_hash = case_id(canonical) + SYNTHETIC_SUFFIX
         if synthetic_hash in store.cases:
             continue
-        store._insert(
-            PatientCase(
-                h=synthetic_hash,
-                attributes=new_attrs,
-                embedding=embed_case(synthetic_hash, canonical, embedder),
-                synthetic=True,
-                eeg_refs=list(case.eeg_refs),
-            )
+        store.cases[synthetic_hash] = PatientCase(
+            h=synthetic_hash,
+            attributes=new_attrs,
+            embedding=embed_case(synthetic_hash, canonical, embedder),
+            synthetic=True,
+            eeg_refs=list(case.eeg_refs),
         )
         report.fills.append(
             FillRecord(case.h, donor.h, fillable, best[0], synthetic_hash)

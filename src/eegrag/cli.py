@@ -21,7 +21,7 @@ from .errors import EegragError, PreconditionError
 from .evaluation import load_qa, run_benchmark
 from .hypergraph import CASE_LAYER, NameIndex
 from .knowledge import RuleBasedExtractor, build_kgh, load_documents, load_fact_sidecar
-from .pipeline import Pipeline, load_cases, load_hypergraph, load_stores, save_stores
+from .pipeline import Pipeline, load_cases, load_evd, load_hypergraph, save_stores
 from .retrieval import find_entity_mentions
 
 
@@ -119,7 +119,7 @@ def cmd_ingest_cases(args: argparse.Namespace) -> int:
 
 def cmd_ingest_eeg(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    store, case_store, evd = load_stores(args.store, config)
+    evd = load_evd(args.store, config)
     input_path = Path(args.input)
     if input_path.is_dir():
         files = sorted(input_path.glob("*.json"))

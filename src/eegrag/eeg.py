@@ -73,10 +73,6 @@ class EegRecording:
         return len(self.channels)
 
     @property
-    def n_samples(self) -> int:
-        return self.channels[0].samples.shape[0]
-
-    @property
     def channel_names(self) -> list[str]:
         return [ch.name for ch in self.channels]
 

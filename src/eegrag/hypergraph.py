@@ -237,18 +237,6 @@ class BipartiteStore:
 
     # -- lookup --------------------------------------------------------------
 
-    def entity(self, eid: int) -> Entity:
-        try:
-            return self.entities[eid]
-        except KeyError:
-            raise NotFoundError(f"unknown entity id {eid}") from None
-
-    def hyperedge(self, hid: int) -> Hyperedge:
-        try:
-            return self.hyperedges[hid]
-        except KeyError:
-            raise NotFoundError(f"unknown hyperedge id {hid}") from None
-
     def has_node(self, node_id: int) -> bool:
         return node_id in self.hyperedges if is_hyperedge_id(node_id) else node_id in self.entities
 

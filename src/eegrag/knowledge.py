@@ -150,10 +150,11 @@ def build_kgh(
 
     Degenerate facts are dropped (logged and counted, not fatal); every
     other fact becomes a knowledge-layer hyperedge with an embedded
-    description, and every entity is registered (or merged) with an
-    embedding of its name plus definition. Documents are processed in id
-    order so the build is deterministic regardless of input order. An
-    extractor's ``TransportError`` is re-raised naming the document.
+    description, and every entity is registered (or merged); an entity
+    still without an embedding gets one of this mention's name plus
+    definition, so each entity is embedded once. Documents are processed
+    in id order so the build is deterministic regardless of input order.
+    An extractor's ``TransportError`` is re-raised naming the document.
     """
     if store.sealed:
         raise PreconditionError("cannot ingest into a sealed store")
@@ -172,12 +173,10 @@ def build_kgh(
             member_ids = set()
             for spec in fact.entities:
                 before = len(store.entities)
-                eid = store.add_entity(
-                    spec.name,
-                    spec.etype,
-                    spec.definition,
-                    embedding=embedder.embed(f"{spec.name} {spec.definition}".strip()),
-                )
+                eid = store.add_entity(spec.name, spec.etype, spec.definition)
+                if store.entities[eid].embedding is None:
+                    text = f"{spec.name} {spec.definition}".strip()
+                    store.add_entity(spec.name, embedding=embedder.embed(text))
                 member_ids.add(eid)
                 if len(store.entities) > before:
                     report.entities_added += 1

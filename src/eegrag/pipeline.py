@@ -137,8 +137,7 @@ class Pipeline:
         self.case_store = case_store
         self.evd = evd
         for s in (store, case_store, evd):
-            if not s.sealed:
-                s.seal()
+            s.seal()
         self.prompt_asset = load_generation_prompt()
 
     @classmethod
@@ -149,8 +148,17 @@ class Pipeline:
         embedder: Embedder | None = None,
         client: GenerationClient | None = None,
     ) -> "Pipeline":
-        store, case_store, evd = load_stores(directory, config, require_hypergraph=True)
-        return cls(store, case_store, evd, config, embedder=embedder, client=client)
+        directory = Path(directory)
+        if not (directory / META_FILE).exists():
+            raise NotFoundError(f"no store found under {directory}; run the ingest commands first")
+        return cls(
+            load_hypergraph(directory, config),
+            load_cases(directory),
+            load_evd(directory, config),
+            config,
+            embedder=embedder,
+            client=client,
+        )
 
     # -- retrieval channels ----------------------------------------------------
 
@@ -245,33 +253,10 @@ class Pipeline:
         }
 
 
-def load_stores(
-    directory: str | Path,
-    config: PipelineConfig,
-    require_hypergraph: bool = False,
-) -> tuple[BipartiteStore, CaseStore, EegVectorDatabase]:
-    """Load whatever store files exist under ``directory`` (unsealed).
-
-    Missing case/EEG files yield empty stores; a missing hypergraph yields
-    an empty store unless ``require_hypergraph`` is set.
-    """
-    return (
-        load_hypergraph(directory, config, required=require_hypergraph),
-        load_cases(directory),
-        load_evd(directory, config),
-    )
-
-
-def load_hypergraph(
-    directory: str | Path, config: PipelineConfig, required: bool = False
-) -> BipartiteStore:
-    """The hypergraph under ``directory``; empty when absent unless ``required``."""
+def load_hypergraph(directory: str | Path, config: PipelineConfig) -> BipartiteStore:
+    """The hypergraph under ``directory``; empty when absent."""
     directory = Path(directory)
     if not (directory / META_FILE).exists():
-        if required:
-            raise NotFoundError(
-                f"no store found under {directory}; run the ingest commands first"
-            )
         return BipartiteStore(embedding_dim=config.embedding_dim)
     store = BipartiteStore.load(directory)
     if store.embedding_dim != config.embedding_dim:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from eegrag.cases import (
     CaseStore,
+    PatientCase,
     PatientRecord,
     augment_pseudo_cases,
     case_id,
@@ -137,22 +138,6 @@ class TestCaseStore:
         with pytest.raises(StoreSealedError):
             store.add_record(record(age="2"), EMB)
 
-    def test_attribute_index_consistency_random_sequences(self):
-        rng = np.random.default_rng(21)
-        names = ["age", "sex", "history", "medication", "symptoms"]
-        for _ in range(20):
-            store = CaseStore()
-            for _ in range(int(rng.integers(1, 10))):
-                picks = rng.choice(len(names), size=int(rng.integers(1, 5)), replace=False)
-                attrs = {names[i]: str(int(rng.integers(0, 5))) for i in picks}
-                store.add_record(PatientRecord.from_raw(attrs), EMB)
-            for name, hashes in store.attribute_index.items():
-                for h in hashes:
-                    assert name in store.cases[h].attributes
-            for h, case in store.cases.items():
-                for name in case.attributes:
-                    assert h in store.attribute_index[name]
-
 
 class TestAugmentation:
     def complete(self, **extra):
@@ -182,6 +167,22 @@ class TestAugmentation:
         assert synthetic.attributes["medication"] == store.cases[fill.donor].attributes["medication"]
         assert set(synthetic.attributes) >= set(store.cases[fill.recipient].attributes)
         assert np.linalg.norm(synthetic.embedding) == pytest.approx(1.0, abs=1e-6)
+
+    def test_prevalence_counts_real_cases_only(self):
+        donor = record(age="30", sex="F", history="absence", medication="valproate")
+        recipient = record(age="30", sex="F", history="absence")
+        other = record(age="70", sex="M", history="stroke")
+        store = build_store(donor, recipient, other)
+        # `medication` is in 1 of 3 real cases, under the threshold of 1.5;
+        # synthetic cases carrying it would lift it over if they were counted
+        for h in ("a-s", "b-s"):
+            store.cases[h] = PatientCase(
+                h, {"age": ["1"], "medication": ["y"]}, np.ones(2) / np.sqrt(2), synthetic=True
+            )
+        assert len(augment_pseudo_cases(store, EMB, tau=0.1)) == 0
+        # in 2 of 3 real cases it is prevalent, and the recipient takes it
+        other = record(age="70", sex="M", history="stroke", medication="none")
+        assert len(augment_pseudo_cases(build_store(donor, recipient, other), EMB, tau=0.1)) == 1
 
     def test_threshold_one_blocks_non_identical(self):
         store = build_store(

@@ -6,6 +6,7 @@ import pytest
 from eegrag.cases import CaseStore
 from eegrag.cli import main
 from eegrag.eeg import EegVectorDatabase
+from eegrag.hypergraph import BipartiteStore
 
 from conftest import FIXTURES, GOLDEN
 
@@ -66,6 +67,7 @@ class TestIngest:
         [
             ("ingest-docs", [CaseStore, EegVectorDatabase]),
             ("ingest-cases", [EegVectorDatabase]),
+            ("ingest-eeg", [BipartiteStore, CaseStore]),
         ],
     )
     def test_ingest_loads_only_the_stores_it_uses(
@@ -74,6 +76,7 @@ class TestIngest:
         inputs = {
             "ingest-docs": FIXTURES / "docs.jsonl",
             "ingest-cases": FIXTURES / "cases.jsonl",
+            "ingest-eeg": FIXTURES / "eeg",
         }
         store = tmp_path / "store"
         store.mkdir()
@@ -86,6 +89,26 @@ class TestIngest:
         for cls in unused:
             monkeypatch.setattr(cls, "load", refuse)
         assert main([command, str(inputs[command]), "--store", str(store)]) == 0
+        for f in built_store.iterdir():
+            assert (store / f.name).read_bytes() == f.read_bytes()
+
+    def test_embedding_dim_checked_only_where_the_hypergraph_is_read(
+        self, built_store, tmp_path, capsys
+    ):
+        store = tmp_path / "store"
+        store.mkdir()
+        for f in built_store.iterdir():
+            (store / f.name).write_bytes(f.read_bytes())
+        dim = ["--store", str(store), "--set", "embedding_dim=128"]
+        for argv in (
+            ["ingest-docs", str(FIXTURES / "docs.jsonl")],
+            ["ingest-cases", str(FIXTURES / "cases.jsonl")],
+            QUERY_ARGS,
+        ):
+            assert main(argv + dim) == 2
+            assert "store embedding_dim 256 != configured 128" in capsys.readouterr().err
+        # ingest-eeg neither reads nor writes the hypergraph
+        assert main(["ingest-eeg", str(FIXTURES / "eeg")] + dim) == 0
         for f in built_store.iterdir():
             assert (store / f.name).read_bytes() == f.read_bytes()
 
@@ -162,7 +185,9 @@ class TestQuery:
     def test_missing_store_guidance(self, tmp_path, capsys):
         code = main(["query", "q", "--store", str(tmp_path / "nowhere")])
         assert code == 2
-        assert "ingest" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ingest" in err
+        assert f"no store found under {tmp_path / 'nowhere'}; run the ingest commands first" in err
 
     def test_unknown_eeg_id(self, built_store, capsys):
         code = main(["query", "q", "--eeg-id", "rec-nope", "--store", str(built_store)])

@@ -29,3 +29,4 @@ def test_demo_runs_cleanly(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert proc.stdout.strip()
+    assert not list(tmp_path.glob("eegrag-demo-*")), "the demo left its store behind"

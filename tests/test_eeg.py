@@ -239,7 +239,7 @@ class TestRecordingValidation:
         path = tmp_path / "r1.json"
         path.write_text(json.dumps(obj))
         rec = load_recording(path)
-        assert rec.id == "r1" and rec.n_channels == 1 and rec.n_samples == 2
+        assert rec.id == "r1" and rec.n_channels == 1 and rec.channels[0].samples.shape[0] == 2
 
     def test_malformed_object(self):
         with pytest.raises(PreconditionError):

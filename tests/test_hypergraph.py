@@ -50,18 +50,18 @@ class TestAddEntity:
         store = BipartiteStore(embedding_dim=2)
         eid = store.add_entity("alpha", "waveform", "first def")
         store.add_entity("Alpha", "", "updated def")
-        assert store.entity(eid).etype == "waveform"
-        assert store.entity(eid).definition == "updated def"
-        assert store.entity(eid).name == "alpha"
+        assert store.entities[eid].etype == "waveform"
+        assert store.entities[eid].definition == "updated def"
+        assert store.entities[eid].name == "alpha"
 
     def test_merge_embedding_only_if_absent(self):
         store = BipartiteStore(embedding_dim=2)
         eid = store.add_entity("alpha", embedding=np.array([1.0, 0.0]))
         store.add_entity("alpha", embedding=np.array([0.0, 1.0]))
-        np.testing.assert_array_equal(store.entity(eid).embedding, [1.0, 0.0])
+        np.testing.assert_array_equal(store.entities[eid].embedding, [1.0, 0.0])
         other = store.add_entity("beta")
         store.add_entity("beta", embedding=np.array([0.5, 0.5]))
-        np.testing.assert_array_equal(store.entity(other).embedding, [0.5, 0.5])
+        np.testing.assert_array_equal(store.entities[other].embedding, [0.5, 0.5])
 
 
 class TestAddHyperedge:
@@ -90,7 +90,7 @@ class TestAddHyperedge:
         again = store.add_hyperedge("fact", {a}, embedding=np.array([1.0, 0.0]))
         assert first == again
         assert len(store.hyperedges) == 1
-        np.testing.assert_array_equal(store.hyperedge(first).embedding, [1.0, 0.0])
+        np.testing.assert_array_equal(store.hyperedges[first].embedding, [1.0, 0.0])
 
     def test_unknown_layer_rejected(self):
         store = BipartiteStore()

@@ -136,12 +136,12 @@ class TestWrite:
     def test_interrupted_store_save_keeps_previous_file(self, tmp_path):
         store = CaseStore()
         for h in ("a", "b"):
-            store._insert(PatientCase(h, {"age": ["30"]}, np.ones(2)))
+            store.cases[h] = PatientCase(h, {"age": ["30"]}, np.ones(2))
         path = tmp_path / "cases.jsonl"
         store.save(path)
         before = path.read_bytes()
         # sorts after the saved rows, so the save fails part-way through
-        store._insert(PatientCase("c", {"age": ["31"]}, np.ones(2), eeg_refs=[object()]))
+        store.cases["c"] = PatientCase("c", {"age": ["31"]}, np.ones(2), eeg_refs=[object()])
         with pytest.raises(TypeError):
             store.save(path)
         assert path.read_bytes() == before

@@ -134,6 +134,32 @@ class TestBuildKgh:
         for ent in store.entities.values():
             assert ent.embedding is not None
 
+    def test_each_entity_embedded_once_from_its_first_mention(self):
+        texts = []
+
+        class RecordingEmbedder(HashedTokenEmbedder):
+            def embed(self, text):
+                texts.append(text)
+                return super().embed(text)
+
+        store = BipartiteStore(embedding_dim=32)
+        c = store.add_entity("C")  # registered earlier without an embedding
+        facts = [
+            Fact("f1", [EntitySpec("A", "term", "first"), EntitySpec("B")]),
+            Fact("f2", [EntitySpec("A", "term", "second"), EntitySpec("C", "", "c def")]),
+        ]
+        emb = RecordingEmbedder(32)
+        build_kgh([Document("d1", "t", "body")], FixedExtractor(facts), emb, store)
+        assert texts == ["A first", "B", "f1", "C c def", "f2"]
+        a = next(e for e in store.entities.values() if e.name == "A")
+        assert a.definition == "second"
+        assert a.embedding.tobytes() == EMB.embed("A first").tobytes()
+        assert store.entities[c].embedding.tobytes() == EMB.embed("C c def").tobytes()
+
+        texts.clear()
+        build_kgh([Document("d1", "t", "body")], FixedExtractor(facts), emb, store)
+        assert texts == ["f1", "f2"]
+
     def test_no_orphan_entities(self):
         store = BipartiteStore(embedding_dim=32)
         docs = [Document("d1", "t", "body"), Document("d2", "t", "body")]
