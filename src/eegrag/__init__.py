@@ -16,7 +16,7 @@ from .cases import (
     embed_case,
     serialize_case,
 )
-from .config import PipelineConfig, RemoteClientSpec
+from .config import PipelineConfig
 from .eeg import (
     EegMatch,
     EegRecording,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import Embedder
-from .errors import PreconditionError, StoreSealedError
+from .errors import DimensionMismatchError, PreconditionError, StoreSealedError
 from .hashing import collapse_whitespace, fnv1a64_text
 from .jsonl import read_jsonl, write_jsonl
 
@@ -162,12 +162,19 @@ class CaseStore:
         )
 
     @classmethod
-    def load(cls, path: str | Path) -> "CaseStore":
+    def load(cls, path: str | Path, embedding_dim: int) -> "CaseStore":
+        """Load a persisted store; each case embedding must have ``embedding_dim`` values."""
+
         def case(row: dict) -> PatientCase:
+            embedding = np.asarray(row["embedding"], dtype=np.float64)
+            if embedding.shape != (embedding_dim,):
+                raise DimensionMismatchError(
+                    f"embedding has dimension {embedding.shape}, store expects {embedding_dim}"
+                )
             return PatientCase(
                 h=row["h"],
                 attributes={k: list(v) for k, v in row["e"].items()},
-                embedding=np.asarray(row["embedding"], dtype=np.float64),
+                embedding=embedding,
                 synthetic=row["synthetic"],
                 eeg_refs=list(row.get("eeg_refs", [])),
             )
@@ -181,7 +188,6 @@ def augment_pseudo_cases(
     store: CaseStore,
     embedder: Embedder,
     tau: float = 0.80,
-    max_fills: int | None = None,
 ) -> AugmentationReport:
     """Create synthetic pseudo-cases for records missing prevalent attributes.
 
@@ -189,8 +195,7 @@ def augment_pseudo_cases(
     it and this case does not. For each such case the nearest other real
     case by cosine similarity donates its values, provided the similarity
     reaches ``tau``; the result is stored as a new synthetic case (hash of
-    the new tuple plus a synthetic marker suffix). ``max_fills`` caps how
-    many attributes one pseudo-case may take from its donor.
+    the new tuple plus a synthetic marker suffix).
 
     Real cases are never mutated or deleted.
     """
@@ -225,8 +230,6 @@ def augment_pseudo_cases(
             continue
         donor = store.cases[best[1]]
         fillable = [a for a in missing if a in donor.attributes]
-        if max_fills is not None:
-            fillable = fillable[:max_fills]
         if not fillable:
             continue
         new_attrs = {k: list(v) for k, v in case.attributes.items()}

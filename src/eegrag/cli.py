@@ -66,7 +66,7 @@ def cmd_ingest_docs(args: argparse.Namespace) -> int:
 def cmd_ingest_cases(args: argparse.Namespace) -> int:
     config = _load_config(args)
     store = load_hypergraph(args.store, config)
-    case_store = load_cases(args.store)
+    case_store = load_cases(args.store, config)
     embedder = HashedTokenEmbedder(config.embedding_dim)
     records = load_records(args.input)
     added = merged = 0
@@ -79,15 +79,11 @@ def cmd_ingest_cases(args: argparse.Namespace) -> int:
             merged += 1
 
     fills = 0
-    if not args.no_augment and len(case_store.real_cases()) >= 2:
-        fills = len(
-            augment_pseudo_cases(
-                case_store, embedder, tau=config.pseudo_tau, max_fills=config.pseudo_max_fills
-            )
-        )
+    if len(case_store.real_cases()) >= 2:
+        fills = len(augment_pseudo_cases(case_store, embedder, tau=config.pseudo_tau))
 
     linked = 0
-    if config.link_case_hyperedges and store.entities:
+    if store.entities:
         names = NameIndex(store.entities)  # case linking adds no entities
         for h in sorted(case_store.cases):
             case = case_store.cases[h]
@@ -196,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest-cases", help="build the case layer from cases.jsonl")
     p.add_argument("input", help="cases.jsonl")
-    p.add_argument("--no-augment", action="store_true", help="skip pseudo-case augmentation")
     _add_common(p)
     p.set_defaults(func=cmd_ingest_cases)
 

@@ -15,16 +15,6 @@ from .hypergraph import LAYERS
 
 
 @dataclass
-class RemoteClientSpec:
-    endpoint: str = ""
-    model: str = ""
-    auth_env: str | None = None
-    timeout: float = 30.0
-    retries: int = 2
-    max_inflight: int = 4
-
-
-@dataclass
 class PipelineConfig:
     """All tunables in one place; defaults are the shipped operating point."""
 
@@ -37,13 +27,15 @@ class PipelineConfig:
     closure_radius: int = 1
     closure_budget: int = 32
     pseudo_tau: float = 0.80
-    pseudo_max_fills: int | None = None
-    link_case_hyperedges: bool = True
-    eeg_normalize: bool = True
     channel_blocked_dtw: bool = False
     ablation: AblationFlags = field(default_factory=AblationFlags)
     client: str = "mock"  # "mock" | "remote"
-    remote: RemoteClientSpec = field(default_factory=RemoteClientSpec)
+    remote_endpoint: str = ""
+    remote_model: str = ""
+    remote_auth_env: str | None = None
+    remote_timeout: float = 30.0
+    remote_retries: int = 2
+    remote_max_inflight: int = 4
     bootstrap_resamples: int = 1000
     seed: int = 7
 
@@ -54,11 +46,13 @@ class PipelineConfig:
             "eeg_top_k",
             "hyperedge_top_k",
             "closure_budget",
+            "remote_max_inflight",
         ):
             if getattr(self, name) < 1:
                 raise PreconditionError(f"{name} must be >= 1")
-        if self.closure_radius < 0:
-            raise PreconditionError("closure_radius must be >= 0")
+        for name in ("closure_radius", "remote_retries"):
+            if getattr(self, name) < 0:
+                raise PreconditionError(f"{name} must be >= 0")
         if not 0.0 < self.pseudo_tau <= 1.0:
             raise PreconditionError("pseudo_tau must be in (0, 1]")
         if self.dtw_band is not None and self.dtw_band < 0:
@@ -70,6 +64,8 @@ class PipelineConfig:
             )
         if self.client not in ("mock", "remote"):
             raise PreconditionError(f"unknown client {self.client!r}")
+        if not 0.0 < self.remote_timeout < float("inf"):
+            raise PreconditionError("remote_timeout must be > 0 and finite")
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "PipelineConfig":
@@ -79,14 +75,11 @@ class PipelineConfig:
         return config
 
     def apply(self, mapping: dict[str, str]) -> None:
-        own = {f.name: f.type for f in fields(self) if f.name not in ("ablation", "remote")}
-        remote = {f"remote_{f.name}": f.type for f in fields(self.remote)}
+        own = {f.name: f.type for f in fields(self) if f.name != "ablation"}
         for key, raw in mapping.items():
             key = key.strip().lower()
             if key in ("cl", "il", "el"):
                 setattr(self.ablation, key, _parse_bool(key, raw))
-            elif key in remote:
-                setattr(self.remote, key[len("remote_") :], _coerce_field(key, raw, remote[key]))
             elif key in own:
                 setattr(self, key, _coerce_field(key, raw, own[key]))
             else:

@@ -179,19 +179,15 @@ class PaaEmbedding:
         return self.values.reshape(self.n_channels, self.segments_per_channel)
 
 
-def eeg_embed(rec: EegRecording, n: int, normalize: bool = True) -> PaaEmbedding:
-    """Per-channel z-score (optional, default on), PAA, then concatenation.
+def eeg_embed(rec: EegRecording, n: int) -> PaaEmbedding:
+    """Per-channel z-score, PAA, then concatenation.
 
     Z-scoring makes the embedding exactly invariant to per-channel gain and
     offset, which otherwise dominate DTW distances between electrodes.
     """
-    blocks = []
-    for ch in rec.channels:
-        samples = zscore(ch.samples) if normalize else ch.samples
-        blocks.append(paa(samples, n))
     return PaaEmbedding(
         segments_per_channel=n,
-        values=np.concatenate(blocks),
+        values=np.concatenate([paa(zscore(ch.samples), n) for ch in rec.channels]),
         channel_order=rec.channel_names,
     )
 
@@ -272,7 +268,6 @@ class EegVectorDatabase:
     """
 
     n_segments: int = 20
-    normalize: bool = True
     band: int | None = None
     channel_blocked: bool = False
     entries: dict[str, EvdEntry] = field(default_factory=dict)
@@ -294,7 +289,7 @@ class EegVectorDatabase:
             raise StoreSealedError("EEG database is sealed")
         if rec.id in self.entries:
             raise PreconditionError(f"duplicate recording id {rec.id!r}")
-        emb = eeg_embed(rec, self.n_segments, normalize=self.normalize)
+        emb = eeg_embed(rec, self.n_segments)
         self.entries[rec.id] = EvdEntry(rec.id, rec.patient_hash, rec.sample_rate, emb)
         return rec.id
 
@@ -341,7 +336,7 @@ class EegVectorDatabase:
 
     def retrieve(self, query: EegRecording, k: int) -> list[EegMatch]:
         """Top-K stored recordings by ascending DTW distance (ties by id)."""
-        emb = eeg_embed(query, self.n_segments, normalize=self.normalize)
+        emb = eeg_embed(query, self.n_segments)
         return self.retrieve_by_embedding(emb, k)
 
     # -- persistence ---------------------------------------------------------
@@ -356,7 +351,7 @@ class EegVectorDatabase:
                     "patient_hash": e.patient_hash,
                     "sample_rate": e.sample_rate,
                     "n_segments": e.embedding.segments_per_channel,
-                    "normalized": self.normalize,
+                    "normalized": True,
                     "channel_order": e.embedding.channel_order,
                     "values": e.embedding.values.tolist(),
                 }
@@ -369,30 +364,25 @@ class EegVectorDatabase:
         cls,
         path: str | Path,
         n_segments: int,
-        normalize: bool,
         band: int | None = None,
         channel_blocked: bool = False,
     ) -> "EegVectorDatabase":
-        """Load embeddings persisted under ``n_segments`` and ``normalize``.
+        """Load z-scored embeddings persisted under ``n_segments``.
 
         A row embedded under other settings is rejected, naming its line:
         it could not be compared with queries embedded under these.
         """
 
         def entry(row: dict) -> EvdEntry:
-            if not isinstance(row["normalized"], bool):
-                raise PreconditionError(f"normalized is {row['normalized']!r}, not a boolean")
-            for name, stored, configured in (
-                ("n_segments", row["n_segments"], n_segments),
-                ("normalize", row["normalized"], normalize),
-            ):
-                if stored != configured:
-                    raise PreconditionError(
-                        f"EEG database {name} {stored} != configured {configured}"
-                    )
+            if row["normalized"] is not True:
+                raise PreconditionError(f"normalized is {row['normalized']!r}, not true")
+            if row["n_segments"] != n_segments:
+                raise PreconditionError(
+                    f"EEG database n_segments {row['n_segments']} != configured {n_segments}"
+                )
             emb = PaaEmbedding(row["n_segments"], row["values"], row["channel_order"])
             return EvdEntry(row["id"], row["patient_hash"], row["sample_rate"], emb)
 
-        db = cls(n_segments, normalize, band, channel_blocked)
+        db = cls(n_segments, band, channel_blocked)
         db.entries = {e.id: e for e in read_jsonl(path, entry)}
         return db

@@ -46,16 +46,15 @@ def load_generation_prompt() -> str:
 
 def make_client(config: PipelineConfig) -> GenerationClient:
     if config.client == "remote":
-        spec = config.remote
-        if not spec.endpoint or not spec.model:
+        if not config.remote_endpoint or not config.remote_model:
             raise PreconditionError("remote client requires remote_endpoint and remote_model")
         return HttpChatClient(
-            endpoint=spec.endpoint,
-            model=spec.model,
-            auth_env=spec.auth_env,
-            timeout=spec.timeout,
-            retries=spec.retries,
-            max_inflight=spec.max_inflight,
+            endpoint=config.remote_endpoint,
+            model=config.remote_model,
+            auth_env=config.remote_auth_env,
+            timeout=config.remote_timeout,
+            retries=config.remote_retries,
+            max_inflight=config.remote_max_inflight,
         )
     return MockGenerationClient()
 
@@ -153,7 +152,7 @@ class Pipeline:
             raise NotFoundError(f"no store found under {directory}; run the ingest commands first")
         return cls(
             load_hypergraph(directory, config),
-            load_cases(directory),
+            load_cases(directory, config),
             load_evd(directory, config),
             config,
             embedder=embedder,
@@ -266,19 +265,19 @@ def load_hypergraph(directory: str | Path, config: PipelineConfig) -> BipartiteS
     return store
 
 
-def load_cases(directory: str | Path) -> CaseStore:
-    """The case store under ``directory``; empty when absent."""
+def load_cases(directory: str | Path, config: PipelineConfig) -> CaseStore:
+    """The case store under ``directory``; empty when absent. A case whose
+    embedding is not ``config.embedding_dim`` long is rejected."""
     path = Path(directory) / CASES_FILE
-    return CaseStore.load(path) if path.exists() else CaseStore()
+    return CaseStore.load(path, config.embedding_dim) if path.exists() else CaseStore()
 
 
 def load_evd(directory: str | Path, config: PipelineConfig) -> EegVectorDatabase:
     """The EEG database under ``directory``; empty when absent. A file whose
-    PAA segments or normalization differ from ``config`` is rejected."""
+    PAA segments differ from ``config`` is rejected."""
     path = Path(directory) / EVD_FILE
     settings = dict(
         n_segments=config.paa_segments,
-        normalize=config.eeg_normalize,
         band=config.dtw_band,
         channel_blocked=config.channel_blocked_dtw,
     )

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eegrag.cli import main
 from eegrag.embedding import HashedTokenEmbedder
 from eegrag.hypergraph import BipartiteStore
 from eegrag.retrieval import cosine
@@ -17,6 +18,16 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.fixture(scope="session")
 def corpus_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture(scope="module")
+def built_store(tmp_path_factory) -> Path:
+    """A store ingested from the fixture corpus by the three ingest commands."""
+    store = tmp_path_factory.mktemp("store")
+    assert main(["ingest-docs", str(FIXTURES / "docs.jsonl"), "--store", str(store)]) == 0
+    assert main(["ingest-cases", str(FIXTURES / "cases.jsonl"), "--store", str(store)]) == 0
+    assert main(["ingest-eeg", str(FIXTURES / "eeg"), "--store", str(store)]) == 0
+    return store
 
 
 @pytest.fixture(scope="session")

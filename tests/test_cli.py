@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import pytest
 
@@ -9,15 +8,6 @@ from eegrag.eeg import EegVectorDatabase
 from eegrag.hypergraph import BipartiteStore
 
 from conftest import FIXTURES, GOLDEN
-
-
-@pytest.fixture(scope="module")
-def built_store(tmp_path_factory) -> Path:
-    store = tmp_path_factory.mktemp("store")
-    assert main(["ingest-docs", str(FIXTURES / "docs.jsonl"), "--store", str(store)]) == 0
-    assert main(["ingest-cases", str(FIXTURES / "cases.jsonl"), "--store", str(store)]) == 0
-    assert main(["ingest-eeg", str(FIXTURES / "eeg"), "--store", str(store)]) == 0
-    return store
 
 
 QUERY_ARGS = [
@@ -111,6 +101,25 @@ class TestIngest:
         assert main(["ingest-eeg", str(FIXTURES / "eeg")] + dim) == 0
         for f in built_store.iterdir():
             assert (store / f.name).read_bytes() == f.read_bytes()
+
+    @pytest.mark.parametrize("argv", [["ingest-cases", str(FIXTURES / "cases.jsonl")], QUERY_ARGS])
+    def test_wrong_dimension_case_embedding_exits_2_naming_its_line(
+        self, built_store, tmp_path, capsys, argv
+    ):
+        store = tmp_path / "store"
+        store.mkdir()
+        for f in built_store.iterdir():
+            (store / f.name).write_bytes(f.read_bytes())
+        path = store / "cases.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[1])
+        row["embedding"] = [0.1, 0.2, 0.3]
+        lines[1] = json.dumps(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert main(argv + ["--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 2: embedding has dimension (3,), store expects 256" in err
+        assert "Traceback" not in err
 
     def test_ingest_eeg_rejects_other_paa_settings(self, built_store, capsys):
         args = ["ingest-eeg", str(FIXTURES / "eeg"), "--store", str(built_store)]
@@ -228,10 +237,9 @@ class TestQuery:
         assert "Traceback" not in err
 
     def test_evd_settings_must_match_config(self, built_store, capsys):
-        for setting in ("paa_segments=12", "eeg_normalize=false"):
-            code = main(QUERY_ARGS + ["--store", str(built_store), "--set", setting])
-            assert code == 2
-            assert "configured" in capsys.readouterr().err
+        code = main(QUERY_ARGS + ["--store", str(built_store), "--set", "paa_segments=12"])
+        assert code == 2
+        assert "configured" in capsys.readouterr().err
 
 
 class TestBench:
@@ -356,6 +364,33 @@ class TestBadInput:
 
     def test_config_file_that_is_a_directory(self, tmp_path, capsys):
         self.run(capsys, "query", "q", "--store", str(tmp_path), "--config", str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("remote_max_inflight=-1", "remote_max_inflight must be >= 1"),
+            ("remote_retries=-1", "remote_retries must be >= 0"),
+            ("remote_timeout=0", "remote_timeout must be > 0"),
+        ],
+        ids=["max_inflight", "retries", "timeout"],
+    )
+    def test_bad_remote_call_policy(self, built_store, capsys, setting, message):
+        remote = ["client=remote", "remote_endpoint=http://127.0.0.1:9/v1", "remote_model=m"]
+        sets = [arg for item in (*remote, setting) for arg in ("--set", item)]
+        err = self.run(capsys, *QUERY_ARGS, "--store", str(built_store), *sets)
+        assert message in err
+
+    @pytest.mark.parametrize("key", ["eeg_normalize", "link_case_hyperedges", "pseudo_max_fills"])
+    def test_removed_setting_is_an_unknown_key(self, tmp_path, capsys, key):
+        err = self.run(capsys, *QUERY_ARGS, "--store", str(tmp_path), "--set", f"{key}=true")
+        assert f"unknown config key {key!r}" in err
+
+    def test_ingest_cases_has_no_augment_switch(self, tmp_path, capsys):
+        argv = ["ingest-cases", str(FIXTURES / "cases.jsonl"), "--store", str(tmp_path)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--no-augment"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --no-augment" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bind", ["127.0.0.1:abc", "127.0.0.1:99999", "127.0.0.1:"])
     def test_serve_rejects_a_bad_port_before_loading_the_store(self, tmp_path, capsys, bind):

@@ -40,6 +40,27 @@ class TestValidation:
         with pytest.raises(PreconditionError):
             PipelineConfig(client="carrier-pigeon")
 
+    @pytest.mark.parametrize(
+        "key, value, bound",
+        [
+            ("remote_timeout", "0", "> 0 and finite"),
+            ("remote_timeout", "-1.5", "> 0 and finite"),
+            ("remote_timeout", "nan", "> 0 and finite"),
+            ("remote_timeout", "inf", "> 0 and finite"),
+            ("remote_retries", "-1", ">= 0"),
+            ("remote_max_inflight", "0", ">= 1"),
+            ("remote_max_inflight", "-1", ">= 1"),
+        ],
+    )
+    def test_remote_call_policy_range(self, key, value, bound):
+        with pytest.raises(PreconditionError, match=f"{key} must be {bound}"):
+            PipelineConfig.from_mapping({"client": "remote", key: value})
+
+    def test_remote_call_policy_limits_accepted(self):
+        limits = {"remote_timeout": 0.001, "remote_retries": 0, "remote_max_inflight": 1}
+        config = PipelineConfig.from_mapping({key: str(value) for key, value in limits.items()})
+        assert {key: getattr(config, key) for key in limits} == limits
+
     def test_unknown_retrieval_layer_names_the_valid_ones(self):
         with pytest.raises(PreconditionError, match="'knowlege'.*knowledge, case or none"):
             PipelineConfig.from_mapping({"retrieval_layer": "knowlege"})
@@ -66,9 +87,9 @@ class TestFileParsing:
         assert config.eeg_top_k == 3
         assert not config.ablation.cl and config.ablation.il
         assert config.dtw_band == 4
-        assert config.remote.endpoint == "http://localhost:9/v1"
-        assert config.remote.model == "test-model"
-        assert config.remote.auth_env == "MY_TOKEN"
+        assert config.remote_endpoint == "http://localhost:9/v1"
+        assert config.remote_model == "test-model"
+        assert config.remote_auth_env == "MY_TOKEN"
         assert config.seed == 99
 
     def test_none_and_bool_parsing(self):
@@ -118,11 +139,10 @@ class TestNoneValues:
     def test_none_clears_each_optional_setting(self):
         optional = {
             "dtw_band": "3",
-            "pseudo_max_fills": "2",
             "retrieval_layer": "case",
             "remote_auth_env": "TOKEN",
         }
         config = PipelineConfig.from_mapping(optional)
         config.apply(dict.fromkeys(optional, "none"))
-        cleared = (config.dtw_band, config.pseudo_max_fills, config.retrieval_layer)
-        assert cleared == (None, None, None) and config.remote.auth_env is None
+        cleared = (config.dtw_band, config.retrieval_layer, config.remote_auth_env)
+        assert cleared == (None, None, None)

@@ -211,10 +211,6 @@ class TestEegEmbed:
         ).values
         np.testing.assert_allclose(rec, scaled, atol=1e-9)
 
-    def test_normalize_off_keeps_raw_scale(self):
-        rec = make_recording([[2.0, 4.0]])
-        np.testing.assert_allclose(eeg_embed(rec, 2, normalize=False).values, [2.0, 4.0])
-
 
 class TestRecordingValidation:
     def test_ragged_channels_rejected(self):
@@ -409,7 +405,7 @@ class TestVectorDatabase:
         ]
         db = fill_db(recs, n=3)
         db.save(tmp_path / "evd.jsonl")
-        loaded = EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=3, normalize=True)
+        loaded = EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=3)
         loaded.save(tmp_path / "evd2.jsonl")
         assert (tmp_path / "evd.jsonl").read_bytes() == (tmp_path / "evd2.jsonl").read_bytes()
         assert loaded.n_segments == 3
@@ -419,15 +415,14 @@ class TestVectorDatabase:
         rng = np.random.default_rng(57)
         db = fill_db([make_recording(rng.normal(size=(2, 15)), rec_id="r1")], n=3)
         db.save(tmp_path / "evd.jsonl")
-        loaded = EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=3, normalize=True)
-        assert (loaded.n_segments, loaded.normalize) == (3, True)
+        loaded = EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=3)
+        assert loaded.n_segments == 3
         with pytest.raises(PreconditionError, match="n_segments 3 != configured 4"):
-            EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=4, normalize=True)
-        with pytest.raises(PreconditionError, match="normalize True != configured False"):
-            EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=3, normalize=False)
+            EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=4)
 
     @pytest.mark.parametrize(
-        "field, value", [("normalized", [True]), ("values", "abc"), ("n_segments", 4)]
+        "field, value",
+        [("normalized", [True]), ("values", "abc"), ("n_segments", 4), ("normalized", False)],
     )
     def test_load_rejects_malformed_row_naming_its_line(self, tmp_path, field, value):
         rng = np.random.default_rng(58)
@@ -439,10 +434,10 @@ class TestVectorDatabase:
         lines[1] = json.dumps(row)
         (tmp_path / "evd.jsonl").write_text("\n".join(lines) + "\n")
         with pytest.raises(PreconditionError, match="evd.jsonl: line 2: "):
-            EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=3, normalize=True)
+            EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=3)
 
     def test_load_of_empty_file_takes_configured_settings(self, tmp_path):
         (tmp_path / "evd.jsonl").write_text("")
-        loaded = EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=7, normalize=False)
-        assert (loaded.n_segments, loaded.normalize, len(loaded)) == (7, False, 0)
+        loaded = EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=7)
+        assert (loaded.n_segments, len(loaded)) == (7, 0)
 
