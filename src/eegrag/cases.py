@@ -171,17 +171,26 @@ class CaseStore:
                 raise DimensionMismatchError(
                     f"embedding has dimension {embedding.shape}, store expects {embedding_dim}"
                 )
+            if not isinstance(row["synthetic"], bool):
+                raise PreconditionError(f"synthetic is {row['synthetic']!r}, not true or false")
             return PatientCase(
                 h=row["h"],
-                attributes={k: list(v) for k, v in row["e"].items()},
+                attributes={k: _strings(v, f"attribute {k!r}") for k, v in row["e"].items()},
                 embedding=embedding,
                 synthetic=row["synthetic"],
-                eeg_refs=list(row.get("eeg_refs", [])),
+                eeg_refs=_strings(row.get("eeg_refs", []), "eeg_refs"),
             )
 
         store = cls()
         store.cases = {c.h: c for c in read_jsonl(path, case)}
         return store
+
+
+def _strings(value, what: str) -> list[str]:
+    """``value`` as a new list, if it is a JSON list of strings."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise PreconditionError(f"{what} is {value!r}, not a list of strings")
+    return list(value)
 
 
 def augment_pseudo_cases(

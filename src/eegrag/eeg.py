@@ -16,6 +16,7 @@ with every channel carrying the same number of finite samples.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass, field
@@ -195,7 +196,17 @@ def eeg_embed(rec: EegRecording, n: int) -> PaaEmbedding:
 # -- dynamic time warping ------------------------------------------------------
 
 
-def _dtw_python(a: np.ndarray, b: np.ndarray, w: int) -> float:
+def _dtw_python(
+    a: np.ndarray, b: np.ndarray, w: int, limit: float = math.inf, partial: float = 0.0
+) -> float:
+    """Banded DTW of a and b, or ``inf`` once ``partial + dtw`` must exceed ``limit``.
+
+    Every cell is at least the cheapest cell of the row before it (local
+    costs are >= 0 and IEEE addition is monotone), so the distance is at
+    least each finished row's minimum: once ``partial`` plus that minimum is
+    strictly greater than ``limit``, no path can come back under it. A pair
+    at exactly ``limit`` is computed in full.
+    """
     # Python floats do the same IEEE double arithmetic as numpy float64
     # scalars, without a numpy scalar object per cell.
     a, b = a.tolist(), b.tolist()
@@ -208,15 +219,30 @@ def _dtw_python(a: np.ndarray, b: np.ndarray, w: int) -> float:
         lo = max(1, i - w)
         hi = min(m, i + w)
         ai = a[i - 1]
+        # diag, up and left are prev[j-1], prev[j] and cur[j-1], compared
+        # in that order; cur[lo-1] is always inf
+        diag, left = prev[lo - 1], inf
         for j in range(lo, hi + 1):
-            best = prev[j - 1]
-            if prev[j] < best:
-                best = prev[j]
-            if cur[j - 1] < best:
-                best = cur[j - 1]
-            cur[j] = abs(ai - b[j - 1]) + best
+            up = prev[j]
+            best = diag
+            if up < best:
+                best = up
+            if left < best:
+                best = left
+            left = abs(ai - b[j - 1]) + best
+            cur[j] = left
+            diag = up
+        # left, the row's last cell, is at least the row's minimum, so
+        # testing it first skips the min() where it could not abandon
+        if limit < inf and partial + left > limit and partial + min(cur[lo : hi + 1]) > limit:
+            return inf
         prev = cur
     return prev[m]
+
+
+def _width(n: int, m: int, band: int | None) -> int:
+    """The band ``dtw`` runs under: ``band`` widened to |n - m|, or unbounded."""
+    return max(n, m) if band is None else max(band, abs(n - m))
 
 
 def dtw(a, b, band: int | None = None) -> float:
@@ -232,8 +258,7 @@ def dtw(a, b, band: int | None = None) -> float:
         raise PreconditionError("dtw inputs must be non-empty")
     if band is not None and band < 0:
         raise PreconditionError("band width must be >= 0")
-    w = max(a.size, b.size) if band is None else max(band, abs(a.size - b.size))
-    return _dtw_python(a, b, w)
+    return _dtw_python(a, b, _width(a.size, b.size, band))
 
 
 # -- the vector database -------------------------------------------------------
@@ -302,14 +327,28 @@ class EegVectorDatabase:
     def seal(self) -> None:
         self._sealed = True
 
-    def _distance(self, query: PaaEmbedding, entry: PaaEmbedding) -> float:
-        if self.channel_blocked:
-            qb = query.channel_blocks()
-            eb = entry.channel_blocks()
-            return float(sum(dtw(qb[c], eb[c], band=self.band) for c in range(qb.shape[0])))
-        return dtw(query.values, entry.values, band=self.band)
+    def _distance(self, query: PaaEmbedding, entry: PaaEmbedding, limit: float) -> float:
+        """DTW of query and entry, or ``inf`` once it must exceed ``limit``."""
+        if not self.channel_blocked:
+            a, b = query.values, entry.values
+            return _dtw_python(a, b, _width(a.size, b.size, self.band), limit)
+        total = 0.0
+        for a, b in zip(query.channel_blocks(), entry.channel_blocks()):
+            # the finished blocks' sum rides into the kernel, so it abandons
+            # on ``total + row_min > limit``: the same rounding as the sum
+            block = _dtw_python(a, b, _width(a.size, b.size, self.band), limit, total)
+            if block == math.inf:
+                return block
+            total += block
+        return total
 
     def retrieve_by_embedding(self, query: PaaEmbedding, k: int) -> list[EegMatch]:
+        """The k smallest ``(distance, id)`` over every entry, visited in order.
+
+        Each candidate's DTW is abandoned once it must exceed the k-th best
+        distance seen so far; those candidates could not enter the top k, so
+        the result is the full sort's first k, ties by ascending id.
+        """
         if not self._sealed:
             raise PreconditionError("seal the database before retrieval")
         if k < 1:
@@ -326,12 +365,18 @@ class EegVectorDatabase:
                 f"query has {query.n_channels} channels; incompatible stored "
                 f"recordings: {mismatched}"
             )
-        scored = sorted(
-            ((self._distance(query, e.embedding), rid) for rid, e in self.entries.items()),
-        )
+        if query.values.size == 0:
+            raise PreconditionError("dtw inputs must be non-empty")
+        best: list[tuple[float, str]] = []  # ascending; at most k
+        for rid, e in self.entries.items():
+            limit = best[-1][0] if len(best) == k else math.inf
+            scored = (self._distance(query, e.embedding, limit), rid)
+            if len(best) < k or scored < best[-1]:
+                bisect.insort(best, scored)
+                del best[k:]
         return [
             EegMatch(rid, self.entries[rid].patient_hash, dist, rank)
-            for rank, (dist, rid) in enumerate(scored[:k], start=1)
+            for rank, (dist, rid) in enumerate(best, start=1)
         ]
 
     def retrieve(self, query: EegRecording, k: int) -> list[EegMatch]:

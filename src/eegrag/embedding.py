@@ -9,6 +9,7 @@ identical vectors.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -16,6 +17,16 @@ import numpy as np
 from .hashing import fnv1a64_text
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+
+# distinct (token, dim) pairs whose slot is kept; a full cache is ~4 MiB
+_TOKEN_SLOTS = 1 << 14
+
+
+@lru_cache(maxsize=_TOKEN_SLOTS)
+def _token_slot(token: str, dim: int) -> tuple[int, float]:
+    """The bucket a token hashes to in ``dim`` dimensions, and its sign."""
+    h = fnv1a64_text(token)
+    return h % dim, 1.0 if h % 2 == 0 else -1.0
 
 
 @runtime_checkable
@@ -57,9 +68,8 @@ class HashedTokenEmbedder:
         for token in _TOKEN_SPLIT.split(text.lower()):
             if not token:
                 continue
-            h = fnv1a64_text(token)
-            sign = 1.0 if h % 2 == 0 else -1.0
-            vec[h % self._dim] += sign
+            bucket, sign = _token_slot(token, self._dim)
+            vec[bucket] += sign
         norm = float(np.linalg.norm(vec))
         if norm > 0.0:
             vec /= norm

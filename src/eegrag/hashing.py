@@ -9,6 +9,7 @@ lets traversal code treat both as plain graph nodes.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
@@ -18,6 +19,9 @@ _MASK64 = (1 << 64) - 1
 HYPEREDGE_TAG = 1 << 63
 
 _WS = re.compile(r"\s+")
+
+# distinct names whose entity id is kept; a full cache is ~3 MiB
+_ENTITY_IDS = 1 << 14
 
 
 def fnv1a64(data: bytes) -> int:
@@ -42,6 +46,7 @@ def collapse_whitespace(text: str) -> str:
     return _WS.sub(" ", text.strip())
 
 
+@lru_cache(maxsize=_ENTITY_IDS)
 def entity_id(name: str) -> int:
     """Deterministic entity id from the normalized name (top bit cleared)."""
     return fnv1a64_text(normalize_name(name)) & ~HYPEREDGE_TAG

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from eegrag.cli import main
+from eegrag.eeg import EegVectorDatabase, PaaEmbedding, dtw
 from eegrag.embedding import HashedTokenEmbedder
 from eegrag.hypergraph import BipartiteStore
 from eegrag.retrieval import cosine
@@ -133,3 +134,17 @@ def link_oracle(text: str, store: BipartiteStore) -> list[tuple[int, int, int, s
         exact = surface.lower() == store.entities[eid].name.lower()
         links.append((eid, start, end, surface, "exact-name" if exact else "alias-normalized"))
     return links
+
+
+def eeg_topk_oracle(db: EegVectorDatabase, query: PaaEmbedding, k: int) -> list[tuple[float, str]]:
+    """(distance, id) of the k nearest stored recordings by one full ``dtw()``
+    per candidate (summed over channel blocks when the database is
+    ``channel_blocked``), ties by ascending id (test oracle)."""
+
+    def distance(entry: PaaEmbedding) -> float:
+        if db.channel_blocked:
+            q, e = query.channel_blocks(), entry.channel_blocks()
+            return float(sum(dtw(q[c], e[c], band=db.band) for c in range(q.shape[0])))
+        return dtw(query.values, entry.values, band=db.band)
+
+    return sorted((distance(e.embedding), rid) for rid, e in db.entries.items())[:k]

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +123,28 @@ class TestCaseStore:
         assert (tmp_path / "cases.jsonl").read_bytes() == (tmp_path / "cases2.jsonl").read_bytes()
         (case,) = loaded.cases.values()
         assert case.eeg_refs == ["rec-1"]
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("e", {"age": "34", "sex": ["F"]}, "attribute 'age' is '34', not a list of strings"),
+            ("e", {"age": [34], "sex": ["F"]}, "attribute 'age' is [34], not a list of strings"),
+            ("eeg_refs", "rec-1", "eeg_refs is 'rec-1', not a list of strings"),
+            ("eeg_refs", [1], "eeg_refs is [1], not a list of strings"),
+            ("synthetic", 0, "synthetic is 0, not true or false"),
+            ("synthetic", "false", "synthetic is 'false', not true or false"),
+        ],
+    )
+    def test_load_rejects_mistyped_fields_naming_the_line(self, tmp_path, field, value, message):
+        path = tmp_path / "cases.jsonl"
+        build_store(record(age="34", sex="F"), record(age="35", sex="M")).save(path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[1])
+        row[field] = value
+        lines[1] = json.dumps(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(PreconditionError, match=re.escape(f"{path}: line 2: {message}")):
+            CaseStore.load(path, EMB.dim)
 
     def test_canonical_is_serialized_once(self, monkeypatch):
         import eegrag.cases as cases_module

@@ -380,6 +380,29 @@ class TestBadInput:
         err = self.run(capsys, *QUERY_ARGS, "--store", str(built_store), *sets)
         assert message in err
 
+    def test_negative_bootstrap_resamples(self, built_store, tmp_path, capsys):
+        out = tmp_path / "out"
+        err = self.run(
+            capsys, "bench", str(FIXTURES / "qa.jsonl"), "--store", str(built_store),
+            "--out", str(out), "--set", "bootstrap_resamples=-1",
+        )
+        assert "bootstrap_resamples must be >= 0" in err
+        assert not (out / "report.json").exists()
+
+    def test_case_attribute_that_is_not_a_list_exits_2(self, built_store, tmp_path, capsys):
+        store = tmp_path / "store"
+        store.mkdir()
+        for f in built_store.iterdir():
+            (store / f.name).write_bytes(f.read_bytes())
+        path = store / "cases.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[1])
+        row["e"]["age"] = "36"
+        lines[1] = json.dumps(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        err = self.run(capsys, *QUERY_ARGS, "--store", str(store))
+        assert f"{path}: line 2: attribute 'age' is '36', not a list of strings" in err
+
     @pytest.mark.parametrize("key", ["eeg_normalize", "link_case_hyperedges", "pseudo_max_fills"])
     def test_removed_setting_is_an_unknown_key(self, tmp_path, capsys, key):
         err = self.run(capsys, *QUERY_ARGS, "--store", str(tmp_path), "--set", f"{key}=true")

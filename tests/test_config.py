@@ -56,6 +56,12 @@ class TestValidation:
         with pytest.raises(PreconditionError, match=f"{key} must be {bound}"):
             PipelineConfig.from_mapping({"client": "remote", key: value})
 
+    def test_bootstrap_resamples_range(self):
+        with pytest.raises(PreconditionError, match="bootstrap_resamples must be >= 0"):
+            PipelineConfig.from_mapping({"bootstrap_resamples": "-1"})
+        # 0 turns the bootstrap off
+        assert PipelineConfig(bootstrap_resamples=0).bootstrap_resamples == 0
+
     def test_remote_call_policy_limits_accepted(self):
         limits = {"remote_timeout": 0.001, "remote_retries": 0, "remote_max_inflight": 1}
         config = PipelineConfig.from_mapping({key: str(value) for key, value in limits.items()})

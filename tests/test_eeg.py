@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import eegrag.eeg as eeg_module
 from eegrag.eeg import (
+    _dtw_python,
     _paa_plan,
     Channel,
     EegRecording,
@@ -18,6 +20,8 @@ from eegrag.eeg import (
     zscore,
 )
 from eegrag.errors import ComparabilityError, PreconditionError, StoreSealedError
+
+from conftest import eeg_topk_oracle
 
 
 def float64_recurrence(a: np.ndarray, b: np.ndarray, w: int) -> np.float64:
@@ -305,6 +309,34 @@ class TestDtw:
             assert dtw(a, b, band=band) == float64_recurrence(a, b, w)
 
 
+class TestAbandoningKernel:
+    def test_returns_the_distance_or_inf_only_past_the_limit(self):
+        rng = np.random.default_rng(47)
+        for _ in range(200):
+            a = rng.normal(size=int(rng.integers(1, 25)))
+            b = rng.normal(size=int(rng.integers(1, 25)))
+            w = max(a.size, b.size) if rng.random() < 0.5 else max(
+                int(rng.integers(0, 4)), abs(a.size - b.size)
+            )
+            d = _dtw_python(a, b, w)
+            partial = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 3.0))
+            total = partial + d
+            for limit in (
+                total,
+                math.nextafter(total, math.inf),
+                math.nextafter(total, -math.inf),
+                total * float(rng.uniform(0.0, 1.0)),
+                float(rng.uniform(0.0, 2.0 * total + 1.0)),
+                0.0,
+                math.inf,
+            ):
+                got = _dtw_python(a, b, w, limit, partial)
+                if total <= limit:
+                    assert got == d
+                else:
+                    assert got == d or got == math.inf
+
+
 def fill_db(recordings, n=4) -> EegVectorDatabase:
     db = EegVectorDatabase(n_segments=n)
     for rec in recordings:
@@ -378,10 +410,7 @@ class TestVectorDatabase:
         db.seal()
         query = make_recording(rng.normal(size=(2, 25)), rec_id="q")
         got = db.retrieve(query, 5)
-        q_emb = eeg_embed(query, 5)
-        expected = sorted(
-            (dtw(q_emb.values, db.get(r.id).embedding.values), r.id) for r in recs
-        )[:5]
+        expected = eeg_topk_oracle(db, eeg_embed(query, 5), 5)
         assert [(m.distance, m.recording_id) for m in got] == expected
 
     def test_channel_blocked_distance(self):
@@ -395,7 +424,7 @@ class TestVectorDatabase:
         q = eeg_embed(query, 4).channel_blocks()
         s = db.get("r1").embedding.channel_blocks()
         expected = sum(dtw(q[c], s[c]) for c in range(3))
-        assert match.distance == pytest.approx(expected, abs=1e-12)
+        assert match.distance == expected
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(56)
@@ -441,3 +470,59 @@ class TestVectorDatabase:
         loaded = EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=7)
         assert (loaded.n_segments, len(loaded)) == (7, 0)
 
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_query_without_values_is_rejected(self, tmp_path, blocked):
+        row = {"id": "r1", "patient_hash": None, "sample_rate": 100.0, "n_segments": 4,
+               "normalized": True, "channel_order": [], "values": []}
+        (tmp_path / "evd.jsonl").write_text(json.dumps(row) + "\n")
+        db = EegVectorDatabase.load(tmp_path / "evd.jsonl", 4, channel_blocked=blocked)
+        db.seal()
+        with pytest.raises(PreconditionError, match="non-empty"):
+            db.retrieve_by_embedding(PaaEmbedding(4, [], []), 1)
+
+
+def paired_db(band, blocked, seed=56) -> tuple[EegVectorDatabase, np.random.Generator]:
+    """Twelve recordings stored twice each under shuffled ids, so every
+    distance is an exact tie and ids alone order each pair."""
+    rng = np.random.default_rng(seed)
+    db = EegVectorDatabase(n_segments=5, band=band, channel_blocked=blocked)
+    signals = [rng.normal(size=(2, 25)) for _ in range(12)]
+    ids = [f"r{i:03d}" for i in rng.permutation(24)]
+    for rec_id, sig in zip(ids, signals + signals[::-1]):
+        db.insert_recording(make_recording(sig, rec_id=rec_id))
+    db.seal()
+    return db, rng
+
+
+class TestAbandoningScan:
+    @pytest.mark.parametrize(
+        "band, blocked",
+        [(None, False), (0, False), (2, False), (None, True), (2, True)],
+        ids=["plain", "band0", "band2", "blocked", "blocked-band2"],
+    )
+    @pytest.mark.parametrize("k", [1, 3, 24, 26])
+    def test_matches_the_bruteforce_top_k_with_ties(self, band, blocked, k):
+        db, rng = paired_db(band, blocked)
+        queries = [db.get(rid).embedding for rid in sorted(db.entries)[::5]]
+        queries += [eeg_embed(make_recording(rng.normal(size=(2, 25)), "q"), 5) for _ in range(3)]
+        for query in queries:
+            got = db.retrieve_by_embedding(query, k)
+            expected = eeg_topk_oracle(db, query, k)
+            assert [(m.distance, m.recording_id) for m in got] == expected
+            assert [m.rank for m in got] == list(range(1, len(expected) + 1))
+
+    def test_some_candidate_is_abandoned(self, monkeypatch):
+        db, rng = paired_db(None, False)
+        query = eeg_embed(make_recording(rng.normal(size=(2, 25)), "q"), 5)
+        expected = eeg_topk_oracle(db, query, 1)
+        results = []
+
+        def spy(*args):
+            results.append(_dtw_python(*args))
+            return results[-1]
+
+        monkeypatch.setattr(eeg_module, "_dtw_python", spy)
+        got = db.retrieve_by_embedding(query, 1)
+        assert [(m.distance, m.recording_id) for m in got] == expected
+        assert len(results) == len(db)
+        assert math.inf in results

@@ -43,3 +43,19 @@ def test_shared_tokens_raise_similarity():
     close = emb.embed("focal spike wave discharge epilepsy")
     far = emb.embed("reduced sleep spindle density insomnia")
     assert float(base @ close) > float(base @ far)
+
+
+def test_cached_token_slots_match_the_hash_for_every_dimension():
+    # the token cache is keyed by dimension, so one token maps to its own
+    # bucket in each; the vector is the bag of FNV-1a buckets and signs
+    from eegrag.hashing import fnv1a64_text
+
+    text = "Spike wave spike discharge"
+    for _ in range(2):  # cold, then warm
+        for d in (7, 64, 256):
+            expected = np.zeros(d)
+            for token in ("spike", "wave", "spike", "discharge"):
+                h = fnv1a64_text(token)
+                expected[h % d] += 1.0 if h % 2 == 0 else -1.0
+            expected /= np.linalg.norm(expected)
+            np.testing.assert_array_equal(HashedTokenEmbedder(d).embed(text), expected)

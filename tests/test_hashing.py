@@ -49,3 +49,8 @@ def test_hyperedge_id_member_order_invariant():
     assert hyperedge_id("f", [a, b], "knowledge") == hyperedge_id("f", [b, a], "knowledge")
     assert hyperedge_id("f", [a, b], "knowledge") != hyperedge_id("f", [a, b], "case")
     assert hyperedge_id("f", [a, b], "knowledge") != hyperedge_id("g", [a, b], "knowledge")
+
+
+def test_entity_id_is_the_hash_of_the_normalized_name():
+    for _ in range(2):  # cold, then from the cache
+        assert entity_id(" Alpha  Rhythm") == fnv1a64_text("alpha rhythm") & ~HYPEREDGE_TAG
