@@ -33,16 +33,21 @@ class PatientRecord:
 
     @classmethod
     def from_raw(cls, obj: dict) -> "PatientRecord":
-        """Build from a free-form JSON object; ``eeg_refs`` is reserved."""
+        """Build from a free-form JSON object; ``eeg_refs`` is reserved (a list
+        of strings). Names and values are whitespace-collapsed here, once, so a
+        case's hash and stored attributes agree; names that collapse alike are
+        rejected."""
         attrs: dict[str, list[str]] = {}
         refs: list[str] = []
         for key, value in obj.items():
             if key == "eeg_refs":
-                refs = [str(v) for v in value]
-            elif isinstance(value, list):
-                attrs[str(key)] = [str(v) for v in value]
-            else:
-                attrs[str(key)] = [str(value)]
+                refs = _strings(value, "eeg_refs")
+                continue
+            name = collapse_whitespace(str(key))
+            if name in attrs:
+                raise PreconditionError(f"attribute {key!r} repeats the name {name!r}")
+            values = value if isinstance(value, list) else [value]
+            attrs[name] = [collapse_whitespace(str(v)) for v in values]
         return cls(attributes=attrs, eeg_refs=refs)
 
 
@@ -128,13 +133,9 @@ class CaseStore:
         canonical = serialize_case(record)
         h = case_id(canonical)
         if h not in self.cases:
-            attrs = {
-                collapse_whitespace(k): [collapse_whitespace(v) for v in vs]
-                for k, vs in record.attributes.items()
-            }
             self.cases[h] = PatientCase(
                 h=h,
-                attributes=attrs,
+                attributes=record.attributes,
                 embedding=embed_case(h, canonical, embedder),
                 synthetic=False,
                 eeg_refs=list(record.eeg_refs),
@@ -171,6 +172,8 @@ class CaseStore:
                 raise DimensionMismatchError(
                     f"embedding has dimension {embedding.shape}, store expects {embedding_dim}"
                 )
+            if not np.isfinite(embedding).all():
+                raise PreconditionError("embedding values must be finite")
             if not isinstance(row["synthetic"], bool):
                 raise PreconditionError(f"synthetic is {row['synthetic']!r}, not true or false")
             return PatientCase(

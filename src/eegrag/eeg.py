@@ -157,7 +157,8 @@ def zscore(series) -> np.ndarray:
 
 @dataclass
 class PaaEmbedding:
-    """Channel-major concatenation of per-channel PAA vectors (length C*n)."""
+    """Channel-major concatenation of per-channel PAA vectors (length C*n);
+    built valid (a channel, a segment, finite values) or not at all."""
 
     segments_per_channel: int
     values: np.ndarray
@@ -165,12 +166,16 @@ class PaaEmbedding:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
+        if not self.channel_order or self.segments_per_channel < 1:
+            raise PreconditionError("embedding needs at least one channel and one segment")
         expected = self.segments_per_channel * len(self.channel_order)
         if self.values.shape != (expected,):
             raise PreconditionError(
-                f"embedding has {self.values.shape[0]} values, expected "
+                f"embedding has {self.values.size} values, expected "
                 f"{len(self.channel_order)} channels x {self.segments_per_channel} segments"
             )
+        if not np.isfinite(self.values).all():
+            raise PreconditionError("embedding values must be finite")
 
     @property
     def n_channels(self) -> int:
@@ -197,52 +202,53 @@ def eeg_embed(rec: EegRecording, n: int) -> PaaEmbedding:
 
 
 def _dtw_python(
-    a: np.ndarray, b: np.ndarray, w: int, limit: float = math.inf, partial: float = 0.0
+    a_blocks: list[list[float]],
+    b_blocks: list[list[float]],
+    band: int | None,
+    limit: float = math.inf,
 ) -> float:
-    """Banded DTW of a and b, or ``inf`` once ``partial + dtw`` must exceed ``limit``.
+    """Sum of the banded DTW of each paired block, or ``inf`` once it must exceed ``limit``.
 
-    Every cell is at least the cheapest cell of the row before it (local
-    costs are >= 0 and IEEE addition is monotone), so the distance is at
-    least each finished row's minimum: once ``partial`` plus that minimum is
-    strictly greater than ``limit``, no path can come back under it. A pair
-    at exactly ``limit`` is computed in full.
+    Each block's band is ``band`` widened to |n - m| (``None``: unbounded).
+    Python floats do numpy float64's IEEE arithmetic without a scalar object
+    per cell. Local costs are >= 0 and IEEE addition is monotone, so a
+    block's distance is at least each finished row's minimum: once the
+    finished blocks' sum plus that minimum is strictly greater than
+    ``limit``, no path can come back under it. A pair at exactly ``limit``
+    is computed in full.
     """
-    # Python floats do the same IEEE double arithmetic as numpy float64
-    # scalars, without a numpy scalar object per cell.
-    a, b = a.tolist(), b.tolist()
-    n, m = len(a), len(b)
     inf = math.inf
-    prev = [inf] * (m + 1)
-    prev[0] = 0.0
-    for i in range(1, n + 1):
-        cur = [inf] * (m + 1)
-        lo = max(1, i - w)
-        hi = min(m, i + w)
-        ai = a[i - 1]
-        # diag, up and left are prev[j-1], prev[j] and cur[j-1], compared
-        # in that order; cur[lo-1] is always inf
-        diag, left = prev[lo - 1], inf
-        for j in range(lo, hi + 1):
-            up = prev[j]
-            best = diag
-            if up < best:
-                best = up
-            if left < best:
-                best = left
-            left = abs(ai - b[j - 1]) + best
-            cur[j] = left
-            diag = up
-        # left, the row's last cell, is at least the row's minimum, so
-        # testing it first skips the min() where it could not abandon
-        if limit < inf and partial + left > limit and partial + min(cur[lo : hi + 1]) > limit:
-            return inf
-        prev = cur
-    return prev[m]
-
-
-def _width(n: int, m: int, band: int | None) -> int:
-    """The band ``dtw`` runs under: ``band`` widened to |n - m|, or unbounded."""
-    return max(n, m) if band is None else max(band, abs(n - m))
+    total = 0.0
+    for a, b in zip(a_blocks, b_blocks):
+        n, m = len(a), len(b)
+        w = max(n, m) if band is None else max(band, abs(n - m))
+        prev = [inf] * (m + 1)
+        prev[0] = 0.0
+        for i in range(1, n + 1):
+            cur = [inf] * (m + 1)
+            lo = max(1, i - w)
+            hi = min(m, i + w)
+            ai = a[i - 1]
+            # diag, up and left are prev[j-1], prev[j] and cur[j-1], compared
+            # in that order; cur[lo-1] is always inf
+            diag, left = prev[lo - 1], inf
+            for j in range(lo, hi + 1):
+                up = prev[j]
+                best = diag
+                if up < best:
+                    best = up
+                if left < best:
+                    best = left
+                left = abs(ai - b[j - 1]) + best
+                cur[j] = left
+                diag = up
+            # left, the row's last cell, is at least the row's minimum, so
+            # testing it first skips the min() where it could not abandon
+            if limit < inf and total + left > limit and total + min(cur[lo : hi + 1]) > limit:
+                return inf
+            prev = cur
+        total += prev[m]
+    return total
 
 
 def dtw(a, b, band: int | None = None) -> float:
@@ -258,7 +264,7 @@ def dtw(a, b, band: int | None = None) -> float:
         raise PreconditionError("dtw inputs must be non-empty")
     if band is not None and band < 0:
         raise PreconditionError("band width must be >= 0")
-    return _dtw_python(a, b, _width(a.size, b.size, band))
+    return _dtw_python([a.tolist()], [b.tolist()], band)
 
 
 # -- the vector database -------------------------------------------------------
@@ -327,20 +333,11 @@ class EegVectorDatabase:
     def seal(self) -> None:
         self._sealed = True
 
-    def _distance(self, query: PaaEmbedding, entry: PaaEmbedding, limit: float) -> float:
-        """DTW of query and entry, or ``inf`` once it must exceed ``limit``."""
-        if not self.channel_blocked:
-            a, b = query.values, entry.values
-            return _dtw_python(a, b, _width(a.size, b.size, self.band), limit)
-        total = 0.0
-        for a, b in zip(query.channel_blocks(), entry.channel_blocks()):
-            # the finished blocks' sum rides into the kernel, so it abandons
-            # on ``total + row_min > limit``: the same rounding as the sum
-            block = _dtw_python(a, b, _width(a.size, b.size, self.band), limit, total)
-            if block == math.inf:
-                return block
-            total += block
-        return total
+    def _blocks(self, embedding: PaaEmbedding) -> list[list[float]]:
+        """The kernel's input: one block per channel when ``channel_blocked``, else one."""
+        if self.channel_blocked:
+            return embedding.channel_blocks().tolist()
+        return [embedding.values.tolist()]
 
     def retrieve_by_embedding(self, query: PaaEmbedding, k: int) -> list[EegMatch]:
         """The k smallest ``(distance, id)`` over every entry, visited in order.
@@ -355,22 +352,18 @@ class EegVectorDatabase:
             raise PreconditionError("k must be >= 1")
         if not self.entries:
             return []
-        mismatched = sorted(
-            rid
-            for rid, e in self.entries.items()
-            if e.embedding.n_channels != query.n_channels
-        )
+        c = query.n_channels
+        mismatched = sorted(rid for rid, e in self.entries.items() if e.embedding.n_channels != c)
         if mismatched:
             raise ComparabilityError(
                 f"query has {query.n_channels} channels; incompatible stored "
                 f"recordings: {mismatched}"
             )
-        if query.values.size == 0:
-            raise PreconditionError("dtw inputs must be non-empty")
+        q = self._blocks(query)
         best: list[tuple[float, str]] = []  # ascending; at most k
         for rid, e in self.entries.items():
             limit = best[-1][0] if len(best) == k else math.inf
-            scored = (self._distance(query, e.embedding, limit), rid)
+            scored = (_dtw_python(q, self._blocks(e.embedding), self.band, limit), rid)
             if len(best) < k or scored < best[-1]:
                 bisect.insort(best, scored)
                 del best[k:]
@@ -414,8 +407,8 @@ class EegVectorDatabase:
     ) -> "EegVectorDatabase":
         """Load z-scored embeddings persisted under ``n_segments``.
 
-        A row embedded under other settings is rejected, naming its line:
-        it could not be compared with queries embedded under these.
+        A row embedded under other settings, or whose embedding is invalid
+        (see ``PaaEmbedding``), is rejected, naming its line.
         """
 
         def entry(row: dict) -> EvdEntry:

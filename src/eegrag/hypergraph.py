@@ -171,6 +171,8 @@ class BipartiteStore:
             raise DimensionMismatchError(
                 f"embedding has dimension {vec.shape}, store expects {self.embedding_dim}"
             )
+        if not np.isfinite(vec).all():
+            raise PreconditionError("embedding values must be finite")
         return vec
 
     # -- mutation ------------------------------------------------------------

@@ -150,9 +150,8 @@ def build_kgh(
 
     Degenerate facts are dropped (logged and counted, not fatal); every
     other fact becomes a knowledge-layer hyperedge with an embedded
-    description, and every entity is registered (or merged); an entity
-    still without an embedding gets one of this mention's name plus
-    definition, so each entity is embedded once. Documents are processed
+    description, and every entity is registered (or merged) without an
+    embedding, since entities are linked by name. Documents are processed
     in id order so the build is deterministic regardless of input order.
     An extractor's ``TransportError`` is re-raised naming the document.
     """
@@ -174,9 +173,6 @@ def build_kgh(
             for spec in fact.entities:
                 before = len(store.entities)
                 eid = store.add_entity(spec.name, spec.etype, spec.definition)
-                if store.entities[eid].embedding is None:
-                    text = f"{spec.name} {spec.definition}".strip()
-                    store.add_entity(spec.name, embedding=embedder.embed(text))
                 member_ids.add(eid)
                 if len(store.entities) > before:
                     report.entities_added += 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
@@ -29,6 +30,16 @@ def built_store(tmp_path_factory) -> Path:
     assert main(["ingest-cases", str(FIXTURES / "cases.jsonl"), "--store", str(store)]) == 0
     assert main(["ingest-eeg", str(FIXTURES / "eeg"), "--store", str(store)]) == 0
     return store
+
+
+def rewrite_row(path: Path, line: int, field: str, value) -> None:
+    """Set ``field`` of the JSONL row on 1-based ``line`` of ``path`` to ``value``,
+    or to ``value(old)`` when ``value`` is callable (malformed-row tests)."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[line - 1])
+    row[field] = value(row[field]) if callable(value) else value
+    lines[line - 1] = json.dumps(row) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-import json
+import math
 import re
 
 import numpy as np
@@ -18,6 +18,8 @@ from eegrag.cases import (
 )
 from eegrag.embedding import HashedTokenEmbedder
 from eegrag.errors import PreconditionError, StoreSealedError
+
+from conftest import rewrite_row
 
 EMB = HashedTokenEmbedder(64)
 
@@ -57,6 +59,25 @@ class TestSerializeCase:
         assert rendered == serialize_case(rec)
         names = [part.split("=", 1)[0] for part in rendered.split(";")]
         assert names == sorted(names)
+
+
+class TestFromRaw:
+    def test_names_and_values_are_collapsed_once_so_the_hash_matches(self):
+        rec = PatientRecord.from_raw({"age": " 34 ", " sex": "F", "past  history": ["a  b", 3]})
+        assert rec.attributes == {"age": ["34"], "sex": ["F"], "past history": ["a b", "3"]}
+        store = build_store(rec)
+        (case,) = store.cases.values()
+        assert case.h == case_id(case.canonical) == case_id("age=34;past history=a b,3;sex=F")
+        assert case.attributes == rec.attributes
+
+    def test_names_that_collapse_alike_are_rejected(self):
+        with pytest.raises(PreconditionError, match="attribute 'a ' repeats the name 'a'"):
+            PatientRecord.from_raw({"a": "1", "a ": "2"})
+
+    @pytest.mark.parametrize("refs", ["rec-001", [1], [None], {"rec-001": 1}])
+    def test_eeg_refs_must_be_a_list_of_strings(self, refs):
+        with pytest.raises(PreconditionError, match="eeg_refs is .*, not a list of strings"):
+            PatientRecord.from_raw({"age": "34", "eeg_refs": refs})
 
 
 class TestCaseId:
@@ -133,16 +154,14 @@ class TestCaseStore:
             ("eeg_refs", [1], "eeg_refs is [1], not a list of strings"),
             ("synthetic", 0, "synthetic is 0, not true or false"),
             ("synthetic", "false", "synthetic is 'false', not true or false"),
+            ("embedding", [math.nan] * EMB.dim, "embedding values must be finite"),
+            ("embedding", [0.0] * (EMB.dim - 1) + [-math.inf], "embedding values must be finite"),
         ],
     )
     def test_load_rejects_mistyped_fields_naming_the_line(self, tmp_path, field, value, message):
         path = tmp_path / "cases.jsonl"
         build_store(record(age="34", sex="F"), record(age="35", sex="M")).save(path)
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        row = json.loads(lines[1])
-        row[field] = value
-        lines[1] = json.dumps(row) + "\n"
-        path.write_text("".join(lines), encoding="utf-8")
+        rewrite_row(path, 2, field, value)
         with pytest.raises(PreconditionError, match=re.escape(f"{path}: line 2: {message}")):
             CaseStore.load(path, EMB.dim)
 

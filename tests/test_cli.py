@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -7,7 +8,7 @@ from eegrag.cli import main
 from eegrag.eeg import EegVectorDatabase
 from eegrag.hypergraph import BipartiteStore
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, rewrite_row
 
 
 QUERY_ARGS = [
@@ -111,15 +112,31 @@ class TestIngest:
         for f in built_store.iterdir():
             (store / f.name).write_bytes(f.read_bytes())
         path = store / "cases.jsonl"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        row = json.loads(lines[1])
-        row["embedding"] = [0.1, 0.2, 0.3]
-        lines[1] = json.dumps(row) + "\n"
-        path.write_text("".join(lines), encoding="utf-8")
+        rewrite_row(path, 2, "embedding", [0.1, 0.2, 0.3])
         assert main(argv + ["--store", str(store)]) == 2
         err = capsys.readouterr().err
         assert f"{path}: line 2: embedding has dimension (3,), store expects 256" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ('{"age": "35", "eeg_refs": "rec-001"}', "eeg_refs is 'rec-001', not a list of strings"),
+            ('{"age": "35", "age ": "36"}', "attribute 'age ' repeats the name 'age'"),
+        ],
+        ids=["eeg-refs-string", "names-collapse-alike"],
+    )
+    def test_bad_case_record_exits_2_naming_its_line(self, tmp_path, capsys, raw, message):
+        path = tmp_path / "cases.jsonl"
+        path.write_text('{"age": "34", "eeg_refs": ["rec-001"]}\n' + raw + "\n", encoding="utf-8")
+        assert main(["ingest-cases", str(path), "--store", str(tmp_path / "store")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 2: {message}" in err
+        assert "Traceback" not in err
+
+    def test_entities_are_stored_without_embeddings(self, built_store):
+        rows = [json.loads(line) for line in (built_store / "entities.jsonl").open(encoding="utf-8")]
+        assert rows and all(row["embedding"] is None for row in rows)
 
     def test_ingest_eeg_rejects_other_paa_settings(self, built_store, capsys):
         args = ["ingest-eeg", str(FIXTURES / "eeg"), "--store", str(built_store)]
@@ -234,6 +251,24 @@ class TestQuery:
         assert main(QUERY_ARGS + ["--store", str(store)]) == 2
         err = capsys.readouterr().err
         assert f"{path}: line {line}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, key", [("evd.jsonl", "values"), ("hyperedges.jsonl", "embedding"), ("cases.jsonl", "embedding")]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_embedding_exits_2_naming_path_and_line(
+        self, built_store, tmp_path, capsys, name, key, value
+    ):
+        store = tmp_path / "store"
+        store.mkdir()
+        for f in built_store.iterdir():
+            (store / f.name).write_bytes(f.read_bytes())
+        path = store / name
+        rewrite_row(path, 3, key, lambda v: v[:-1] + [value])
+        assert main(QUERY_ARGS + ["--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 3: embedding values must be finite" in err
         assert "Traceback" not in err
 
     def test_evd_settings_must_match_config(self, built_store, capsys):
@@ -395,11 +430,7 @@ class TestBadInput:
         for f in built_store.iterdir():
             (store / f.name).write_bytes(f.read_bytes())
         path = store / "cases.jsonl"
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        row = json.loads(lines[1])
-        row["e"]["age"] = "36"
-        lines[1] = json.dumps(row) + "\n"
-        path.write_text("".join(lines), encoding="utf-8")
+        rewrite_row(path, 2, "e", lambda e: {**e, "age": "36"})
         err = self.run(capsys, *QUERY_ARGS, "--store", str(store))
         assert f"{path}: line 2: attribute 'age' is '36', not a list of strings" in err
 

@@ -21,7 +21,7 @@ from eegrag.eeg import (
 )
 from eegrag.errors import ComparabilityError, PreconditionError, StoreSealedError
 
-from conftest import eeg_topk_oracle
+from conftest import eeg_topk_oracle, rewrite_row
 
 
 def float64_recurrence(a: np.ndarray, b: np.ndarray, w: int) -> np.float64:
@@ -311,16 +311,18 @@ class TestDtw:
 
 class TestAbandoningKernel:
     def test_returns_the_distance_or_inf_only_past_the_limit(self):
+        # a leading one-value block [0.0] vs [lead] has distance exactly
+        # ``lead``, so the kernel carries a known sum into the second block
         rng = np.random.default_rng(47)
         for _ in range(200):
-            a = rng.normal(size=int(rng.integers(1, 25)))
-            b = rng.normal(size=int(rng.integers(1, 25)))
-            w = max(a.size, b.size) if rng.random() < 0.5 else max(
-                int(rng.integers(0, 4)), abs(a.size - b.size)
-            )
-            d = _dtw_python(a, b, w)
-            partial = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 3.0))
-            total = partial + d
+            a = rng.normal(size=int(rng.integers(1, 25))).tolist()
+            b = rng.normal(size=int(rng.integers(1, 25))).tolist()
+            band = None if rng.random() < 0.5 else int(rng.integers(0, 4))
+            d = _dtw_python([a], [b], band)
+            lead = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 3.0))
+            blocks_a, blocks_b = [[0.0], a], [[lead], b]
+            total = lead + d
+            assert _dtw_python(blocks_a, blocks_b, band) == total
             for limit in (
                 total,
                 math.nextafter(total, math.inf),
@@ -330,11 +332,32 @@ class TestAbandoningKernel:
                 0.0,
                 math.inf,
             ):
-                got = _dtw_python(a, b, w, limit, partial)
+                got = _dtw_python(blocks_a, blocks_b, band, limit)
                 if total <= limit:
-                    assert got == d
+                    assert got == total
                 else:
-                    assert got == d or got == math.inf
+                    assert got == total or got == math.inf
+
+    def test_abandons_inside_a_later_block_on_the_finished_blocks_sum(self):
+        # [0, 0] vs [1, 1] costs 2 with a first-row minimum of 1, within the
+        # limit alone; after a finished block of 1.5 that row already exceeds it
+        assert _dtw_python([[0.0, 0.0]], [[1.0, 1.0]], None, 2.0) == 2.0
+        assert _dtw_python([[0.0], [0.0, 0.0]], [[1.5], [1.0, 1.0]], None, 3.5) == 3.5
+        assert _dtw_python([[0.0], [0.0, 0.0]], [[1.5], [1.0, 1.0]], None, 2.0) == math.inf
+
+    def test_blocks_sum_in_order_with_each_band_widened(self):
+        rng = np.random.default_rng(48)
+        for _ in range(50):
+            blocks = [
+                (rng.normal(size=int(rng.integers(1, 12))), rng.normal(size=int(rng.integers(1, 12))))
+                for _ in range(int(rng.integers(1, 5)))
+            ]
+            band = None if rng.random() < 0.5 else int(rng.integers(0, 3))
+            expected = 0.0
+            for a, b in blocks:
+                expected += dtw(a, b, band=band)
+            got = _dtw_python([a.tolist() for a, _ in blocks], [b.tolist() for _, b in blocks], band)
+            assert got == expected
 
 
 def fill_db(recordings, n=4) -> EegVectorDatabase:
@@ -451,17 +474,16 @@ class TestVectorDatabase:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("normalized", [True]), ("values", "abc"), ("n_segments", 4), ("normalized", False)],
+        [
+            ("normalized", [True]), ("values", "abc"), ("n_segments", 4), ("normalized", False),
+            ("values", [0.0] * 5 + [math.nan]), ("values", [math.inf] * 6), ("channel_order", []),
+        ],
     )
     def test_load_rejects_malformed_row_naming_its_line(self, tmp_path, field, value):
         rng = np.random.default_rng(58)
         recs = [make_recording(rng.normal(size=(2, 15)), rec_id=f"r{i}") for i in range(2)]
         fill_db(recs, n=3).save(tmp_path / "evd.jsonl")
-        lines = (tmp_path / "evd.jsonl").read_text().splitlines()
-        row = json.loads(lines[1])
-        row[field] = value
-        lines[1] = json.dumps(row)
-        (tmp_path / "evd.jsonl").write_text("\n".join(lines) + "\n")
+        rewrite_row(tmp_path / "evd.jsonl", 2, field, value)
         with pytest.raises(PreconditionError, match="evd.jsonl: line 2: "):
             EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=3)
 
@@ -475,10 +497,22 @@ class TestVectorDatabase:
         row = {"id": "r1", "patient_hash": None, "sample_rate": 100.0, "n_segments": 4,
                "normalized": True, "channel_order": [], "values": []}
         (tmp_path / "evd.jsonl").write_text(json.dumps(row) + "\n")
-        db = EegVectorDatabase.load(tmp_path / "evd.jsonl", 4, channel_blocked=blocked)
-        db.seal()
-        with pytest.raises(PreconditionError, match="non-empty"):
-            db.retrieve_by_embedding(PaaEmbedding(4, [], []), 1)
+        with pytest.raises(PreconditionError, match="evd.jsonl: line 1: .*one channel"):
+            EegVectorDatabase.load(tmp_path / "evd.jsonl", 4, channel_blocked=blocked)
+        with pytest.raises(PreconditionError, match="one channel and one segment"):
+            PaaEmbedding(4, [], [])
+
+
+class TestPaaEmbeddingValidity:
+    @pytest.mark.parametrize(
+        "segments, values, channels",
+        [(0, [], ["c"]), (2, [1.0, math.nan], ["c"]), (1, [math.inf], ["c"]),
+         (1, [-math.inf, 0.0], ["c", "d"]), (2, [1.0, 2.0, 3.0], ["c"])],
+        ids=["no-segment", "nan", "inf", "minus-inf", "wrong-size"],
+    )
+    def test_invalid_embedding_cannot_be_built(self, segments, values, channels):
+        with pytest.raises(PreconditionError):
+            PaaEmbedding(segments, values, channels)
 
 
 def paired_db(band, blocked, seed=56) -> tuple[EegVectorDatabase, np.random.Generator]:

@@ -1,4 +1,4 @@
-import json
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from eegrag.errors import (
 )
 from eegrag.hypergraph import BipartiteStore
 
-from conftest import random_store, reference_bfs
+from conftest import random_store, reference_bfs, rewrite_row
 
 
 def make_path_store():
@@ -45,6 +45,16 @@ class TestAddEntity:
         store = BipartiteStore(embedding_dim=4)
         with pytest.raises(DimensionMismatchError):
             store.add_entity("x", embedding=np.ones(5))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_embedding_rejected(self, value):
+        store = BipartiteStore(embedding_dim=2)
+        with pytest.raises(PreconditionError, match="finite"):
+            store.add_entity("x", embedding=np.array([0.0, value]))
+        a = store.add_entity("a")
+        with pytest.raises(PreconditionError, match="finite"):
+            store.add_hyperedge("f", {a}, embedding=np.array([value, 1.0]))
+        assert len(store.hyperedges) == 0 and store.entities[a].embedding is None
 
     def test_merge_newest_nonempty_wins(self):
         store = BipartiteStore(embedding_dim=2)
@@ -215,17 +225,18 @@ class TestLifecycleAndPersistence:
 
     @pytest.mark.parametrize(
         "field, value, error",
-        [("layer", "bogus", PreconditionError), ("embedding", [1.0, 2.0], DimensionMismatchError)],
+        [
+            ("layer", "bogus", PreconditionError),
+            ("embedding", [1.0, 2.0], DimensionMismatchError),
+            ("embedding", [1.0, math.nan, 1.0, 1.0], PreconditionError),
+        ],
     )
     def test_load_rejects_malformed_hyperedge_rows(self, tmp_path, field, value, error):
         store = BipartiteStore(embedding_dim=4)
         store.add_hyperedge("f", {store.add_entity("a")}, embedding=np.ones(4))
         store.save(tmp_path)
-        path = tmp_path / "hyperedges.jsonl"
-        row = json.loads(path.read_text(encoding="utf-8"))
-        row[field] = value
-        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
-        with pytest.raises(error):
+        rewrite_row(tmp_path / "hyperedges.jsonl", 1, field, value)
+        with pytest.raises(error, match="hyperedges.jsonl: line 1: "):
             BipartiteStore.load(tmp_path)
 
     def test_double_ingest_leaves_store_isomorphic(self, tmp_path):

@@ -132,9 +132,9 @@ class TestBuildKgh:
             assert edge.layer == "knowledge"
             assert edge.embedding is not None
         for ent in store.entities.values():
-            assert ent.embedding is not None
+            assert ent.embedding is None
 
-    def test_each_entity_embedded_once_from_its_first_mention(self):
+    def test_each_fact_description_embedded_once_and_no_entity(self):
         texts = []
 
         class RecordingEmbedder(HashedTokenEmbedder):
@@ -150,11 +150,13 @@ class TestBuildKgh:
         ]
         emb = RecordingEmbedder(32)
         build_kgh([Document("d1", "t", "body")], FixedExtractor(facts), emb, store)
-        assert texts == ["A first", "B", "f1", "C c def", "f2"]
+        assert texts == ["f1", "f2"]
         a = next(e for e in store.entities.values() if e.name == "A")
         assert a.definition == "second"
-        assert a.embedding.tobytes() == EMB.embed("A first").tobytes()
-        assert store.entities[c].embedding.tobytes() == EMB.embed("C c def").tobytes()
+        assert all(e.embedding is None for e in store.entities.values())
+        assert store.entities[c].definition == "c def"
+        for edge in store.hyperedges.values():
+            assert edge.embedding.tobytes() == EMB.embed(edge.description).tobytes()
 
         texts.clear()
         build_kgh([Document("d1", "t", "body")], FixedExtractor(facts), emb, store)
