@@ -19,7 +19,7 @@ import numpy as np
 from .embedding import Embedder
 from .errors import DimensionMismatchError, PreconditionError, StoreSealedError
 from .hashing import collapse_whitespace, fnv1a64_text
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_jsonl, str_list, write_jsonl
 
 SYNTHETIC_SUFFIX = "-s"
 
@@ -41,7 +41,7 @@ class PatientRecord:
         refs: list[str] = []
         for key, value in obj.items():
             if key == "eeg_refs":
-                refs = _strings(value, "eeg_refs")
+                refs = str_list(value, "eeg_refs")
                 continue
             name = collapse_whitespace(str(key))
             if name in attrs:
@@ -110,7 +110,9 @@ class AugmentationReport:
 
 
 class CaseStore:
-    """Case hyperedges keyed by hash."""
+    """Case hyperedges keyed by hash, saved as ``FILE`` in a store directory."""
+
+    FILE = "cases.jsonl"
 
     def __init__(self):
         self.cases: dict[str, PatientCase] = {}
@@ -147,9 +149,9 @@ class CaseStore:
 
     # -- persistence ---------------------------------------------------------
 
-    def save(self, path: str | Path) -> None:
+    def save(self, directory: str | Path) -> None:
         write_jsonl(
-            path,
+            Path(directory) / self.FILE,
             (
                 {
                     "h": case.h,
@@ -163,8 +165,9 @@ class CaseStore:
         )
 
     @classmethod
-    def load(cls, path: str | Path, embedding_dim: int) -> "CaseStore":
-        """Load a persisted store; each case embedding must have ``embedding_dim`` values."""
+    def load(cls, directory: str | Path, embedding_dim: int) -> "CaseStore":
+        """The cases saved under ``directory``, none when it has no ``FILE``;
+        each case embedding must have ``embedding_dim`` values."""
 
         def case(row: dict) -> PatientCase:
             embedding = np.asarray(row["embedding"], dtype=np.float64)
@@ -178,22 +181,16 @@ class CaseStore:
                 raise PreconditionError(f"synthetic is {row['synthetic']!r}, not true or false")
             return PatientCase(
                 h=row["h"],
-                attributes={k: _strings(v, f"attribute {k!r}") for k, v in row["e"].items()},
+                attributes={k: str_list(v, f"attribute {k!r}") for k, v in row["e"].items()},
                 embedding=embedding,
                 synthetic=row["synthetic"],
-                eeg_refs=_strings(row.get("eeg_refs", []), "eeg_refs"),
+                eeg_refs=str_list(row.get("eeg_refs", []), "eeg_refs"),
             )
 
+        path = Path(directory) / cls.FILE
         store = cls()
-        store.cases = {c.h: c for c in read_jsonl(path, case)}
+        store.cases = {c.h: c for c in read_jsonl(path, case)} if path.exists() else {}
         return store
-
-
-def _strings(value, what: str) -> list[str]:
-    """``value`` as a new list, if it is a JSON list of strings."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise PreconditionError(f"{what} is {value!r}, not a list of strings")
-    return list(value)
 
 
 def augment_pseudo_cases(

@@ -13,15 +13,15 @@ import logging
 import sys
 from pathlib import Path
 
-from .cases import augment_pseudo_cases, load_records
+from .cases import CaseStore, augment_pseudo_cases, load_records
 from .config import PipelineConfig
-from .eeg import load_recording
+from .eeg import EegVectorDatabase, load_recording
 from .embedding import HashedTokenEmbedder
 from .errors import EegragError, PreconditionError
 from .evaluation import load_qa, run_benchmark
-from .hypergraph import CASE_LAYER, NameIndex
+from .hypergraph import CASE_LAYER, BipartiteStore, NameIndex
 from .knowledge import RuleBasedExtractor, build_kgh, load_documents, load_fact_sidecar
-from .pipeline import Pipeline, load_cases, load_evd, load_hypergraph, save_stores
+from .pipeline import Pipeline, save_stores
 from .retrieval import find_entity_mentions
 
 
@@ -48,7 +48,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def cmd_ingest_docs(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    store = load_hypergraph(args.store, config)
+    store = BipartiteStore.load(args.store, config.embedding_dim)
     if args.facts:
         sidecar = load_fact_sidecar(args.facts)
     else:
@@ -65,8 +65,8 @@ def cmd_ingest_docs(args: argparse.Namespace) -> int:
 
 def cmd_ingest_cases(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    store = load_hypergraph(args.store, config)
-    case_store = load_cases(args.store, config)
+    store = BipartiteStore.load(args.store, config.embedding_dim)
+    case_store = CaseStore.load(args.store, config.embedding_dim)
     embedder = HashedTokenEmbedder(config.embedding_dim)
     records = load_records(args.input)
     added = merged = 0
@@ -115,7 +115,7 @@ def cmd_ingest_cases(args: argparse.Namespace) -> int:
 
 def cmd_ingest_eeg(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    evd = load_evd(args.store, config)
+    evd = EegVectorDatabase.load(args.store, config.paa_segments)
     input_path = Path(args.input)
     if input_path.is_dir():
         files = sorted(input_path.glob("*.json"))

@@ -50,7 +50,7 @@ class PipelineConfig:
         ):
             if getattr(self, name) < 1:
                 raise PreconditionError(f"{name} must be >= 1")
-        for name in ("closure_radius", "remote_retries", "bootstrap_resamples"):
+        for name in ("closure_radius", "remote_retries", "bootstrap_resamples", "seed"):
             if getattr(self, name) < 0:
                 raise PreconditionError(f"{name} must be >= 0")
         if not 0.0 < self.pseudo_tau <= 1.0:

@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
     StoreSealedError,
 )
-from .jsonl import read_json, read_jsonl, write_jsonl
+from .jsonl import read_json, read_jsonl, str_field, write_jsonl
 
 
 # -- recordings ---------------------------------------------------------------
@@ -80,12 +80,14 @@ class EegRecording:
 
 def recording_from_dict(obj: dict) -> EegRecording:
     try:
-        channels = [Channel(ch["name"], ch["samples"]) for ch in obj["channels"]]
+        channels = [
+            Channel(str_field(ch["name"], "channel name"), ch["samples"]) for ch in obj["channels"]
+        ]
         return EegRecording(
-            id=obj["id"],
+            id=str_field(obj["id"], "id"),
             sample_rate=float(obj["sample_rate"]),
             channels=channels,
-            patient_hash=obj.get("patient_hash"),
+            patient_hash=str_field(obj.get("patient_hash"), "patient_hash", optional=True),
         )
     except (KeyError, TypeError) as exc:
         raise PreconditionError(f"malformed recording object: {exc}") from exc
@@ -298,6 +300,8 @@ class EegVectorDatabase:
     distances summed, which forbids warping across channel boundaries.
     """
 
+    FILE = "evd.jsonl"
+
     n_segments: int = 20
     band: int | None = None
     channel_blocked: bool = False
@@ -379,10 +383,10 @@ class EegVectorDatabase:
 
     # -- persistence ---------------------------------------------------------
 
-    def save(self, path: str | Path) -> None:
-        """One JSON object per entry, sorted by recording id (``evd.jsonl``)."""
+    def save(self, directory: str | Path) -> None:
+        """One JSON object per entry, sorted by recording id."""
         write_jsonl(
-            path,
+            Path(directory) / self.FILE,
             (
                 {
                     "id": e.id,
@@ -400,12 +404,12 @@ class EegVectorDatabase:
     @classmethod
     def load(
         cls,
-        path: str | Path,
+        directory: str | Path,
         n_segments: int,
         band: int | None = None,
         channel_blocked: bool = False,
     ) -> "EegVectorDatabase":
-        """Load z-scored embeddings persisted under ``n_segments``.
+        """The embeddings saved under ``directory`` with ``n_segments``; none without ``FILE``.
 
         A row embedded under other settings, or whose embedding is invalid
         (see ``PaaEmbedding``), is rejected, naming its line.
@@ -421,6 +425,6 @@ class EegVectorDatabase:
             emb = PaaEmbedding(row["n_segments"], row["values"], row["channel_order"])
             return EvdEntry(row["id"], row["patient_hash"], row["sample_rate"], emb)
 
-        db = cls(n_segments, band, channel_blocked)
-        db.entries = {e.id: e for e in read_jsonl(path, entry)}
-        return db
+        path = Path(directory) / cls.FILE
+        entries = read_jsonl(path, entry) if path.exists() else []
+        return cls(n_segments, band, channel_blocked, {e.id: e for e in entries})

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NotFoundError, PreconditionError
 from .hashing import fnv1a64_text
-from .jsonl import read_jsonl
+from .jsonl import read_jsonl, str_field
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 _ARTICLES = {"a", "an", "the"}
@@ -94,17 +94,13 @@ class QaExample:
 
 def load_qa(path: str | Path) -> list[QaExample]:
     """Read ``qa.jsonl``: id, domain, role, question, eeg_ref?, gold."""
-    return read_jsonl(
-        path,
-        lambda row: QaExample(
-            id=row["id"],
-            domain=row.get("domain", ""),
-            role=row.get("role", ""),
-            question=row["question"],
-            gold=row["gold"],
-            eeg_ref=row.get("eeg_ref"),
-        ),
-    )
+
+    def example(row: dict) -> QaExample:
+        row = {"domain": "", "role": "", "eeg_ref": None, **row}
+        texts = (str_field(row[k], k) for k in ("id", "domain", "role", "question", "gold"))
+        return QaExample(*texts, eeg_ref=str_field(row["eeg_ref"], "eeg_ref", optional=True))
+
+    return read_jsonl(path, example)
 
 
 @dataclass

@@ -33,6 +33,7 @@ from .hashing import collapse_whitespace, entity_id, hyperedge_id, is_hyperedge_
 from .jsonl import read_json, read_jsonl, write_json, write_jsonl
 
 FORMAT_VERSION = 1
+META_FILE = "meta.json"
 
 KNOWLEDGE_LAYER = "knowledge"
 CASE_LAYER = "case"
@@ -326,7 +327,7 @@ class BipartiteStore:
             ),
         )
         write_json(
-            directory / "meta.json",
+            directory / META_FILE,
             {
                 "format_version": FORMAT_VERSION,
                 "embedding_dim": self.embedding_dim,
@@ -336,9 +337,12 @@ class BipartiteStore:
         )
 
     @classmethod
-    def load(cls, directory: str | Path) -> "BipartiteStore":
-        """Load a persisted store; the result is unsealed (callers seal it)."""
+    def load(cls, directory: str | Path, embedding_dim: int) -> "BipartiteStore":
+        """The store saved under ``directory`` (empty without ``META_FILE``),
+        unsealed; one saved under another ``embedding_dim`` is rejected."""
         directory = Path(directory)
+        if not (directory / META_FILE).exists():
+            return cls(embedding_dim)
 
         def from_meta(meta: dict) -> "BipartiteStore":
             if meta.get("format_version") != FORMAT_VERSION:
@@ -356,12 +360,18 @@ class BipartiteStore:
                 raise PreconditionError(f"hyperedge {row['id']} has unknown layer {row['layer']!r}")
             emb = store._check_dim(row["embedding"])
             members = frozenset(row["members"])
+            if not members:
+                raise PreconditionError("hyperedge members must be non-empty")
             for m in members:
                 if m not in store.entities:
                     raise ReferentialError(f"hyperedge {row['id']} references unknown entity {m}")
             return Hyperedge(row["id"], row["description"], members, row["layer"], emb)
 
-        store = read_json(directory / "meta.json", from_meta)
+        store = read_json(directory / META_FILE, from_meta)
+        if store.embedding_dim != embedding_dim:
+            raise PreconditionError(
+                f"store embedding_dim {store.embedding_dim} != configured {embedding_dim}"
+            )
         for ent in read_jsonl(directory / "entities.jsonl", entity):
             store.entities[ent.id] = ent
             store.incidence.setdefault(ent.id, set())

@@ -3,7 +3,8 @@
 Reading skips blank lines and reports a malformed line as
 ``PreconditionError("<path>: line N: ...")``; a store's own typed errors
 (``DimensionMismatchError``, ``ReferentialError``) keep their type and gain
-the same location. Writing goes to a sibling temporary file that replaces
+the same location; a parser checks a field's JSON type with ``str_field``
+or ``str_list``. Writing goes to a sibling temporary file that replaces
 the target only once it is complete, so an exception or a process crash
 mid-write leaves the previous file as it was. Nothing is fsynced: the
 guarantee does not cover a power loss.
@@ -32,6 +33,20 @@ _MALFORMED = (ValueError, LookupError, TypeError, AttributeError, RecursionError
 def _located(exc: Exception, where: str) -> Exception:
     typed = isinstance(exc, (DimensionMismatchError, ReferentialError))
     return (type(exc) if typed else PreconditionError)(f"{where}: {exc}")
+
+
+def str_field(value, what: str, optional: bool = False) -> str | None:
+    """``value``, if it is a JSON string (or null, when ``optional``)."""
+    if isinstance(value, str) or (optional and value is None):
+        return value
+    raise PreconditionError(f"{what} is {value!r}, not a string{' or null' if optional else ''}")
+
+
+def str_list(value, what: str) -> list[str]:
+    """``value`` as a new list, if it is a JSON list of strings."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise PreconditionError(f"{what} is {value!r}, not a list of strings")
+    return list(value)
 
 
 def read_jsonl(path: str | Path, parse: Callable[[object], T]) -> list[T]:

@@ -18,7 +18,7 @@ from .embedding import Embedder
 from .errors import PreconditionError, TransportError
 from .hashing import collapse_whitespace
 from .hypergraph import KNOWLEDGE_LAYER, BipartiteStore
-from .jsonl import read_jsonl
+from .jsonl import read_jsonl, str_field
 
 logger = logging.getLogger(__name__)
 
@@ -66,10 +66,15 @@ def load_fact_sidecar(path: str | Path) -> dict[str, list[Fact]]:
 
     def fact(row: dict) -> tuple[str, Fact]:
         entities = [
-            EntitySpec(e["name"], e.get("etype", ""), e.get("definition", ""))
+            EntitySpec(
+                str_field(e["name"], "entity name"),
+                str_field(e.get("etype", ""), "entity etype"),
+                str_field(e.get("definition", ""), "entity definition"),
+            )
             for e in row["entities"]
         ]
-        return row["doc_id"], Fact(row["description"], entities)
+        description = str_field(row["description"], "description")
+        return str_field(row["doc_id"], "doc_id"), Fact(description, entities)
 
     sidecar: dict[str, list[Fact]] = {}
     for doc_id, f in read_jsonl(path, fact):
@@ -196,5 +201,10 @@ def load_documents(path: str | Path) -> list[Document]:
     """Read ``docs.jsonl`` (id, title, body, source), one document per line."""
     return read_jsonl(
         path,
-        lambda row: Document(row["id"], row.get("title", ""), row["body"], row.get("source", "")),
+        lambda row: Document(
+            str_field(row["id"], "id"),
+            str_field(row.get("title", ""), "title"),
+            str_field(row["body"], "body"),
+            str_field(row.get("source", ""), "source"),
+        ),
     )

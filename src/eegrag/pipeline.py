@@ -25,7 +25,7 @@ from .fusion import (
     generate,
     render_context,
 )
-from .hypergraph import BipartiteStore
+from .hypergraph import META_FILE, BipartiteStore
 from .retrieval import (
     MetadataQuery,
     expand_entities,
@@ -34,10 +34,6 @@ from .retrieval import (
 )
 
 logger = logging.getLogger(__name__)
-
-META_FILE = "meta.json"
-CASES_FILE = "cases.jsonl"
-EVD_FILE = "evd.jsonl"
 
 
 def load_generation_prompt() -> str:
@@ -148,12 +144,15 @@ class Pipeline:
         client: GenerationClient | None = None,
     ) -> "Pipeline":
         directory = Path(directory)
-        if not (directory / META_FILE).exists():
+        files = (META_FILE, CaseStore.FILE, EegVectorDatabase.FILE)
+        if not any((directory / name).exists() for name in files):
             raise NotFoundError(f"no store found under {directory}; run the ingest commands first")
         return cls(
-            load_hypergraph(directory, config),
-            load_cases(directory, config),
-            load_evd(directory, config),
+            BipartiteStore.load(directory, config.embedding_dim),
+            CaseStore.load(directory, config.embedding_dim),
+            EegVectorDatabase.load(
+                directory, config.paa_segments, config.dtw_band, config.channel_blocked_dtw
+            ),
             config,
             embedder=embedder,
             client=client,
@@ -252,40 +251,6 @@ class Pipeline:
         }
 
 
-def load_hypergraph(directory: str | Path, config: PipelineConfig) -> BipartiteStore:
-    """The hypergraph under ``directory``; empty when absent."""
-    directory = Path(directory)
-    if not (directory / META_FILE).exists():
-        return BipartiteStore(embedding_dim=config.embedding_dim)
-    store = BipartiteStore.load(directory)
-    if store.embedding_dim != config.embedding_dim:
-        raise PreconditionError(
-            f"store embedding_dim {store.embedding_dim} != configured {config.embedding_dim}"
-        )
-    return store
-
-
-def load_cases(directory: str | Path, config: PipelineConfig) -> CaseStore:
-    """The case store under ``directory``; empty when absent. A case whose
-    embedding is not ``config.embedding_dim`` long is rejected."""
-    path = Path(directory) / CASES_FILE
-    return CaseStore.load(path, config.embedding_dim) if path.exists() else CaseStore()
-
-
-def load_evd(directory: str | Path, config: PipelineConfig) -> EegVectorDatabase:
-    """The EEG database under ``directory``; empty when absent. A file whose
-    PAA segments differ from ``config`` is rejected."""
-    path = Path(directory) / EVD_FILE
-    settings = dict(
-        n_segments=config.paa_segments,
-        band=config.dtw_band,
-        channel_blocked=config.channel_blocked_dtw,
-    )
-    if path.exists():
-        return EegVectorDatabase.load(path, **settings)
-    return EegVectorDatabase(**settings)
-
-
 def save_stores(
     directory: str | Path,
     store: BipartiteStore | None = None,
@@ -296,8 +261,8 @@ def save_stores(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if case_store is not None:
-        case_store.save(directory / CASES_FILE)
+        case_store.save(directory)
     if evd is not None:
-        evd.save(directory / EVD_FILE)
+        evd.save(directory)
     if store is not None:
         store.save(directory)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,20 @@ def built_store(tmp_path_factory) -> Path:
     assert main(["ingest-cases", str(FIXTURES / "cases.jsonl"), "--store", str(store)]) == 0
     assert main(["ingest-eeg", str(FIXTURES / "eeg"), "--store", str(store)]) == 0
     return store
+
+
+def run_cli(argv: list) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr as a shell would see them: an
+    exception escaping ``main`` prints its traceback, which must not happen."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main([str(arg) for arg in argv])
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    assert "Traceback" not in err.getvalue(), err.getvalue()
+    return code, err.getvalue()
 
 
 def rewrite_row(path: Path, line: int, field: str, value) -> None:

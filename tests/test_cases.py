@@ -131,17 +131,19 @@ class TestCaseStore:
         rec = record(age="34", sex="F")
         store = build_store(rec, rec)
         assert len(store) == 1
-        store.save(tmp_path / "a.jsonl")
+        store.save(tmp_path)
         again = build_store(rec)
-        again.save(tmp_path / "b.jsonl")
-        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+        (tmp_path / "b").mkdir()
+        again.save(tmp_path / "b")
+        assert (tmp_path / "cases.jsonl").read_bytes() == (tmp_path / "b" / "cases.jsonl").read_bytes()
 
     def test_round_trip(self, tmp_path):
         store = build_store(record(age="34", sex="F", eeg_refs=["rec-1"]))
-        store.save(tmp_path / "cases.jsonl")
-        loaded = CaseStore.load(tmp_path / "cases.jsonl", EMB.dim)
-        loaded.save(tmp_path / "cases2.jsonl")
-        assert (tmp_path / "cases.jsonl").read_bytes() == (tmp_path / "cases2.jsonl").read_bytes()
+        store.save(tmp_path)
+        loaded = CaseStore.load(tmp_path, EMB.dim)
+        (tmp_path / "again").mkdir()
+        loaded.save(tmp_path / "again")
+        assert (tmp_path / "cases.jsonl").read_bytes() == (tmp_path / "again" / "cases.jsonl").read_bytes()
         (case,) = loaded.cases.values()
         assert case.eeg_refs == ["rec-1"]
 
@@ -160,10 +162,10 @@ class TestCaseStore:
     )
     def test_load_rejects_mistyped_fields_naming_the_line(self, tmp_path, field, value, message):
         path = tmp_path / "cases.jsonl"
-        build_store(record(age="34", sex="F"), record(age="35", sex="M")).save(path)
+        build_store(record(age="34", sex="F"), record(age="35", sex="M")).save(tmp_path)
         rewrite_row(path, 2, field, value)
         with pytest.raises(PreconditionError, match=re.escape(f"{path}: line 2: {message}")):
-            CaseStore.load(path, EMB.dim)
+            CaseStore.load(tmp_path, EMB.dim)
 
     def test_canonical_is_serialized_once(self, monkeypatch):
         import eegrag.cases as cases_module

@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 
 import pytest
 
@@ -8,7 +9,7 @@ from eegrag.cli import main
 from eegrag.eeg import EegVectorDatabase
 from eegrag.hypergraph import BipartiteStore
 
-from conftest import FIXTURES, GOLDEN, rewrite_row
+from conftest import FIXTURES, GOLDEN, rewrite_row, run_cli
 
 
 QUERY_ARGS = [
@@ -144,6 +145,64 @@ class TestIngest:
         assert "n_segments 20 != configured 10" in capsys.readouterr().err
 
 
+def first_entity(value):
+    return lambda entities: [{**entities[0], "name": value}, *entities[1:]]
+
+
+def first_channel(value):
+    return lambda channels: [{**channels[0], "name": value}, *channels[1:]]
+
+
+# (input file, line (None: a JSON file), field, value or value(old), message)
+MISTYPED = [
+    ("rec-001.json", None, "id", 5, "id is 5, not a string"),
+    ("rec-001.json", None, "id", [1], "id is [1], not a string"),
+    ("rec-001.json", None, "patient_hash", 5, "patient_hash is 5, not a string or null"),
+    ("rec-001.json", None, "channels", first_channel(5), "channel name is 5, not a string"),
+    ("docs.jsonl", 2, "id", ["x"], "id is ['x'], not a string"),
+    ("docs.facts.jsonl", 2, "entities", first_entity(5), "entity name is 5, not a string"),
+    ("docs.facts.jsonl", 2, "description", 5, "description is 5, not a string"),
+    ("docs.facts.jsonl", 2, "doc_id", ["x"], "doc_id is ['x'], not a string"),
+    ("qa.jsonl", 2, "role", 5, "role is 5, not a string"),
+    ("qa.jsonl", 2, "domain", [1], "domain is [1], not a string"),
+    ("qa.jsonl", 2, "eeg_ref", ["rec-001"], "eeg_ref is ['rec-001'], not a string or null"),
+    ("hyperedges.jsonl", 1, "members", [], "hyperedge members must be non-empty"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, line, field, value, message",
+    MISTYPED,
+    ids=[f"{name}-{field}-{value if not callable(value) else 5}" for name, _, field, value, _ in MISTYPED],
+)
+def test_mistyped_field_exits_2_naming_file_and_line(
+    built_store, tmp_path, name, line, field, value, message
+):
+    inputs, store = tmp_path / "in", tmp_path / "store"
+    inputs.mkdir()
+    for f in ("docs.jsonl", "docs.facts.jsonl", "qa.jsonl", "eeg/rec-001.json"):
+        shutil.copy(FIXTURES / f, inputs)
+    shutil.copytree(built_store, store)
+    path = (store if name == "hyperedges.jsonl" else inputs) / name
+    if line is None:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj[field] = value(obj[field]) if callable(value) else value
+        path.write_text(json.dumps(obj), encoding="utf-8")
+    else:
+        rewrite_row(path, line, field, value)
+    argv = {
+        "rec-001.json": ["ingest-eeg", path],
+        "docs.jsonl": ["ingest-docs", inputs / "docs.jsonl"],
+        "docs.facts.jsonl": ["ingest-docs", inputs / "docs.jsonl"],
+        "qa.jsonl": ["bench", path, "--out", tmp_path / "out"],
+        "hyperedges.jsonl": QUERY_ARGS,
+    }[name]
+    code, err = run_cli([*argv, "--store", store])
+    assert code == 2
+    where = str(path) if line is None else f"{path}: line {line}"
+    assert f"error: {where}: {message}" in err
+
+
 class TestQuery:
     def test_golden_transcript(self, built_store, capsys):
         assert main(QUERY_ARGS + ["--store", str(built_store)]) == 0
@@ -214,6 +273,16 @@ class TestQuery:
         err = capsys.readouterr().err
         assert "ingest" in err
         assert f"no store found under {tmp_path / 'nowhere'}; run the ingest commands first" in err
+
+    def test_eeg_only_store_is_queryable(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        assert run_cli(["ingest-eeg", FIXTURES / "eeg", "--store", store])[0] == 0
+        assert [p.name for p in store.iterdir()] == ["evd.jsonl"]
+        capsys.readouterr()
+        assert run_cli([*QUERY_ARGS, "--store", store]) == (0, "")
+        result = json.loads(capsys.readouterr().out)
+        assert [m["recording_id"] for m in result["traces"]["eeg"]][:1] == ["rec-001"]
+        assert result["traces"]["hyperedges"] == [] and result["context"]["cases"] == []
 
     def test_unknown_eeg_id(self, built_store, capsys):
         code = main(["query", "q", "--eeg-id", "rec-nope", "--store", str(built_store)])
@@ -423,6 +492,13 @@ class TestBadInput:
         )
         assert "bootstrap_resamples must be >= 0" in err
         assert not (out / "report.json").exists()
+
+    def test_negative_seed(self, built_store, tmp_path):
+        argv = ["bench", FIXTURES / "qa.jsonl", "--store", built_store, "--out", tmp_path / "out"]
+        code, err = run_cli(argv + ["--set", "seed=-1"])
+        assert code == 2
+        assert "error: seed must be >= 0" in err
+        assert not (tmp_path / "out").exists()
 
     def test_case_attribute_that_is_not_a_list_exits_2(self, built_store, tmp_path, capsys):
         store = tmp_path / "store"

@@ -456,21 +456,22 @@ class TestVectorDatabase:
             for i in range(4)
         ]
         db = fill_db(recs, n=3)
-        db.save(tmp_path / "evd.jsonl")
-        loaded = EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=3)
-        loaded.save(tmp_path / "evd2.jsonl")
-        assert (tmp_path / "evd.jsonl").read_bytes() == (tmp_path / "evd2.jsonl").read_bytes()
+        db.save(tmp_path)
+        loaded = EegVectorDatabase.load(tmp_path, n_segments=3)
+        (tmp_path / "again").mkdir()
+        loaded.save(tmp_path / "again")
+        assert (tmp_path / "evd.jsonl").read_bytes() == (tmp_path / "again" / "evd.jsonl").read_bytes()
         assert loaded.n_segments == 3
         assert sorted(loaded.entries) == sorted(db.entries)
 
     def test_load_rejects_configured_settings_that_differ(self, tmp_path):
         rng = np.random.default_rng(57)
         db = fill_db([make_recording(rng.normal(size=(2, 15)), rec_id="r1")], n=3)
-        db.save(tmp_path / "evd.jsonl")
-        loaded = EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=3)
+        db.save(tmp_path)
+        loaded = EegVectorDatabase.load(tmp_path, n_segments=3)
         assert loaded.n_segments == 3
         with pytest.raises(PreconditionError, match="n_segments 3 != configured 4"):
-            EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=4)
+            EegVectorDatabase.load(tmp_path, n_segments=4)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -482,14 +483,14 @@ class TestVectorDatabase:
     def test_load_rejects_malformed_row_naming_its_line(self, tmp_path, field, value):
         rng = np.random.default_rng(58)
         recs = [make_recording(rng.normal(size=(2, 15)), rec_id=f"r{i}") for i in range(2)]
-        fill_db(recs, n=3).save(tmp_path / "evd.jsonl")
+        fill_db(recs, n=3).save(tmp_path)
         rewrite_row(tmp_path / "evd.jsonl", 2, field, value)
         with pytest.raises(PreconditionError, match="evd.jsonl: line 2: "):
-            EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=3)
+            EegVectorDatabase.load(tmp_path, n_segments=3)
 
     def test_load_of_empty_file_takes_configured_settings(self, tmp_path):
         (tmp_path / "evd.jsonl").write_text("")
-        loaded = EegVectorDatabase.load(tmp_path / "evd.jsonl", n_segments=7)
+        loaded = EegVectorDatabase.load(tmp_path, n_segments=7)
         assert (loaded.n_segments, len(loaded)) == (7, 0)
 
     @pytest.mark.parametrize("blocked", [False, True])
@@ -498,7 +499,7 @@ class TestVectorDatabase:
                "normalized": True, "channel_order": [], "values": []}
         (tmp_path / "evd.jsonl").write_text(json.dumps(row) + "\n")
         with pytest.raises(PreconditionError, match="evd.jsonl: line 1: .*one channel"):
-            EegVectorDatabase.load(tmp_path / "evd.jsonl", 4, channel_blocked=blocked)
+            EegVectorDatabase.load(tmp_path, 4, channel_blocked=blocked)
         with pytest.raises(PreconditionError, match="one channel and one segment"):
             PaaEmbedding(4, [], [])
 

@@ -213,7 +213,7 @@ class TestLifecycleAndPersistence:
         rng = np.random.default_rng(15)
         store = random_store(rng, embedder=None)
         store.save(tmp_path / "store")
-        loaded = BipartiteStore.load(tmp_path / "store")
+        loaded = BipartiteStore.load(tmp_path / "store", store.embedding_dim)
         loaded.save(tmp_path / "store2")
         for name in ("entities.jsonl", "hyperedges.jsonl", "meta.json"):
             assert (tmp_path / "store" / name).read_bytes() == (
@@ -237,7 +237,7 @@ class TestLifecycleAndPersistence:
         store.save(tmp_path)
         rewrite_row(tmp_path / "hyperedges.jsonl", 1, field, value)
         with pytest.raises(error, match="hyperedges.jsonl: line 1: "):
-            BipartiteStore.load(tmp_path)
+            BipartiteStore.load(tmp_path, 4)
 
     def test_double_ingest_leaves_store_isomorphic(self, tmp_path):
         def build(times: int):

@@ -6,7 +6,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eegrag.cases import CaseStore, PatientCase
+from eegrag.eeg import EegVectorDatabase
 from eegrag.errors import DimensionMismatchError, PreconditionError, ReferentialError
+from eegrag.hypergraph import BipartiteStore
 from eegrag.jsonl import read_json, read_jsonl, write_json, write_jsonl
 
 
@@ -138,11 +140,21 @@ class TestWrite:
         for h in ("a", "b"):
             store.cases[h] = PatientCase(h, {"age": ["30"]}, np.ones(2))
         path = tmp_path / "cases.jsonl"
-        store.save(path)
+        store.save(tmp_path)
         before = path.read_bytes()
         # sorts after the saved rows, so the save fails part-way through
         store.cases["c"] = PatientCase("c", {"age": ["31"]}, np.ones(2), eeg_refs=[object()])
         with pytest.raises(TypeError):
-            store.save(path)
+            store.save(tmp_path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["cases.jsonl"]
+
+
+class TestStoreDirectory:
+    def test_each_store_loads_empty_without_its_file(self, tmp_path):
+        graph = BipartiteStore.load(tmp_path, 4)
+        assert (graph.embedding_dim, graph.entities, graph.hyperedges) == (4, {}, {})
+        assert len(CaseStore.load(tmp_path, 4)) == 0
+        evd = EegVectorDatabase.load(tmp_path, 3, band=2, channel_blocked=True)
+        assert (evd.n_segments, evd.band, evd.channel_blocked, len(evd)) == (3, 2, True, 0)
+        assert list(tmp_path.iterdir()) == []

@@ -302,7 +302,7 @@ class TestHyperedgeIndexOracle:
     def test_embeddings_are_views_of_the_index(self, tmp_path):
         store, _ = tie_store(np.random.default_rng(73), 8)
         store.save(tmp_path)
-        for sealed in (store, BipartiteStore.load(tmp_path)):
+        for sealed in (store, BipartiteStore.load(tmp_path, 8)):
             sealed.seal()
             matrix = sealed.edge_index.matrix
             assert not matrix.flags.writeable
