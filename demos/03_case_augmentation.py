@@ -2,11 +2,11 @@
 Patient cases and pseudo-case augmentation
 ==========================================
 
-Each record is serialized into a canonical sorted attribute tuple, hashed,
-and embedded as one text unit. Records that lack an attribute most peers
-have get a synthetic pseudo-case: the nearest neighbor (by cosine over the
-case embeddings) donates its values, provided the similarity clears a
-threshold. Originals are never touched.
+Each record is serialized into a canonical sorted attribute tuple and
+hashed. Records that lack an attribute most peers have get a synthetic
+pseudo-case: the nearest neighbor (by cosine over the cases' embeddings,
+each case embedded as one text unit) donates its values, provided the
+similarity clears a threshold. Originals are never touched.
 """
 
 from eegrag import CaseStore, HashedTokenEmbedder, PatientRecord, augment_pseudo_cases
@@ -42,7 +42,7 @@ unrelated = PatientRecord.from_raw(
     {"age": "70", "sex": "M", "medication": "levodopa", "diagnosis": "parkinson disease"}
 )
 for record in (complete, incomplete, unrelated):
-    store.add_record(record, embedder)
+    store.add_record(record)
 
 # "medication" is present in 2 of 3 cases (>= 50%), so the incomplete case
 # qualifies. Its nearest neighbor is the near-twin epilepsy case.

@@ -1,10 +1,12 @@
 """Patient case store: canonical attribute tuples, hashed ids, pseudo-cases.
 
-Each patient record is serialized into a sorted ``name=value;...`` tuple,
-assigned a content hash, and embedded as one unit of text so cases live in
-the same semantic space as knowledge hyperedges. Incomplete records are
-compensated with synthetic pseudo-cases that copy missing attributes from
-the most similar complete neighbor; real cases are never mutated.
+Each patient record is serialized into a sorted ``name=value;...`` tuple and
+assigned a content hash. ``embed_case`` embeds the hash and tuple as one unit
+of text, so cases live in the same semantic space as knowledge hyperedges;
+a case is embedded where its vector is used, and the stored vector is the
+one on its case-layer hyperedge. Incomplete records are compensated with
+synthetic pseudo-cases that copy missing attributes from the most similar
+complete neighbor; real cases are never mutated.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import Embedder
-from .errors import DimensionMismatchError, PreconditionError, StoreSealedError
+from .errors import PreconditionError, StoreSealedError
 from .hashing import collapse_whitespace, fnv1a64_text
-from .jsonl import read_jsonl, str_list, write_jsonl
+from .jsonl import read_jsonl, str_field, str_list, write_jsonl
 
 SYNTHETIC_SUFFIX = "-s"
 
@@ -81,7 +83,6 @@ def embed_case(case_hash: str, canonical: str, embedder: Embedder) -> np.ndarray
 class PatientCase:
     h: str
     attributes: dict[str, list[str]]
-    embedding: np.ndarray
     synthetic: bool = False
     eeg_refs: list[str] = field(default_factory=list)
 
@@ -128,17 +129,15 @@ class CaseStore:
     def __len__(self) -> int:
         return len(self.cases)
 
-    def add_record(self, record: PatientRecord, embedder: Embedder) -> str:
-        """Serialize, hash, embed, and store a real case (idempotent by content)."""
+    def add_record(self, record: PatientRecord) -> str:
+        """Serialize, hash, and store a real case (idempotent by content)."""
         if self._sealed:
             raise StoreSealedError("case store is sealed")
-        canonical = serialize_case(record)
-        h = case_id(canonical)
+        h = case_id(serialize_case(record))
         if h not in self.cases:
             self.cases[h] = PatientCase(
                 h=h,
                 attributes=record.attributes,
-                embedding=embed_case(h, canonical, embedder),
                 synthetic=False,
                 eeg_refs=list(record.eeg_refs),
             )
@@ -156,7 +155,6 @@ class CaseStore:
                 {
                     "h": case.h,
                     "e": {k: case.attributes[k] for k in sorted(case.attributes)},
-                    "embedding": case.embedding.tolist(),
                     "synthetic": case.synthetic,
                     "eeg_refs": case.eeg_refs,
                 }
@@ -165,24 +163,15 @@ class CaseStore:
         )
 
     @classmethod
-    def load(cls, directory: str | Path, embedding_dim: int) -> "CaseStore":
-        """The cases saved under ``directory``, none when it has no ``FILE``;
-        each case embedding must have ``embedding_dim`` values."""
+    def load(cls, directory: str | Path) -> "CaseStore":
+        """The cases saved under ``directory``, none when it has no ``FILE``."""
 
         def case(row: dict) -> PatientCase:
-            embedding = np.asarray(row["embedding"], dtype=np.float64)
-            if embedding.shape != (embedding_dim,):
-                raise DimensionMismatchError(
-                    f"embedding has dimension {embedding.shape}, store expects {embedding_dim}"
-                )
-            if not np.isfinite(embedding).all():
-                raise PreconditionError("embedding values must be finite")
             if not isinstance(row["synthetic"], bool):
                 raise PreconditionError(f"synthetic is {row['synthetic']!r}, not true or false")
             return PatientCase(
-                h=row["h"],
+                h=str_field(row["h"], "h"),
                 attributes={k: str_list(v, f"attribute {k!r}") for k, v in row["e"].items()},
-                embedding=embedding,
                 synthetic=row["synthetic"],
                 eeg_refs=str_list(row.get("eeg_refs", []), "eeg_refs"),
             )
@@ -202,9 +191,10 @@ def augment_pseudo_cases(
 
     An attribute counts as missing when at least half of the real cases have
     it and this case does not. For each such case the nearest other real
-    case by cosine similarity donates its values, provided the similarity
-    reaches ``tau``; the result is stored as a new synthetic case (hash of
-    the new tuple plus a synthetic marker suffix).
+    case by cosine similarity of their ``embed_case`` vectors donates its
+    values, provided the similarity reaches ``tau``; the result is stored as
+    a new synthetic case (hash of the new tuple plus a synthetic marker
+    suffix).
 
     Real cases are never mutated or deleted.
     """
@@ -221,7 +211,8 @@ def augment_pseudo_cases(
     prevalent = sorted(name for name, n in counts.items() if n >= threshold)
 
     report = AugmentationReport()
-    for case in real:
+    vectors = [embed_case(c.h, c.canonical, embedder) for c in real]
+    for case, vector in zip(real, vectors):
         missing = [a for a in prevalent if a not in case.attributes]
         if not missing:
             continue
@@ -229,10 +220,10 @@ def augment_pseudo_cases(
         # iterate in ascending hash order, so the first occurrence of the
         # best similarity wins ties deterministically
         best: tuple[float, str] | None = None
-        for other in real:
+        for other, other_vector in zip(real, vectors):
             if other.h == case.h:
                 continue
-            sim = float(np.dot(case.embedding, other.embedding))
+            sim = float(np.dot(vector, other_vector))
             if best is None or sim > best[0]:
                 best = (sim, other.h)
         if best is None or best[0] < tau:
@@ -251,7 +242,6 @@ def augment_pseudo_cases(
         store.cases[synthetic_hash] = PatientCase(
             h=synthetic_hash,
             attributes=new_attrs,
-            embedding=embed_case(synthetic_hash, canonical, embedder),
             synthetic=True,
             eeg_refs=list(case.eeg_refs),
         )

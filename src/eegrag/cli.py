@@ -13,7 +13,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .cases import CaseStore, augment_pseudo_cases, load_records
+from .cases import CaseStore, augment_pseudo_cases, embed_case, load_records
 from .config import PipelineConfig
 from .eeg import EegVectorDatabase, load_recording
 from .embedding import HashedTokenEmbedder
@@ -66,13 +66,13 @@ def cmd_ingest_docs(args: argparse.Namespace) -> int:
 def cmd_ingest_cases(args: argparse.Namespace) -> int:
     config = _load_config(args)
     store = BipartiteStore.load(args.store, config.embedding_dim)
-    case_store = CaseStore.load(args.store, config.embedding_dim)
+    case_store = CaseStore.load(args.store)
     embedder = HashedTokenEmbedder(config.embedding_dim)
     records = load_records(args.input)
     added = merged = 0
     for record in records:
         before = len(case_store)
-        case_store.add_record(record, embedder)
+        case_store.add_record(record)
         if len(case_store) > before:
             added += 1
         else:
@@ -91,9 +91,8 @@ def cmd_ingest_cases(args: argparse.Namespace) -> int:
             members = {m.entity_id for m in mentions}
             if members:
                 before = len(store.hyperedges)
-                store.add_hyperedge(
-                    case.canonical, members, layer=CASE_LAYER, embedding=case.embedding
-                )
+                vector = embed_case(h, case.canonical, embedder)
+                store.add_hyperedge(case.canonical, members, layer=CASE_LAYER, embedding=vector)
                 if len(store.hyperedges) > before:
                     linked += 1
 

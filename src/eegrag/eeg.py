@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
     StoreSealedError,
 )
-from .jsonl import read_json, read_jsonl, str_field, write_jsonl
+from .jsonl import read_json, read_jsonl, str_field, str_list, write_jsonl
 
 
 # -- recordings ---------------------------------------------------------------
@@ -78,6 +78,15 @@ class EegRecording:
         return [ch.name for ch in self.channels]
 
 
+def _sample_rate(value) -> float:
+    """``value`` as a float, if it is a finite JSON number > 0."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        rate = float(value)
+        if math.isfinite(rate) and rate > 0.0:
+            return rate
+    raise PreconditionError(f"sample_rate is {value!r}, not a finite number > 0")
+
+
 def recording_from_dict(obj: dict) -> EegRecording:
     try:
         channels = [
@@ -85,7 +94,7 @@ def recording_from_dict(obj: dict) -> EegRecording:
         ]
         return EegRecording(
             id=str_field(obj["id"], "id"),
-            sample_rate=float(obj["sample_rate"]),
+            sample_rate=_sample_rate(obj["sample_rate"]),
             channels=channels,
             patient_hash=str_field(obj.get("patient_hash"), "patient_hash", optional=True),
         )
@@ -422,8 +431,14 @@ class EegVectorDatabase:
                 raise PreconditionError(
                     f"EEG database n_segments {row['n_segments']} != configured {n_segments}"
                 )
-            emb = PaaEmbedding(row["n_segments"], row["values"], row["channel_order"])
-            return EvdEntry(row["id"], row["patient_hash"], row["sample_rate"], emb)
+            order = str_list(row["channel_order"], "channel_order")
+            emb = PaaEmbedding(n_segments, row["values"], order)
+            return EvdEntry(
+                str_field(row["id"], "id"),
+                str_field(row["patient_hash"], "patient_hash", optional=True),
+                _sample_rate(row["sample_rate"]),
+                emb,
+            )
 
         path = Path(directory) / cls.FILE
         entries = read_jsonl(path, entry) if path.exists() else []

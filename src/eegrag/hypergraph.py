@@ -30,7 +30,7 @@ from .errors import (
     StoreSealedError,
 )
 from .hashing import collapse_whitespace, entity_id, hyperedge_id, is_hyperedge_id
-from .jsonl import read_json, read_jsonl, write_json, write_jsonl
+from .jsonl import int_field, read_json, read_jsonl, str_field, write_json, write_jsonl
 
 FORMAT_VERSION = 1
 META_FILE = "meta.json"
@@ -55,7 +55,6 @@ class Entity:
     name: str
     etype: str
     definition: str
-    embedding: np.ndarray | None = None
 
 
 @dataclass
@@ -178,36 +177,23 @@ class BipartiteStore:
 
     # -- mutation ------------------------------------------------------------
 
-    def add_entity(
-        self,
-        name: str,
-        etype: str = "",
-        definition: str = "",
-        embedding: np.ndarray | None = None,
-    ) -> int:
-        """Register an entity; re-adding the same normalized name merges fields.
-
-        Merge policy: the newest non-empty text field wins; an embedding is
-        written only if the stored entity has none (incremental ingestion must
-        not destroy data).
-        """
+    def add_entity(self, name: str, etype: str = "", definition: str = "") -> int:
+        """Register an entity; re-adding the same normalized name merges its
+        text fields, the newest non-empty one winning."""
         self._require_unsealed()
         if not name or not name.strip():
             raise PreconditionError("entity name must be non-empty")
-        vec = self._check_dim(embedding)
         name = collapse_whitespace(name)
         eid = entity_id(name)
         existing = self.entities.get(eid)
         if existing is None:
-            self.entities[eid] = Entity(eid, name, etype, definition, vec)
+            self.entities[eid] = Entity(eid, name, etype, definition)
             self.incidence.setdefault(eid, set())
         else:
             if etype:
                 existing.etype = etype
             if definition:
                 existing.definition = definition
-            if vec is not None and existing.embedding is None:
-                existing.embedding = vec
         return eid
 
     def add_hyperedge(
@@ -308,7 +294,6 @@ class BipartiteStore:
                     "name": ent.name,
                     "etype": ent.etype,
                     "definition": ent.definition,
-                    "embedding": None if ent.embedding is None else ent.embedding.tolist(),
                 }
                 for _, ent in sorted(self.entities.items())
             ),
@@ -352,20 +337,26 @@ class BipartiteStore:
             return cls(embedding_dim=meta["embedding_dim"])
 
         def entity(row: dict) -> Entity:
-            emb = store._check_dim(row["embedding"])
-            return Entity(row["id"], row["name"], row["etype"], row["definition"], emb)
+            return Entity(
+                int_field(row["id"], "id"),
+                str_field(row["name"], "name"),
+                str_field(row["etype"], "etype"),
+                str_field(row["definition"], "definition"),
+            )
 
         def hyperedge(row: dict) -> Hyperedge:
+            hid = int_field(row["id"], "id")
+            description = str_field(row["description"], "description")
             if row["layer"] not in LAYERS:
-                raise PreconditionError(f"hyperedge {row['id']} has unknown layer {row['layer']!r}")
+                raise PreconditionError(f"hyperedge {hid} has unknown layer {row['layer']!r}")
             emb = store._check_dim(row["embedding"])
-            members = frozenset(row["members"])
+            members = frozenset(int_field(m, "member") for m in row["members"])
             if not members:
                 raise PreconditionError("hyperedge members must be non-empty")
             for m in members:
                 if m not in store.entities:
-                    raise ReferentialError(f"hyperedge {row['id']} references unknown entity {m}")
-            return Hyperedge(row["id"], row["description"], members, row["layer"], emb)
+                    raise ReferentialError(f"hyperedge {hid} references unknown entity {m}")
+            return Hyperedge(hid, description, members, row["layer"], emb)
 
         store = read_json(directory / META_FILE, from_meta)
         if store.embedding_dim != embedding_dim:

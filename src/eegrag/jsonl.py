@@ -3,11 +3,11 @@
 Reading skips blank lines and reports a malformed line as
 ``PreconditionError("<path>: line N: ...")``; a store's own typed errors
 (``DimensionMismatchError``, ``ReferentialError``) keep their type and gain
-the same location; a parser checks a field's JSON type with ``str_field``
-or ``str_list``. Writing goes to a sibling temporary file that replaces
-the target only once it is complete, so an exception or a process crash
-mid-write leaves the previous file as it was. Nothing is fsynced: the
-guarantee does not cover a power loss.
+the same location; a parser checks a field's JSON type with ``str_field``,
+``str_list`` or ``int_field``. Writing goes to a sibling temporary file
+that replaces the target only once it is complete, so an exception or a
+process crash mid-write leaves the previous file as it was. Nothing is
+fsynced: the guarantee does not cover a power loss.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ T = TypeVar("T")
 
 # what parsing a malformed value raises: JSONDecodeError, UnicodeDecodeError
 # and PreconditionError are ValueErrors, a missing key is a LookupError, a
-# row of the wrong JSON type raises TypeError or AttributeError, and JSON
-# nested past the interpreter's recursion limit raises RecursionError
-_MALFORMED = (ValueError, LookupError, TypeError, AttributeError, RecursionError)
+# row of the wrong JSON type raises TypeError or AttributeError, an integer
+# too large for a float raises OverflowError, and JSON nested past the
+# interpreter's recursion limit raises RecursionError
+_MALFORMED = (ValueError, LookupError, TypeError, AttributeError, OverflowError, RecursionError)
 
 
 def _located(exc: Exception, where: str) -> Exception:
@@ -47,6 +48,13 @@ def str_list(value, what: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise PreconditionError(f"{what} is {value!r}, not a list of strings")
     return list(value)
+
+
+def int_field(value, what: str) -> int:
+    """``value``, if it is a JSON integer (``true`` and ``false`` are not)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise PreconditionError(f"{what} is {value!r}, not an integer")
 
 
 def read_jsonl(path: str | Path, parse: Callable[[object], T]) -> list[T]:

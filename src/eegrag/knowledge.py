@@ -155,9 +155,9 @@ def build_kgh(
 
     Degenerate facts are dropped (logged and counted, not fatal); every
     other fact becomes a knowledge-layer hyperedge with an embedded
-    description, and every entity is registered (or merged) without an
-    embedding, since entities are linked by name. Documents are processed
-    in id order so the build is deterministic regardless of input order.
+    description, and every entity is registered (or merged); entities carry
+    no vector, since they are linked by name. Documents are processed in id
+    order so the build is deterministic regardless of input order.
     An extractor's ``TransportError`` is re-raised naming the document.
     """
     if store.sealed:

@@ -149,7 +149,7 @@ class Pipeline:
             raise NotFoundError(f"no store found under {directory}; run the ingest commands first")
         return cls(
             BipartiteStore.load(directory, config.embedding_dim),
-            CaseStore.load(directory, config.embedding_dim),
+            CaseStore.load(directory),
             EegVectorDatabase.load(
                 directory, config.paa_segments, config.dtw_band, config.channel_blocked_dtw
             ),

@@ -88,9 +88,7 @@ def random_store(
     n_entities = int(rng.integers(1, max_entities + 1))
     entity_ids = []
     for i in range(n_entities):
-        name = f"entity-{i}"
-        emb = embedder.embed(name) if embedder else None
-        entity_ids.append(store.add_entity(name, "t", f"def {i}", embedding=emb))
+        entity_ids.append(store.add_entity(f"entity-{i}", "t", f"def {i}"))
     n_edges = int(rng.integers(0, max_edges + 1))
     for j in range(n_edges):
         arity = int(rng.integers(1, min(4, len(entity_ids)) + 1))

@@ -105,8 +105,8 @@ def test_retrieval_oracle_equivalence():
     embedder = HashedTokenEmbedder(32)
     for _ in range(50):
         store = BipartiteStore(embedding_dim=32)
-        anchor = store.add_entity("anchor", embedding=embedder.embed("anchor"))
-        extra = store.add_entity("extra", embedding=embedder.embed("extra"))
+        anchor = store.add_entity("anchor")
+        extra = store.add_entity("extra")
         n_edges = int(rng.integers(1, 101))
         for j in range(n_edges):
             desc = f"fact {int(rng.integers(0, 30))}"  # repeats force score ties

@@ -6,6 +6,10 @@ original on uninstall. The span counters read engine attributes (the EEG
 database's ``band`` and ``channel_blocked``, an embedding's ``values`` and
 ``n_channels``, the store's hyperedges), so a traced query must still yield
 the counts the engine's own state gives.
+
+The benchmark also checks answers against brute-force references that read
+the store files directly (``perfbench/reference.py``), so a change to the
+store format must leave those references agreeing with the engine.
 """
 
 import importlib.util
@@ -15,18 +19,23 @@ import pytest
 
 from eegrag.config import PipelineConfig
 from eegrag.eeg import Channel, EegRecording, load_recording
+from eegrag.embedding import HashedTokenEmbedder
 from eegrag.pipeline import Pipeline
 
 from conftest import FIXTURES
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load_perfbench("spans")
 
 
 def current(owner, attr):
@@ -106,3 +115,19 @@ def test_span_counters_read_the_engine(built_store, settings):
     assert counts("retrieval.expand") == [
         {"expansion_edges": len(r.expansion_trace)} for r in results
     ]
+
+
+def test_benchmark_references_read_the_store(built_store):
+    reference = load_perfbench("reference")
+    config = PipelineConfig()
+    pipeline = Pipeline.from_directory(built_store, config)
+    result = pipeline.run_query(QUESTION, eeg_recording_id="rec-001")
+    assert result.eeg_trace and result.hyperedge_trace and result.entity_trace
+    ref = reference.StoreReference(built_store)
+    query_vec = HashedTokenEmbedder(config.embedding_dim).embed(QUESTION)
+    errors = reference.check_eeg(ref, ref.rec_values["rec-001"], config.eeg_top_k, result.eeg_trace)
+    errors += reference.check_hyperedges(
+        ref, query_vec, config.hyperedge_top_k, config.retrieval_layer, result.hyperedge_trace
+    )
+    errors += reference.check_links(ref, QUESTION, result.entity_trace)
+    assert errors == []

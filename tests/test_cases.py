@@ -1,4 +1,3 @@
-import math
 import re
 
 import numpy as np
@@ -122,7 +121,7 @@ class TestEmbedCase:
 def build_store(*records: PatientRecord) -> CaseStore:
     store = CaseStore()
     for rec in records:
-        store.add_record(rec, EMB)
+        store.add_record(rec)
     return store
 
 
@@ -140,7 +139,7 @@ class TestCaseStore:
     def test_round_trip(self, tmp_path):
         store = build_store(record(age="34", sex="F", eeg_refs=["rec-1"]))
         store.save(tmp_path)
-        loaded = CaseStore.load(tmp_path, EMB.dim)
+        loaded = CaseStore.load(tmp_path)
         (tmp_path / "again").mkdir()
         loaded.save(tmp_path / "again")
         assert (tmp_path / "cases.jsonl").read_bytes() == (tmp_path / "again" / "cases.jsonl").read_bytes()
@@ -156,8 +155,7 @@ class TestCaseStore:
             ("eeg_refs", [1], "eeg_refs is [1], not a list of strings"),
             ("synthetic", 0, "synthetic is 0, not true or false"),
             ("synthetic", "false", "synthetic is 'false', not true or false"),
-            ("embedding", [math.nan] * EMB.dim, "embedding values must be finite"),
-            ("embedding", [0.0] * (EMB.dim - 1) + [-math.inf], "embedding values must be finite"),
+            ("h", 5, "h is 5, not a string"),
         ],
     )
     def test_load_rejects_mistyped_fields_naming_the_line(self, tmp_path, field, value, message):
@@ -165,7 +163,7 @@ class TestCaseStore:
         build_store(record(age="34", sex="F"), record(age="35", sex="M")).save(tmp_path)
         rewrite_row(path, 2, field, value)
         with pytest.raises(PreconditionError, match=re.escape(f"{path}: line 2: {message}")):
-            CaseStore.load(tmp_path, EMB.dim)
+            CaseStore.load(tmp_path)
 
     def test_canonical_is_serialized_once(self, monkeypatch):
         import eegrag.cases as cases_module
@@ -182,7 +180,7 @@ class TestCaseStore:
         store = build_store(record(age="1"))
         store.seal()
         with pytest.raises(StoreSealedError):
-            store.add_record(record(age="2"), EMB)
+            store.add_record(record(age="2"))
 
 
 class TestAugmentation:
@@ -212,7 +210,8 @@ class TestAugmentation:
         assert synthetic.synthetic
         assert synthetic.attributes["medication"] == store.cases[fill.donor].attributes["medication"]
         assert set(synthetic.attributes) >= set(store.cases[fill.recipient].attributes)
-        assert np.linalg.norm(synthetic.embedding) == pytest.approx(1.0, abs=1e-6)
+        vectors = [embed_case(h, store.cases[h].canonical, EMB) for h in (fill.recipient, fill.donor)]
+        assert fill.similarity == float(np.dot(*vectors))
 
     def test_prevalence_counts_real_cases_only(self):
         donor = record(age="30", sex="F", history="absence", medication="valproate")
@@ -223,7 +222,7 @@ class TestAugmentation:
         # synthetic cases carrying it would lift it over if they were counted
         for h in ("a-s", "b-s"):
             store.cases[h] = PatientCase(
-                h, {"age": ["1"], "medication": ["y"]}, np.ones(2) / np.sqrt(2), synthetic=True
+                h, {"age": ["1"], "medication": ["y"]}, synthetic=True
             )
         assert len(augment_pseudo_cases(store, EMB, tau=0.1)) == 0
         # in 2 of 3 real cases it is prevalent, and the recipient takes it
@@ -241,13 +240,10 @@ class TestAugmentation:
         donor = record(age="30", sex="F", medication="valproate")
         recipient = record(age="31", sex="F")
         store = build_store(donor, recipient)
-        before = {
-            h: (dict(c.attributes), c.embedding.copy()) for h, c in store.cases.items()
-        }
+        before = {h: dict(c.attributes) for h, c in store.cases.items()}
         augment_pseudo_cases(store, EMB, tau=0.1)
-        for h, (attrs, emb) in before.items():
+        for h, attrs in before.items():
             assert store.cases[h].attributes == attrs
-            np.testing.assert_array_equal(store.cases[h].embedding, emb)
             assert not store.cases[h].synthetic
 
     def test_synthetic_hash_carries_marker(self):

@@ -4,9 +4,10 @@ import shutil
 
 import pytest
 
-from eegrag.cases import CaseStore
+from eegrag.cases import CaseStore, embed_case, serialize_case
 from eegrag.cli import main
 from eegrag.eeg import EegVectorDatabase
+from eegrag.embedding import HashedTokenEmbedder
 from eegrag.hypergraph import BipartiteStore
 
 from conftest import FIXTURES, GOLDEN, rewrite_row, run_cli
@@ -104,21 +105,6 @@ class TestIngest:
         for f in built_store.iterdir():
             assert (store / f.name).read_bytes() == f.read_bytes()
 
-    @pytest.mark.parametrize("argv", [["ingest-cases", str(FIXTURES / "cases.jsonl")], QUERY_ARGS])
-    def test_wrong_dimension_case_embedding_exits_2_naming_its_line(
-        self, built_store, tmp_path, capsys, argv
-    ):
-        store = tmp_path / "store"
-        store.mkdir()
-        for f in built_store.iterdir():
-            (store / f.name).write_bytes(f.read_bytes())
-        path = store / "cases.jsonl"
-        rewrite_row(path, 2, "embedding", [0.1, 0.2, 0.3])
-        assert main(argv + ["--store", str(store)]) == 2
-        err = capsys.readouterr().err
-        assert f"{path}: line 2: embedding has dimension (3,), store expects 256" in err
-        assert "Traceback" not in err
-
     @pytest.mark.parametrize(
         "raw, message",
         [
@@ -137,7 +123,26 @@ class TestIngest:
 
     def test_entities_are_stored_without_embeddings(self, built_store):
         rows = [json.loads(line) for line in (built_store / "entities.jsonl").open(encoding="utf-8")]
-        assert rows and all(row["embedding"] is None for row in rows)
+        assert rows and all("embedding" not in row for row in rows)
+
+    def test_store_with_entity_and_case_vectors_still_loads(self, built_store, tmp_path, capsys):
+        # the earlier format stored "embedding": null on each entity row and
+        # the case's embed_case vector on each case row
+        store = tmp_path / "store"
+        shutil.copytree(built_store, store)
+        entities, cases = store / "entities.jsonl", store / "cases.jsonl"
+        for line in range(1, len(entities.read_text(encoding="utf-8").splitlines()) + 1):
+            rewrite_row(entities, line, "embedding", None)
+        embedder = HashedTokenEmbedder(256)
+        rows = map(json.loads, cases.read_text(encoding="utf-8").splitlines())
+        for line, row in enumerate(rows, start=1):
+            vector = embed_case(row["h"], serialize_case(row["e"]), embedder)
+            rewrite_row(cases, line, "embedding", vector.tolist())
+        assert main(QUERY_ARGS + ["--store", str(store)]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "query_transcript.json").read_text(encoding="utf-8")
+        assert main(["ingest-cases", str(FIXTURES / "cases.jsonl"), "--store", str(store)]) == 0
+        for f in built_store.iterdir():
+            assert (store / f.name).read_bytes() == f.read_bytes(), f.name
 
     def test_ingest_eeg_rejects_other_paa_settings(self, built_store, capsys):
         args = ["ingest-eeg", str(FIXTURES / "eeg"), "--store", str(built_store)]
@@ -167,7 +172,23 @@ MISTYPED = [
     ("qa.jsonl", 2, "domain", [1], "domain is [1], not a string"),
     ("qa.jsonl", 2, "eeg_ref", ["rec-001"], "eeg_ref is ['rec-001'], not a string or null"),
     ("hyperedges.jsonl", 1, "members", [], "hyperedge members must be non-empty"),
+    ("hyperedges.jsonl", 1, "members", [True], "member is True, not an integer"),
+    ("hyperedges.jsonl", 2, "id", "x", "id is 'x', not an integer"),
+    ("hyperedges.jsonl", 2, "id", False, "id is False, not an integer"),
+    ("hyperedges.jsonl", 2, "description", 5, "description is 5, not a string"),
+    ("entities.jsonl", 2, "name", 5, "name is 5, not a string"),
+    ("entities.jsonl", 2, "id", 1.5, "id is 1.5, not an integer"),
+    ("evd.jsonl", 2, "patient_hash", 5, "patient_hash is 5, not a string or null"),
+    ("evd.jsonl", 2, "channel_order", [1, 2, 3, 4], "channel_order is [1, 2, 3, 4], not a list of strings"),
+    ("evd.jsonl", 2, "sample_rate", "x", "sample_rate is 'x', not a finite number > 0"),
+    ("evd.jsonl", 2, "sample_rate", 0, "sample_rate is 0, not a finite number > 0"),
+    ("cases.jsonl", 2, "h", 5, "h is 5, not a string"),
+    *[
+        ("rec-001.json", None, "sample_rate", value, f"sample_rate is {value!r}, not a finite number > 0")
+        for value in ("nan", math.inf, -5, 0, "256", True)
+    ],
 ]
+STORE_FILES = ("entities.jsonl", "hyperedges.jsonl", "evd.jsonl", "cases.jsonl")
 
 
 @pytest.mark.parametrize(
@@ -183,7 +204,7 @@ def test_mistyped_field_exits_2_naming_file_and_line(
     for f in ("docs.jsonl", "docs.facts.jsonl", "qa.jsonl", "eeg/rec-001.json"):
         shutil.copy(FIXTURES / f, inputs)
     shutil.copytree(built_store, store)
-    path = (store if name == "hyperedges.jsonl" else inputs) / name
+    path = (store if name in STORE_FILES else inputs) / name
     if line is None:
         obj = json.loads(path.read_text(encoding="utf-8"))
         obj[field] = value(obj[field]) if callable(value) else value
@@ -195,8 +216,7 @@ def test_mistyped_field_exits_2_naming_file_and_line(
         "docs.jsonl": ["ingest-docs", inputs / "docs.jsonl"],
         "docs.facts.jsonl": ["ingest-docs", inputs / "docs.jsonl"],
         "qa.jsonl": ["bench", path, "--out", tmp_path / "out"],
-        "hyperedges.jsonl": QUERY_ARGS,
-    }[name]
+    }.get(name, QUERY_ARGS)
     code, err = run_cli([*argv, "--store", store])
     assert code == 2
     where = str(path) if line is None else f"{path}: line {line}"
@@ -323,7 +343,7 @@ class TestQuery:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "name, key", [("evd.jsonl", "values"), ("hyperedges.jsonl", "embedding"), ("cases.jsonl", "embedding")]
+        "name, key", [("evd.jsonl", "values"), ("hyperedges.jsonl", "embedding")]
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_embedding_exits_2_naming_path_and_line(

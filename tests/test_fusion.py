@@ -8,7 +8,6 @@ import pytest
 from eegrag.cases import CaseStore, PatientRecord
 from eegrag.config import PipelineConfig
 from eegrag.eeg import EegMatch
-from eegrag.embedding import HashedTokenEmbedder
 from eegrag.errors import PreconditionError, ReferentialError, TransportError
 from eegrag.fusion import (
     AblationFlags,
@@ -21,8 +20,6 @@ from eegrag.fusion import (
 )
 from eegrag.hypergraph import BipartiteStore
 from eegrag.retrieval import EntityMatch, MetadataQuery, ScoredHyperedge
-
-EMB = HashedTokenEmbedder(32)
 
 
 def bridging_fixture():
@@ -201,9 +198,7 @@ class TestFuse:
         edge = store.add_hyperedge("epilepsy fact", {epilepsy})
         store.seal()
         cases = CaseStore()
-        h = cases.add_record(
-            PatientRecord.from_raw({"diagnosis": "epilepsy", "age": "30"}), EMB
-        )
+        h = cases.add_record(PatientRecord.from_raw({"diagnosis": "epilepsy", "age": "30"}))
         cases.seal()
         bundle = RetrievalBundle(eeg_matches=[EegMatch("rec-1", h, 0.5, 1)])
         ctx = fuse(bundle, store, cases, radius=1)
@@ -217,7 +212,7 @@ class TestFuse:
         store.add_hyperedge("epilepsy fact", {epilepsy})
         store.seal()
         cases = CaseStore()
-        h = cases.add_record(PatientRecord.from_raw({"diagnosis": "epilepsy"}), EMB)
+        h = cases.add_record(PatientRecord.from_raw({"diagnosis": "epilepsy"}))
         cases.seal()
         matches = [EegMatch("rec-1", h, 0.5, 1), EegMatch("rec-2", None, 0.75, 2)]
         ctx = fuse(RetrievalBundle(eeg_matches=matches), store, cases, radius=1)
@@ -288,7 +283,7 @@ class TestRenderContext:
         )
         store, seeds, _ = bridging_fixture()
         cases = CaseStore()
-        h = cases.add_record(PatientRecord.from_raw({"age": "30", "sex": "F"}), EMB)
+        h = cases.add_record(PatientRecord.from_raw({"age": "30", "sex": "F"}))
         cases.seal()
         bundle = RetrievalBundle(
             entity_matches=seeds,

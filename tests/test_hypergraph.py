@@ -44,17 +44,16 @@ class TestAddEntity:
     def test_dimension_mismatch_rejected(self):
         store = BipartiteStore(embedding_dim=4)
         with pytest.raises(DimensionMismatchError):
-            store.add_entity("x", embedding=np.ones(5))
+            store.add_hyperedge("f", {store.add_entity("x")}, embedding=np.ones(5))
+        assert len(store.hyperedges) == 0
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_embedding_rejected(self, value):
         store = BipartiteStore(embedding_dim=2)
-        with pytest.raises(PreconditionError, match="finite"):
-            store.add_entity("x", embedding=np.array([0.0, value]))
         a = store.add_entity("a")
         with pytest.raises(PreconditionError, match="finite"):
             store.add_hyperedge("f", {a}, embedding=np.array([value, 1.0]))
-        assert len(store.hyperedges) == 0 and store.entities[a].embedding is None
+        assert len(store.hyperedges) == 0
 
     def test_merge_newest_nonempty_wins(self):
         store = BipartiteStore(embedding_dim=2)
@@ -63,15 +62,6 @@ class TestAddEntity:
         assert store.entities[eid].etype == "waveform"
         assert store.entities[eid].definition == "updated def"
         assert store.entities[eid].name == "alpha"
-
-    def test_merge_embedding_only_if_absent(self):
-        store = BipartiteStore(embedding_dim=2)
-        eid = store.add_entity("alpha", embedding=np.array([1.0, 0.0]))
-        store.add_entity("alpha", embedding=np.array([0.0, 1.0]))
-        np.testing.assert_array_equal(store.entities[eid].embedding, [1.0, 0.0])
-        other = store.add_entity("beta")
-        store.add_entity("beta", embedding=np.array([0.5, 0.5]))
-        np.testing.assert_array_equal(store.entities[other].embedding, [0.5, 0.5])
 
 
 class TestAddHyperedge:

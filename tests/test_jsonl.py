@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -9,7 +8,7 @@ from eegrag.cases import CaseStore, PatientCase
 from eegrag.eeg import EegVectorDatabase
 from eegrag.errors import DimensionMismatchError, PreconditionError, ReferentialError
 from eegrag.hypergraph import BipartiteStore
-from eegrag.jsonl import read_json, read_jsonl, write_json, write_jsonl
+from eegrag.jsonl import int_field, read_json, read_jsonl, write_json, write_jsonl
 
 
 class TestRead:
@@ -51,6 +50,18 @@ class TestRead:
 
         with pytest.raises(error, match="rows.jsonl: line 2: bad row"):
             read_jsonl(path, parse)
+
+    def test_integer_too_large_for_a_float_names_the_line(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n{"a": 1' + "0" * 400 + "}\n", encoding="utf-8")
+        with pytest.raises(PreconditionError, match="rows.jsonl: line 2: .*too large"):
+            read_jsonl(path, lambda row: float(row["a"]))
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, "1", None, [1]])
+    def test_int_field_takes_json_integers_only(self, value):
+        assert int_field(-3, "id") == -3
+        with pytest.raises(PreconditionError, match=r"^id is .*, not an integer$"):
+            int_field(value, "id")
 
     def test_malformed_json_document_names_path(self, tmp_path):
         path = tmp_path / "meta.json"
@@ -138,12 +149,12 @@ class TestWrite:
     def test_interrupted_store_save_keeps_previous_file(self, tmp_path):
         store = CaseStore()
         for h in ("a", "b"):
-            store.cases[h] = PatientCase(h, {"age": ["30"]}, np.ones(2))
+            store.cases[h] = PatientCase(h, {"age": ["30"]})
         path = tmp_path / "cases.jsonl"
         store.save(tmp_path)
         before = path.read_bytes()
         # sorts after the saved rows, so the save fails part-way through
-        store.cases["c"] = PatientCase("c", {"age": ["31"]}, np.ones(2), eeg_refs=[object()])
+        store.cases["c"] = PatientCase("c", {"age": ["31"]}, eeg_refs=[object()])
         with pytest.raises(TypeError):
             store.save(tmp_path)
         assert path.read_bytes() == before
@@ -154,7 +165,7 @@ class TestStoreDirectory:
     def test_each_store_loads_empty_without_its_file(self, tmp_path):
         graph = BipartiteStore.load(tmp_path, 4)
         assert (graph.embedding_dim, graph.entities, graph.hyperedges) == (4, {}, {})
-        assert len(CaseStore.load(tmp_path, 4)) == 0
+        assert len(CaseStore.load(tmp_path)) == 0
         evd = EegVectorDatabase.load(tmp_path, 3, band=2, channel_blocked=True)
         assert (evd.n_segments, evd.band, evd.channel_blocked, len(evd)) == (3, 2, True, 0)
         assert list(tmp_path.iterdir()) == []

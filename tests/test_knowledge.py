@@ -131,8 +131,6 @@ class TestBuildKgh:
         for edge in store.hyperedges.values():
             assert edge.layer == "knowledge"
             assert edge.embedding is not None
-        for ent in store.entities.values():
-            assert ent.embedding is None
 
     def test_each_fact_description_embedded_once_and_no_entity(self):
         texts = []
@@ -143,7 +141,7 @@ class TestBuildKgh:
                 return super().embed(text)
 
         store = BipartiteStore(embedding_dim=32)
-        c = store.add_entity("C")  # registered earlier without an embedding
+        c = store.add_entity("C")  # registered earlier
         facts = [
             Fact("f1", [EntitySpec("A", "term", "first"), EntitySpec("B")]),
             Fact("f2", [EntitySpec("A", "term", "second"), EntitySpec("C", "", "c def")]),
@@ -153,7 +151,6 @@ class TestBuildKgh:
         assert texts == ["f1", "f2"]
         a = next(e for e in store.entities.values() if e.name == "A")
         assert a.definition == "second"
-        assert all(e.embedding is None for e in store.entities.values())
         assert store.entities[c].definition == "c def"
         for edge in store.hyperedges.values():
             assert edge.embedding.tobytes() == EMB.embed(edge.description).tobytes()

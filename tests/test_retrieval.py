@@ -43,7 +43,7 @@ class TestCosine:
 
 def knowledge_store(*descriptions: str) -> BipartiteStore:
     store = BipartiteStore(embedding_dim=EMB.dim)
-    anchor = store.add_entity("anchor", embedding=EMB.embed("anchor"))
+    anchor = store.add_entity("anchor")
     for desc in descriptions:
         store.add_hyperedge(desc, {anchor}, embedding=EMB.embed(desc))
     store.seal()
@@ -113,7 +113,7 @@ class TestRetrieveHyperedges:
 
     def test_layer_filter_and_empty_layer(self):
         store = BipartiteStore(embedding_dim=EMB.dim)
-        a = store.add_entity("a", embedding=EMB.embed("a"))
+        a = store.add_entity("a")
         store.add_hyperedge("case tuple", {a}, layer="case", embedding=EMB.embed("case tuple"))
         store.seal()
         assert retrieve_hyperedges(MetadataQuery("case tuple"), EMB, store, k=1) == []
@@ -124,7 +124,7 @@ class TestRetrieveHyperedges:
 
     def test_unknown_layer_names_the_valid_ones(self):
         store = BipartiteStore(embedding_dim=EMB.dim)
-        a = store.add_entity("a", embedding=EMB.embed("a"))
+        a = store.add_entity("a")
         store.add_hyperedge("fact", {a}, layer="knowledge", embedding=EMB.embed("fact"))
         store.seal()
         for layer in ("knowlege", "", "none", 0):
