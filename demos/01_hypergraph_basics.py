@@ -8,9 +8,10 @@ into binary triples. The store keeps entities and hyperedges as two node
 families of a bipartite graph, which makes neighborhood traversal uniform.
 """
 
-from eegrag import BipartiteStore
+from eegrag import BipartiteStore, HashedTokenEmbedder
 
 store = BipartiteStore(embedding_dim=8)
+embedder = HashedTokenEmbedder(8)
 
 # Entities are content-addressed: the id is a hash of the normalized name,
 # so re-adding "Spike-Wave Discharge" merges instead of duplicating.
@@ -21,14 +22,13 @@ valproate = store.add_entity("valproate", "treatment", "antiseizure medication")
 
 assert store.add_entity("Spike-Wave   Discharge") == swd  # same node
 
-# One n-ary fact each: the diagnostic chain, and the treatment link.
-chain = store.add_hyperedge(
-    "3 Hz spike-wave discharge accompanies absence seizure in epilepsy",
-    {swd, absence, epilepsy},
-)
+# One n-ary fact each: the diagnostic chain, and the treatment link. Every
+# fact carries the embedding of its description, which retrieval searches.
+chain_text = "3 Hz spike-wave discharge accompanies absence seizure in epilepsy"
+chain = store.add_hyperedge(chain_text, {swd, absence, epilepsy}, embedder.embed(chain_text))
+treatment_text = "valproate is first-line for epilepsy with absence seizure"
 treatment = store.add_hyperedge(
-    "valproate is first-line for epilepsy with absence seizure",
-    {valproate, epilepsy, absence},
+    treatment_text, {valproate, epilepsy, absence}, embedder.embed(treatment_text)
 )
 
 print("entities:", len(store.entities), " hyperedges:", len(store.hyperedges))

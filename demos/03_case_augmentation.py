@@ -46,8 +46,7 @@ for record in (complete, incomplete, unrelated):
 
 # "medication" is present in 2 of 3 cases (>= 50%), so the incomplete case
 # qualifies. Its nearest neighbor is the near-twin epilepsy case.
-report = augment_pseudo_cases(store, embedder, tau=0.60)
-for fill in report.fills:
+for fill in augment_pseudo_cases(store, embedder, tau=0.60):
     print(
         f"\nrecipient {fill.recipient}\n"
         f"donor     {fill.donor}  (cosine {fill.similarity:.3f})\n"

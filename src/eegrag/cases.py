@@ -102,14 +102,6 @@ class FillRecord:
     synthetic_hash: str
 
 
-@dataclass
-class AugmentationReport:
-    fills: list[FillRecord] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.fills)
-
-
 class CaseStore:
     """Case hyperedges keyed by hash, saved as ``FILE`` in a store directory."""
 
@@ -186,8 +178,9 @@ def augment_pseudo_cases(
     store: CaseStore,
     embedder: Embedder,
     tau: float = 0.80,
-) -> AugmentationReport:
-    """Create synthetic pseudo-cases for records missing prevalent attributes.
+) -> list[FillRecord]:
+    """Create synthetic pseudo-cases for records missing prevalent attributes;
+    returns one ``FillRecord`` per pseudo-case created.
 
     An attribute counts as missing when at least half of the real cases have
     it and this case does not. For each such case the nearest other real
@@ -210,7 +203,7 @@ def augment_pseudo_cases(
     counts = Counter(name for c in real for name in c.attributes)
     prevalent = sorted(name for name, n in counts.items() if n >= threshold)
 
-    report = AugmentationReport()
+    fills: list[FillRecord] = []
     vectors = [embed_case(c.h, c.canonical, embedder) for c in real]
     for case, vector in zip(real, vectors):
         missing = [a for a in prevalent if a not in case.attributes]
@@ -245,10 +238,8 @@ def augment_pseudo_cases(
             synthetic=True,
             eeg_refs=list(case.eeg_refs),
         )
-        report.fills.append(
-            FillRecord(case.h, donor.h, fillable, best[0], synthetic_hash)
-        )
-    return report
+        fills.append(FillRecord(case.h, donor.h, fillable, best[0], synthetic_hash))
+    return fills
 
 
 def load_records(path: str | Path) -> list[PatientRecord]:

@@ -17,7 +17,7 @@ from .cases import CaseStore, augment_pseudo_cases, embed_case, load_records
 from .config import PipelineConfig
 from .eeg import EegVectorDatabase, load_recording
 from .embedding import HashedTokenEmbedder
-from .errors import EegragError, PreconditionError
+from .errors import ComparabilityError, EegragError, PreconditionError
 from .evaluation import load_qa, run_benchmark
 from .hypergraph import CASE_LAYER, BipartiteStore, NameIndex
 from .knowledge import RuleBasedExtractor, build_kgh, load_documents, load_fact_sidecar
@@ -59,7 +59,7 @@ def cmd_ingest_docs(args: argparse.Namespace) -> int:
     docs = load_documents(args.input)
     report = build_kgh(docs, extractor, embedder, store)
     save_stores(args.store, store=store)
-    print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+    print(json.dumps(vars(report), sort_keys=True, indent=2))
     return 0
 
 
@@ -92,7 +92,7 @@ def cmd_ingest_cases(args: argparse.Namespace) -> int:
             if members:
                 before = len(store.hyperedges)
                 vector = embed_case(h, case.canonical, embedder)
-                store.add_hyperedge(case.canonical, members, layer=CASE_LAYER, embedding=vector)
+                store.add_hyperedge(case.canonical, members, vector, CASE_LAYER)
                 if len(store.hyperedges) > before:
                     linked += 1
 
@@ -126,7 +126,10 @@ def cmd_ingest_eeg(args: argparse.Namespace) -> int:
         if rec.id in evd.entries:
             skipped += 1
             continue
-        evd.insert_recording(rec)
+        try:
+            evd.insert_recording(rec)
+        except ComparabilityError as exc:
+            raise ComparabilityError(f"{path}: {exc}") from exc
         inserted += 1
     save_stores(args.store, evd=evd)
     print(json.dumps({"recordings_inserted": inserted, "recordings_skipped": skipped}, sort_keys=True, indent=2))

@@ -70,10 +70,6 @@ class EegRecording:
                 raise PreconditionError(f"channel {ch.name!r} contains non-finite samples")
 
     @property
-    def n_channels(self) -> int:
-        return len(self.channels)
-
-    @property
     def channel_names(self) -> list[str]:
         return [ch.name for ch in self.channels]
 
@@ -304,9 +300,12 @@ class EegVectorDatabase:
     """Exhaustive DTW search over PAA-compressed recordings.
 
     Build phase is single-writer; ``seal()`` freezes the database and
-    enables retrieval. ``channel_blocked`` switches DTW from one pass over
-    the whole concatenated vector to one pass per channel block with the
-    distances summed, which forbids warping across channel boundaries.
+    enables retrieval. One database holds one layout: the first stored
+    recording's channel count, ``n_segments`` per channel, is every other
+    recording's and every query's. ``channel_blocked`` switches DTW from
+    one pass over the whole concatenated vector to one pass per channel
+    block with the distances summed, which forbids warping across channel
+    boundaries.
     """
 
     FILE = "evd.jsonl"
@@ -314,7 +313,7 @@ class EegVectorDatabase:
     n_segments: int = 20
     band: int | None = None
     channel_blocked: bool = False
-    entries: dict[str, EvdEntry] = field(default_factory=dict)
+    entries: dict[str, EvdEntry] = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         if self.n_segments < 1:
@@ -334,8 +333,22 @@ class EegVectorDatabase:
         if rec.id in self.entries:
             raise PreconditionError(f"duplicate recording id {rec.id!r}")
         emb = eeg_embed(rec, self.n_segments)
-        self.entries[rec.id] = EvdEntry(rec.id, rec.patient_hash, rec.sample_rate, emb)
+        self._add(EvdEntry(rec.id, rec.patient_hash, rec.sample_rate, emb))
         return rec.id
+
+    def _check_layout(self, emb: PaaEmbedding) -> None:
+        """Raise ``ComparabilityError`` unless ``emb`` has the stored layout."""
+        first = next(iter(self.entries.values()), None)
+        channels = emb.n_channels if first is None else first.embedding.n_channels
+        if (emb.n_channels, emb.segments_per_channel) != (channels, self.n_segments):
+            raise ComparabilityError(
+                f"{emb.n_channels} channels x {emb.segments_per_channel} segments; "
+                f"the EEG database holds {channels} x {self.n_segments}"
+            )
+
+    def _add(self, entry: EvdEntry) -> None:
+        self._check_layout(entry.embedding)
+        self.entries[entry.id] = entry
 
     def get(self, recording_id: str) -> EvdEntry:
         try:
@@ -365,13 +378,7 @@ class EegVectorDatabase:
             raise PreconditionError("k must be >= 1")
         if not self.entries:
             return []
-        c = query.n_channels
-        mismatched = sorted(rid for rid, e in self.entries.items() if e.embedding.n_channels != c)
-        if mismatched:
-            raise ComparabilityError(
-                f"query has {query.n_channels} channels; incompatible stored "
-                f"recordings: {mismatched}"
-            )
+        self._check_layout(query)
         q = self._blocks(query)
         best: list[tuple[float, str]] = []  # ascending; at most k
         for rid, e in self.entries.items():
@@ -420,8 +427,9 @@ class EegVectorDatabase:
     ) -> "EegVectorDatabase":
         """The embeddings saved under ``directory`` with ``n_segments``; none without ``FILE``.
 
-        A row embedded under other settings, or whose embedding is invalid
-        (see ``PaaEmbedding``), is rejected, naming its line.
+        A row embedded under other settings, whose embedding is invalid (see
+        ``PaaEmbedding``), or whose channel count differs from the first
+        row's, is rejected, naming its line.
         """
 
         def entry(row: dict) -> EvdEntry:
@@ -441,5 +449,7 @@ class EegVectorDatabase:
             )
 
         path = Path(directory) / cls.FILE
-        entries = read_jsonl(path, entry) if path.exists() else []
-        return cls(n_segments, band, channel_blocked, {e.id: e for e in entries})
+        db = cls(n_segments, band, channel_blocked)
+        if path.exists():
+            read_jsonl(path, lambda row: db._add(entry(row)))
+        return db

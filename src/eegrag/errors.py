@@ -30,12 +30,4 @@ class ComparabilityError(EegragError, ValueError):
 
 
 class TransportError(EegragError, RuntimeError):
-    """A remote extractor or generation client failed after retry exhaustion.
-
-    ``retryable`` records whether the underlying failure class was transient;
-    callers that implement their own retry policy may inspect it.
-    """
-
-    def __init__(self, message: str, *, retryable: bool = True):
-        super().__init__(message)
-        self.retryable = retryable
+    """A remote extractor or generation client failed after retry exhaustion."""

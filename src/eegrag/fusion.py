@@ -164,21 +164,16 @@ def fuse(
     seed_set: set[int] = {h.hyperedge_id for h in bundle.hyperedge_hits}
     seed_set.update(m.entity_id for m in bundle.entity_matches)
 
-    cases: list[PatientCase] = []
-    seen_cases: set[str] = set()
+    # each matched case once, in the order its first match ranks
+    cases: dict[str, PatientCase] = {}
     for match in bundle.eeg_matches:
         ph = match.patient_hash
-        if not ph or case_store is None or ph not in case_store.cases:
-            continue
-        case = case_store.cases[ph]
-        if case.h not in seen_cases:
-            seen_cases.add(case.h)
-            cases.append(case)
-        for mention in find_entity_mentions(case.canonical, store):
-            seed_set.add(mention.entity_id)
+        if ph and case_store is not None and ph in case_store.cases and ph not in cases:
+            cases[ph] = case_store.cases[ph]
+            seed_set.update(m.entity_id for m in find_entity_mentions(cases[ph].canonical, store))
 
     ctx = FusedContext(
-        cases=cases,
+        cases=list(cases.values()),
         eeg_summaries=list(bundle.eeg_matches),
         radius=radius,
         budget=budget,

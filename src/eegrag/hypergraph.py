@@ -65,7 +65,7 @@ class Hyperedge:
     description: str
     members: frozenset[int]
     layer: str
-    embedding: np.ndarray | None = None
+    embedding: np.ndarray
 
 
 @dataclass
@@ -81,7 +81,7 @@ class Neighborhood:
 
 
 class HyperedgeIndex:
-    """The embedded hyperedges of a store as one read-only matrix.
+    """The hyperedges' embeddings as one read-only matrix.
 
     Rows are grouped by layer, ascending id within a layer, so each layer is
     one contiguous block and the whole matrix serves ``layer=None``. Every
@@ -90,9 +90,7 @@ class HyperedgeIndex:
     """
 
     def __init__(self, hyperedges: dict[int, Hyperedge], dim: int):
-        order = sorted(
-            (LAYERS.index(e.layer), hid) for hid, e in hyperedges.items() if e.embedding is not None
-        )
+        order = sorted((LAYERS.index(e.layer), hid) for hid, e in hyperedges.items())
         self.ids = [hid for _, hid in order]
         matrix = np.empty((len(order), dim))
         for row, hid in enumerate(self.ids):
@@ -163,9 +161,7 @@ class BipartiteStore:
         if self._sealed:
             raise StoreSealedError("store is sealed; build a new store to re-ingest")
 
-    def _check_dim(self, embedding: np.ndarray | None) -> np.ndarray | None:
-        if embedding is None:
-            return None
+    def _check_dim(self, embedding: np.ndarray) -> np.ndarray:
         vec = np.asarray(embedding, dtype=np.float64)
         if vec.ndim != 1 or vec.shape[0] != self.embedding_dim:
             raise DimensionMismatchError(
@@ -200,10 +196,11 @@ class BipartiteStore:
         self,
         description: str,
         members: set[int],
+        embedding: np.ndarray,
         layer: str = KNOWLEDGE_LAYER,
-        embedding: np.ndarray | None = None,
     ) -> int:
-        """Store an n-ary relation and index it under every member entity."""
+        """Store an n-ary relation with its embedding and index it under every
+        member entity; re-adding an edge keeps the first embedding."""
         self._require_unsealed()
         if not members:
             raise PreconditionError("hyperedge members must be non-empty")
@@ -215,13 +212,10 @@ class BipartiteStore:
         vec = self._check_dim(embedding)
         member_set = frozenset(members)
         hid = hyperedge_id(description, member_set, layer)
-        existing = self.hyperedges.get(hid)
-        if existing is None:
+        if hid not in self.hyperedges:
             self.hyperedges[hid] = Hyperedge(hid, description, member_set, layer, vec)
             for m in member_set:
                 self.incidence[m].add(hid)
-        elif vec is not None and existing.embedding is None:
-            existing.embedding = vec
         return hid
 
     # -- lookup --------------------------------------------------------------
@@ -306,7 +300,7 @@ class BipartiteStore:
                     "description": edge.description,
                     "members": sorted(edge.members),
                     "layer": edge.layer,
-                    "embedding": None if edge.embedding is None else edge.embedding.tolist(),
+                    "embedding": edge.embedding.tolist(),
                 }
                 for _, edge in sorted(self.hyperedges.items())
             ),

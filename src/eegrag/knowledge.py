@@ -16,7 +16,6 @@ from typing import Protocol, runtime_checkable
 
 from .embedding import Embedder
 from .errors import PreconditionError, TransportError
-from .hashing import collapse_whitespace
 from .hypergraph import KNOWLEDGE_LAYER, BipartiteStore
 from .jsonl import read_jsonl, str_field
 
@@ -117,14 +116,11 @@ class RuleBasedExtractor:
 
 
 def _validate_facts(raw: list[Fact], doc_id: str) -> list[Fact]:
-    """Drop degenerate facts and whitespace-normalize entity names."""
+    """Drop blank entity names, then the facts left degenerate; ``add_entity``
+    normalizes the names."""
     kept = []
     for fact in raw:
-        entities = [
-            EntitySpec(collapse_whitespace(e.name), e.etype, e.definition)
-            for e in fact.entities
-            if e.name and e.name.strip()
-        ]
+        entities = [e for e in fact.entities if e.name and e.name.strip()]
         if not entities or not fact.description.strip():
             logger.info("dropping degenerate fact from document %s: %r", doc_id, fact.description)
             continue
@@ -140,9 +136,6 @@ class IngestReport:
     entities_merged: int = 0
     hyperedges_added: int = 0
     hyperedges_merged: int = 0
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
 
 
 def build_kgh(
@@ -168,9 +161,7 @@ def build_kgh(
         try:
             raw = extractor.extract(doc)
         except TransportError as exc:
-            raise TransportError(
-                f"extraction failed for document {doc.id!r}: {exc}", retryable=exc.retryable
-            ) from exc
+            raise TransportError(f"extraction failed for document {doc.id!r}: {exc}") from exc
         facts = _validate_facts(raw, doc.id)
         report.facts_dropped += len(raw) - len(facts)
         for fact in facts:
@@ -185,10 +176,7 @@ def build_kgh(
                     report.entities_merged += 1
             before = len(store.hyperedges)
             store.add_hyperedge(
-                fact.description,
-                member_ids,
-                layer=KNOWLEDGE_LAYER,
-                embedding=embedder.embed(fact.description),
+                fact.description, member_ids, embedder.embed(fact.description), KNOWLEDGE_LAYER
             )
             if len(store.hyperedges) > before:
                 report.hyperedges_added += 1

@@ -70,9 +70,9 @@ def retrieve_hyperedges(
 ) -> list[ScoredHyperedge]:
     """Top-k hyperedges by cosine between the query embedding and edge embeddings.
 
-    Covers every embedded hyperedge in the selected layer (``layer=None``
-    covers all layers; an unknown layer is a ``PreconditionError``). Ties
-    break by ascending hyperedge id; edges without embeddings are skipped.
+    Covers every hyperedge in the selected layer (``layer=None`` covers all
+    layers; an unknown layer is a ``PreconditionError``). Ties break by
+    ascending hyperedge id.
 
     One matrix-vector product over the store's ``HyperedgeIndex`` only
     filters: it keeps the rows whose approximate cosine is within twice the

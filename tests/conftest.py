@@ -83,8 +83,10 @@ def random_store(
     max_edges: int = 20,
     embedder: HashedTokenEmbedder | None = None,
 ) -> BipartiteStore:
-    """A random bipartite store for property tests (<= 50 nodes by default)."""
-    store = BipartiteStore(embedding_dim=embedder.dim if embedder else 8)
+    """A random bipartite store for property tests (<= 50 nodes by default);
+    each edge carries its description's embedding (8-d by default)."""
+    embedder = embedder or HashedTokenEmbedder(8)
+    store = BipartiteStore(embedding_dim=embedder.dim)
     n_entities = int(rng.integers(1, max_entities + 1))
     entity_ids = []
     for i in range(n_entities):
@@ -95,9 +97,14 @@ def random_store(
         picks = rng.choice(len(entity_ids), size=arity, replace=False)
         members = {entity_ids[i] for i in picks}
         desc = f"edge {j} over {sorted(members)}"
-        emb = embedder.embed(desc) if embedder else None
-        store.add_hyperedge(desc, members, embedding=emb)
+        store.add_hyperedge(desc, members, embedder.embed(desc))
     return store
+
+
+def add_edge(store: BipartiteStore, description: str, members: set, layer: str = "knowledge"):
+    """``store.add_hyperedge`` with the description's hashed embedding."""
+    vector = HashedTokenEmbedder(store.embedding_dim).embed(description)
+    return store.add_hyperedge(description, members, vector, layer)
 
 
 def reference_bfs(store: BipartiteStore, seeds: set[int], radius: int) -> set[int]:
@@ -126,7 +133,7 @@ def scan_oracle(store: BipartiteStore, query_vec, k: int, layer: str | None) -> 
     scored = sorted(
         (-cosine(query_vec, edge.embedding), hid)
         for hid, edge in store.hyperedges.items()
-        if edge.embedding is not None and (layer is None or edge.layer == layer)
+        if layer is None or edge.layer == layer
     )
     return [(hid, -neg) for neg, hid in scored[:k]]
 

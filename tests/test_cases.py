@@ -191,8 +191,7 @@ class TestAugmentation:
 
     def test_all_complete_is_noop(self):
         store = build_store(self.complete(age="30"), self.complete(age="31"))
-        report = augment_pseudo_cases(store, EMB, tau=0.5)
-        assert len(report) == 0
+        assert augment_pseudo_cases(store, EMB, tau=0.5) == []
         assert len(store) == 2
 
     def test_single_donor_fill(self):
@@ -200,9 +199,9 @@ class TestAugmentation:
         recipient = record(age="31", sex="F", diagnosis="epilepsy")
         filler = record(age="70", sex="M", medication="none", diagnosis="dementia")
         store = build_store(donor, recipient, filler)
-        report = augment_pseudo_cases(store, EMB, tau=0.1)
+        fills = augment_pseudo_cases(store, EMB, tau=0.1)
         # recipient misses `medication` (present in 2/3 cases >= 50%)
-        fills = [f for f in report.fills if f.attributes == ["medication"]]
+        fills = [f for f in fills if f.attributes == ["medication"]]
         assert len(fills) == 1
         fill = fills[0]
         assert fill.recipient == case_id(serialize_case(recipient))
@@ -233,8 +232,7 @@ class TestAugmentation:
         store = build_store(
             record(age="30", sex="F", medication="x"), record(age="99", sex="M")
         )
-        report = augment_pseudo_cases(store, EMB, tau=1.0)
-        assert len(report) == 0
+        assert augment_pseudo_cases(store, EMB, tau=1.0) == []
 
     def test_reals_never_mutated(self):
         donor = record(age="30", sex="F", medication="valproate")
@@ -248,9 +246,8 @@ class TestAugmentation:
 
     def test_synthetic_hash_carries_marker(self):
         store = build_store(record(age="30", sex="F", medication="x"), record(age="31", sex="F"))
-        report = augment_pseudo_cases(store, EMB, tau=0.1)
-        assert len(report) == 1
-        assert report.fills[0].synthetic_hash.endswith("-s")
+        (fill,) = augment_pseudo_cases(store, EMB, tau=0.1)
+        assert fill.synthetic_hash.endswith("-s")
 
     def test_preconditions(self):
         store = build_store(record(age="1"))

@@ -55,6 +55,19 @@ class TestIngest:
         assert report["recordings_inserted"] == 0
         assert report["recordings_skipped"] == 6
 
+    def test_ingest_eeg_rejects_another_channel_count_naming_the_file(self, tmp_path):
+        inputs, store = tmp_path / "eeg", tmp_path / "store"
+        inputs.mkdir()
+        for name in ("rec-001.json", "rec-002.json"):
+            shutil.copy(FIXTURES / "eeg" / name, inputs)
+        rec = json.loads((FIXTURES / "eeg" / "rec-003.json").read_text(encoding="utf-8"))
+        rec["channels"] = rec["channels"][:2]
+        (inputs / "rec-003.json").write_text(json.dumps(rec), encoding="utf-8")
+        code, err = run_cli(["ingest-eeg", inputs, "--store", store])
+        assert code == 2
+        assert f"error: {inputs / 'rec-003.json'}: 2 channels x 20 segments; " in err
+        assert not (store / "evd.jsonl").exists()
+
     @pytest.mark.parametrize(
         "command, unused",
         [
@@ -176,6 +189,7 @@ MISTYPED = [
     ("hyperedges.jsonl", 2, "id", "x", "id is 'x', not an integer"),
     ("hyperedges.jsonl", 2, "id", False, "id is False, not an integer"),
     ("hyperedges.jsonl", 2, "description", 5, "description is 5, not a string"),
+    ("hyperedges.jsonl", 2, "embedding", None, "embedding has dimension (), store expects 256"),
     ("entities.jsonl", 2, "name", 5, "name is 5, not a string"),
     ("entities.jsonl", 2, "id", 1.5, "id is 1.5, not an integer"),
     ("evd.jsonl", 2, "patient_hash", 5, "patient_hash is 5, not a string or null"),

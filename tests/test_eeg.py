@@ -239,7 +239,7 @@ class TestRecordingValidation:
         path = tmp_path / "r1.json"
         path.write_text(json.dumps(obj))
         rec = load_recording(path)
-        assert rec.id == "r1" and rec.n_channels == 1 and rec.channels[0].samples.shape[0] == 2
+        assert rec.id == "r1" and len(rec.channels) == 1 and rec.channels[0].samples.shape[0] == 2
 
     def test_malformed_object(self):
         with pytest.raises(PreconditionError):
@@ -422,6 +422,22 @@ class TestVectorDatabase:
         with pytest.raises(ComparabilityError):
             db.retrieve(make_recording([[1, 2, 3]], rec_id="q"), 1)
 
+    def test_insert_rejects_another_channel_count(self):
+        db = fill_db([make_recording([[1, 2, 3], [4, 5, 6]], rec_id="r1")])
+        with pytest.raises(ComparabilityError, match="1 channels x 4 segments; .* holds 2 x 4"):
+            db.insert_recording(make_recording([[1, 2, 3]], rec_id="r2"))
+        assert list(db.entries) == ["r1"]
+
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_query_with_another_segment_count_rejected(self, blocked):
+        db = EegVectorDatabase(n_segments=4, channel_blocked=blocked)
+        db.insert_recording(make_recording([[1, 2, 3, 4, 5, 6]], rec_id="r1"))
+        db.seal()
+        query = eeg_embed(make_recording([[1, 2, 3, 4, 5, 6]], rec_id="q"), 3)
+        with pytest.raises(ComparabilityError, match="1 channels x 3 segments"):
+            db.retrieve_by_embedding(query, 1)
+        assert db.retrieve_by_embedding(db.get("r1").embedding, 1)[0].distance == 0.0
+
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(53)
         db_rng = np.random.default_rng(54)
@@ -486,6 +502,15 @@ class TestVectorDatabase:
         fill_db(recs, n=3).save(tmp_path)
         rewrite_row(tmp_path / "evd.jsonl", 2, field, value)
         with pytest.raises(PreconditionError, match="evd.jsonl: line 2: "):
+            EegVectorDatabase.load(tmp_path, n_segments=3)
+
+    def test_load_rejects_another_channel_count_naming_its_line(self, tmp_path):
+        rng = np.random.default_rng(59)
+        recs = [make_recording(rng.normal(size=(2, 15)), rec_id=f"r{i}") for i in range(3)]
+        fill_db(recs, n=3).save(tmp_path)
+        rewrite_row(tmp_path / "evd.jsonl", 3, "channel_order", ["ch0"])
+        rewrite_row(tmp_path / "evd.jsonl", 3, "values", lambda v: v[:3])
+        with pytest.raises(PreconditionError, match="evd.jsonl: line 3: 1 channels x 3 segments"):
             EegVectorDatabase.load(tmp_path, n_segments=3)
 
     def test_load_of_empty_file_takes_configured_settings(self, tmp_path):

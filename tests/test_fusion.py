@@ -5,6 +5,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+import eegrag.fusion as fusion_module
 from eegrag.cases import CaseStore, PatientRecord
 from eegrag.config import PipelineConfig
 from eegrag.eeg import EegMatch
@@ -19,7 +20,9 @@ from eegrag.fusion import (
     render_context,
 )
 from eegrag.hypergraph import BipartiteStore
-from eegrag.retrieval import EntityMatch, MetadataQuery, ScoredHyperedge
+from eegrag.retrieval import EntityMatch, MetadataQuery, ScoredHyperedge, find_entity_mentions
+
+from conftest import add_edge
 
 
 def bridging_fixture():
@@ -30,9 +33,9 @@ def bridging_fixture():
     b = store.add_entity("betaden")
     x = store.add_entity("xil")
     y = store.add_entity("yil")
-    bridge = store.add_hyperedge("bridge over both", {a, b})
-    side_a = store.add_hyperedge("side fact on a", {a, x})
-    side_b = store.add_hyperedge("side fact on b", {b, y})
+    bridge = add_edge(store, "bridge over both", {a, b})
+    side_a = add_edge(store, "side fact on a", {a, x})
+    side_b = add_edge(store, "side fact on b", {b, y})
     store.seal()
     seeds = [
         EntityMatch(a, 0, 1, "alphaden", "exact-name"),
@@ -70,8 +73,8 @@ class TestFuse:
         store = BipartiteStore(embedding_dim=4)
         a = store.add_entity("a", definition="def a")
         b = store.add_entity("b")
-        edge = store.add_hyperedge("fact", {a, b})
-        other = store.add_hyperedge("unrelated", {store.add_entity("c")})
+        edge = add_edge(store, "fact", {a, b})
+        other = add_edge(store, "unrelated", {store.add_entity("c")})
         store.seal()
         bundle = RetrievalBundle(hyperedge_hits=[ScoredHyperedge(edge, 0.9, 1)])
         ctx = fuse(bundle, store, radius=0)
@@ -145,7 +148,7 @@ class TestFuse:
             size = int(rng.integers(1, 5))
             members = rng.choice(30, size=size, replace=False, p=weights / weights.sum())
             layer = "case" if j % 10 == 0 else "knowledge"
-            store.add_hyperedge(f"fact {j}", {ents[m] for m in members}, layer=layer)
+            add_edge(store, f"fact {j}", {ents[m] for m in members}, layer=layer)
         store.seal()
         edge_ids = sorted(store.hyperedges)
         for _ in range(20):
@@ -195,7 +198,7 @@ class TestFuse:
     def test_eeg_bridge_to_case_entities(self):
         store = BipartiteStore(embedding_dim=32)
         epilepsy = store.add_entity("epilepsy")
-        edge = store.add_hyperedge("epilepsy fact", {epilepsy})
+        edge = add_edge(store, "epilepsy fact", {epilepsy})
         store.seal()
         cases = CaseStore()
         h = cases.add_record(PatientRecord.from_raw({"diagnosis": "epilepsy", "age": "30"}))
@@ -209,7 +212,7 @@ class TestFuse:
     def test_context_shares_the_stores_records(self):
         store = BipartiteStore(embedding_dim=32)
         epilepsy = store.add_entity("epilepsy")
-        store.add_hyperedge("epilepsy fact", {epilepsy})
+        add_edge(store, "epilepsy fact", {epilepsy})
         store.seal()
         cases = CaseStore()
         h = cases.add_record(PatientRecord.from_raw({"diagnosis": "epilepsy"}))
@@ -220,6 +223,30 @@ class TestFuse:
         assert ctx.cases[0] is cases.cases[h]
         assert ctx.eeg_summaries == matches and ctx.eeg_summaries is not matches
         assert all(a is b for a, b in zip(ctx.eeg_summaries, matches))
+
+    def test_each_matched_case_is_linked_once(self, monkeypatch):
+        store = BipartiteStore(embedding_dim=32)
+        epilepsy, sleep = store.add_entity("epilepsy"), store.add_entity("sleep")
+        edges = {add_edge(store, "epilepsy fact", {epilepsy}), add_edge(store, "sleep fact", {sleep})}
+        store.seal()
+        cases = CaseStore()
+        h1 = cases.add_record(PatientRecord.from_raw({"diagnosis": "epilepsy"}))
+        h2 = cases.add_record(PatientRecord.from_raw({"diagnosis": "sleep apnea"}))
+        cases.seal()
+        patients = [h2, h1, h2, None, "unknown", h1, h2]
+        matches = [EegMatch(f"rec-{i}", ph, float(i), i) for i, ph in enumerate(patients, start=1)]
+        linked = []
+
+        def spy(text, *args):
+            linked.append(text)
+            return find_entity_mentions(text, *args)
+
+        monkeypatch.setattr(fusion_module, "find_entity_mentions", spy)
+        ctx = fuse(RetrievalBundle(eeg_matches=matches), store, cases, radius=1)
+        assert linked == [cases.cases[h2].canonical, cases.cases[h1].canonical]
+        assert [c.h for c in ctx.cases] == [h2, h1]
+        assert {e.hyperedge_id for e in ctx.hyperedges} == edges
+        assert ctx.eeg_summaries == matches
 
     def test_unknown_patient_hash_is_skipped(self):
         store = BipartiteStore(embedding_dim=4)

@@ -12,7 +12,7 @@ from eegrag.errors import (
 )
 from eegrag.hypergraph import BipartiteStore
 
-from conftest import random_store, reference_bfs, rewrite_row
+from conftest import add_edge, random_store, reference_bfs, rewrite_row
 
 
 def make_path_store():
@@ -21,8 +21,8 @@ def make_path_store():
     v1 = store.add_entity("v1")
     v2 = store.add_entity("v2")
     v3 = store.add_entity("v3")
-    e1 = store.add_hyperedge("E1", {v1, v2})
-    e2 = store.add_hyperedge("E2", {v2, v3})
+    e1 = add_edge(store, "E1", {v1, v2})
+    e2 = add_edge(store, "E2", {v2, v3})
     return store, (v1, v2, v3, e1, e2)
 
 
@@ -68,35 +68,42 @@ class TestAddHyperedge:
     def test_incidence_updated_for_every_member(self):
         store = BipartiteStore()
         ids = [store.add_entity(n) for n in "ABC"]
-        edge = store.add_hyperedge("fact", set(ids))
+        edge = add_edge(store, "fact", set(ids))
         for eid in ids:
             assert store.incident_hyperedges(eid) == {edge}
 
     def test_empty_members_rejected(self):
         store = BipartiteStore()
         with pytest.raises(PreconditionError):
-            store.add_hyperedge("fact", set())
+            add_edge(store, "fact", set())
 
     def test_unknown_member_rejected(self):
         store = BipartiteStore()
         store.add_entity("a")
         with pytest.raises(ReferentialError):
-            store.add_hyperedge("fact", {12345})
+            add_edge(store, "fact", {12345})
 
     def test_duplicate_edge_is_merged(self):
         store = BipartiteStore(embedding_dim=2)
         a = store.add_entity("a")
-        first = store.add_hyperedge("fact", {a})
-        again = store.add_hyperedge("fact", {a}, embedding=np.array([1.0, 0.0]))
+        first = store.add_hyperedge("fact", {a}, np.array([1.0, 0.0]))
+        again = store.add_hyperedge("fact", {a}, np.array([0.0, 1.0]))
         assert first == again
         assert len(store.hyperedges) == 1
         np.testing.assert_array_equal(store.hyperedges[first].embedding, [1.0, 0.0])
+
+    def test_embedding_is_required(self):
+        store = BipartiteStore(embedding_dim=2)
+        a = store.add_entity("a")
+        with pytest.raises(DimensionMismatchError):
+            store.add_hyperedge("fact", {a}, None)
+        assert len(store.hyperedges) == 0
 
     def test_unknown_layer_rejected(self):
         store = BipartiteStore()
         a = store.add_entity("a")
         with pytest.raises(PreconditionError):
-            store.add_hyperedge("fact", {a}, layer="bogus")
+            add_edge(store, "fact", {a}, layer="bogus")
 
 
 class TestIncidence:
@@ -195,13 +202,13 @@ class TestLifecycleAndPersistence:
         with pytest.raises(StoreSealedError):
             store.add_entity("b")
         with pytest.raises(StoreSealedError):
-            store.add_hyperedge("f", {a})
+            add_edge(store, "f", {a})
         # reads still work
         assert store.incident_hyperedges(a) == set()
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
-        store = random_store(rng, embedder=None)
+        store = random_store(rng)
         store.save(tmp_path / "store")
         loaded = BipartiteStore.load(tmp_path / "store", store.embedding_dim)
         loaded.save(tmp_path / "store2")
@@ -219,6 +226,7 @@ class TestLifecycleAndPersistence:
             ("layer", "bogus", PreconditionError),
             ("embedding", [1.0, 2.0], DimensionMismatchError),
             ("embedding", [1.0, math.nan, 1.0, 1.0], PreconditionError),
+            ("embedding", None, DimensionMismatchError),
         ],
     )
     def test_load_rejects_malformed_hyperedge_rows(self, tmp_path, field, value, error):
@@ -235,7 +243,7 @@ class TestLifecycleAndPersistence:
             for _ in range(times):
                 a = store.add_entity("a", "t", "def")
                 b = store.add_entity("b", "t", "def")
-                store.add_hyperedge("fact", {a, b})
+                add_edge(store, "fact", {a, b})
             return store
 
         once, twice = build(1), build(2)

@@ -83,12 +83,11 @@ class TestExtraction:
 
         class FlakyExtractor:
             def extract(self, doc):
-                raise TransportError("connection reset", retryable=False)
+                raise TransportError("connection reset")
 
         doc = Document("doc-42", "t", "body")
-        with pytest.raises(TransportError, match="doc-42") as err:
+        with pytest.raises(TransportError, match="'doc-42': connection reset"):
             build_kgh([doc], FlakyExtractor(), EMB, BipartiteStore(embedding_dim=32))
-        assert not err.value.retryable
 
     def test_sidecar_takes_precedence(self, tmp_path):
         sidecar_file = tmp_path / "facts.jsonl"
@@ -106,7 +105,7 @@ class TestBuildKgh:
     def test_zero_documents(self):
         store = BipartiteStore(embedding_dim=32)
         report = build_kgh([], FixedExtractor([]), EMB, store)
-        assert report.to_dict() == {
+        assert vars(report) == {
             "documents": 0,
             "facts_dropped": 0,
             "entities_added": 0,

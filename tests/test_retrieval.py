@@ -13,7 +13,7 @@ from eegrag.retrieval import (
     retrieve_hyperedges,
 )
 
-from conftest import link_oracle, random_store, scan_oracle
+from conftest import add_edge, link_oracle, random_store, scan_oracle
 
 EMB = HashedTokenEmbedder(64)
 
@@ -206,7 +206,7 @@ class TestExpansion:
     def test_empty_and_single(self):
         store = BipartiteStore(embedding_dim=4)
         a = store.add_entity("alpha")
-        edge = store.add_hyperedge("f", {a})
+        edge = add_edge(store, "f", {a})
         store.seal()
         assert expand_entities([], store) == set()
         matches = extract_query_entities(MetadataQuery("alpha"), store)
@@ -242,7 +242,7 @@ class FixedEmbedder:
 
 def tie_store(rng, dim: int) -> tuple[BipartiteStore, np.ndarray]:
     """Random two-layer store whose edge vectors tie exactly, tie up to
-    rounding (scaled copies), nearly tie, vanish, or are missing."""
+    rounding (scaled copies), nearly tie, vanish, or point the opposite way."""
     store = BipartiteStore(embedding_dim=dim)
     entities = [store.add_entity(f"e{i}") for i in range(4)]
     base = rng.normal(size=(3, dim))
@@ -259,9 +259,9 @@ def tie_store(rng, dim: int) -> tuple[BipartiteStore, np.ndarray]:
         elif kind == 4:
             vec = np.zeros(dim)
         else:
-            vec = None
+            vec = -base[rng.integers(3)]
         layer = "case" if rng.random() < 0.3 else "knowledge"
-        store.add_hyperedge(f"edge {j}", {entities[int(rng.integers(4))]}, layer=layer, embedding=vec)
+        store.add_hyperedge(f"edge {j}", {entities[int(rng.integers(4))]}, vec, layer)
     return store, base
 
 
@@ -306,9 +306,8 @@ class TestHyperedgeIndexOracle:
             sealed.seal()
             matrix = sealed.edge_index.matrix
             assert not matrix.flags.writeable
-            embedded = [e for e in sealed.hyperedges.values() if e.embedding is not None]
-            assert matrix.shape == (len(embedded), 8)
-            for edge in embedded:
+            assert matrix.shape == (len(sealed.hyperedges), 8)
+            for edge in sealed.hyperedges.values():
                 assert np.shares_memory(edge.embedding, matrix)
 
     def test_query_dimension_mismatch(self):
