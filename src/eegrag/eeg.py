@@ -16,7 +16,6 @@ with every channel carrying the same number of finite samples.
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 from dataclasses import dataclass, field
@@ -208,53 +207,57 @@ def eeg_embed(rec: EegRecording, n: int) -> PaaEmbedding:
 # -- dynamic time warping ------------------------------------------------------
 
 
-def _dtw_python(
-    a_blocks: list[list[float]],
-    b_blocks: list[list[float]],
-    band: int | None,
-    limit: float = math.inf,
-) -> float:
-    """Sum of the banded DTW of each paired block, or ``inf`` once it must exceed ``limit``.
+# rows of the stored matrix one wavefront scores at once; bounds its buffers
+# to (n + 1) x _SCAN_ROWS x C floats each
+_SCAN_ROWS = 256
 
-    Each block's band is ``band`` widened to |n - m| (``None``: unbounded).
-    Python floats do numpy float64's IEEE arithmetic without a scalar object
-    per cell. Local costs are >= 0 and IEEE addition is monotone, so a
-    block's distance is at least each finished row's minimum: once the
-    finished blocks' sum plus that minimum is strictly greater than
-    ``limit``, no path can come back under it. A pair at exactly ``limit``
-    is computed in full.
+
+def _dtw_rows(query: np.ndarray, rows: np.ndarray, band: int | None) -> np.ndarray:
+    """The banded DTW of ``query`` to each of ``rows``, summed over channel blocks.
+
+    ``query`` is ``(C, n)`` and ``rows`` is ``(R, C, m)``: block c of a row
+    is compared with block c of the query, and a row's C distances are
+    summed in channel order. Each block's band is ``band`` widened to
+    |n - m| (``None``: unbounded).
+
+    The recurrence runs one anti-diagonal s = i + j at a time over every
+    row and block: cell (i, j) reads (i-1, j-1) from diagonal s-2 and
+    (i-1, j), (i, j-1) from s-1, and the band is the index range
+    ceil((s-w)/2) <= i <= floor((s+w)/2). Each cell is |a_i - b_j| +
+    min(diag, up, left), as in the row-by-row recurrence; its inputs are
+    non-negative and finite or inf, so the min does not depend on the order
+    it compares them in, and every distance is that recurrence's to the bit.
     """
-    inf = math.inf
-    total = 0.0
-    for a, b in zip(a_blocks, b_blocks):
-        n, m = len(a), len(b)
-        w = max(n, m) if band is None else max(band, abs(n - m))
-        prev = [inf] * (m + 1)
-        prev[0] = 0.0
-        for i in range(1, n + 1):
-            cur = [inf] * (m + 1)
-            lo = max(1, i - w)
-            hi = min(m, i + w)
-            ai = a[i - 1]
-            # diag, up and left are prev[j-1], prev[j] and cur[j-1], compared
-            # in that order; cur[lo-1] is always inf
-            diag, left = prev[lo - 1], inf
-            for j in range(lo, hi + 1):
-                up = prev[j]
-                best = diag
-                if up < best:
-                    best = up
-                if left < best:
-                    best = left
-                left = abs(ai - b[j - 1]) + best
-                cur[j] = left
-                diag = up
-            # left, the row's last cell, is at least the row's minimum, so
-            # testing it first skips the min() where it could not abandon
-            if limit < inf and total + left > limit and total + min(cur[lo : hi + 1]) > limit:
-                return inf
-            prev = cur
-        total += prev[m]
+    c, n = query.shape
+    r, _, m = rows.shape
+    w = max(n, m) if band is None else max(band, abs(n - m))
+    q = np.ascontiguousarray(query.T)[:, None, :]  # (n, 1, C)
+    rev = np.ascontiguousarray(rows[:, :, ::-1].transpose(2, 0, 1))  # rev[m-j] is b_j, (m, R, C)
+    # diagonals indexed by i; entries outside a diagonal's band stay inf
+    prev2 = np.full((n + 1, r, c), math.inf)
+    prev2[0] = 0.0  # diagonal 0: D(0, 0)
+    prev1 = np.full((n + 1, r, c), math.inf)
+    cur = np.full((n + 1, r, c), math.inf)
+    best = np.empty((n, r, c))
+    cost = np.empty((n, r, c))
+    for s in range(2, n + m + 1):
+        lo = max(1, s - m, (s - w + 1) // 2)
+        hi = min(n, s - 1, (s + w) // 2)
+        # the next two diagonals read this one from lo-1 up; lo and hi never
+        # decrease with s, so this buffer's cells above hi were never written
+        # and only cur[lo-1] can hold a finite value from three diagonals back
+        cur[lo - 1] = math.inf
+        if lo <= hi:
+            k = hi - lo + 1
+            np.minimum(prev2[lo - 1 : hi], prev1[lo - 1 : hi], out=best[:k])
+            np.minimum(best[:k], prev1[lo : hi + 1], out=best[:k])
+            np.subtract(q[lo - 1 : hi], rev[m - s + lo : m - s + hi + 1], out=cost[:k])
+            np.abs(cost[:k], out=cost[:k])
+            np.add(cost[:k], best[:k], out=cur[lo : hi + 1])
+        prev2, prev1, cur = prev1, cur, prev2
+    total = np.zeros(r)
+    for block in range(c):
+        total += prev1[n, :, block]
     return total
 
 
@@ -271,7 +274,7 @@ def dtw(a, b, band: int | None = None) -> float:
         raise PreconditionError("dtw inputs must be non-empty")
     if band is not None and band < 0:
         raise PreconditionError("band width must be >= 0")
-    return _dtw_python([a.tolist()], [b.tolist()], band)
+    return float(_dtw_rows(a[None, :], b[None, None, :], band)[0])
 
 
 # -- the vector database -------------------------------------------------------
@@ -301,11 +304,12 @@ class EegVectorDatabase:
 
     Build phase is single-writer; ``seal()`` freezes the database and
     enables retrieval. One database holds one layout: the first stored
-    recording's channel count, ``n_segments`` per channel, is every other
-    recording's and every query's. ``channel_blocked`` switches DTW from
-    one pass over the whole concatenated vector to one pass per channel
-    block with the distances summed, which forbids warping across channel
-    boundaries.
+    recording's channels, by name and in order, with ``n_segments`` each,
+    are every other recording's and every query's, so a column of the
+    sealed matrix is one channel's segment in every row. ``channel_blocked``
+    switches DTW from one pass over the whole concatenated vector to one
+    pass per channel block with the distances summed, which forbids warping
+    across channel boundaries.
     """
 
     FILE = "evd.jsonl"
@@ -339,11 +343,15 @@ class EegVectorDatabase:
     def _check_layout(self, emb: PaaEmbedding) -> None:
         """Raise ``ComparabilityError`` unless ``emb`` has the stored layout."""
         first = next(iter(self.entries.values()), None)
-        channels = emb.n_channels if first is None else first.embedding.n_channels
-        if (emb.n_channels, emb.segments_per_channel) != (channels, self.n_segments):
+        channels = emb.channel_order if first is None else first.embedding.channel_order
+        if (emb.n_channels, emb.segments_per_channel) != (len(channels), self.n_segments):
             raise ComparabilityError(
                 f"{emb.n_channels} channels x {emb.segments_per_channel} segments; "
-                f"the EEG database holds {channels} x {self.n_segments}"
+                f"the EEG database holds {len(channels)} x {self.n_segments}"
+            )
+        if emb.channel_order != channels:
+            raise ComparabilityError(
+                f"channels {emb.channel_order}; the EEG database holds {channels}"
             )
 
     def _add(self, entry: EvdEntry) -> None:
@@ -357,20 +365,25 @@ class EegVectorDatabase:
             raise NotFoundError(f"unknown recording id {recording_id!r}") from None
 
     def seal(self) -> None:
+        """Freeze the database and stack its embeddings into one read-only matrix.
+
+        Rows are in ascending id order, and every entry's ``values`` becomes
+        a view of its row, so each vector is held once.
+        """
+        self._ids = sorted(self.entries)
+        embeddings = [self.entries[rid].embedding for rid in self._ids]
+        self._matrix = np.vstack([e.values for e in embeddings]) if embeddings else np.empty((0, 0))
+        self._matrix.flags.writeable = False
+        for emb, row in zip(embeddings, self._matrix):
+            emb.values = row
         self._sealed = True
 
-    def _blocks(self, embedding: PaaEmbedding) -> list[list[float]]:
-        """The kernel's input: one block per channel when ``channel_blocked``, else one."""
-        if self.channel_blocked:
-            return embedding.channel_blocks().tolist()
-        return [embedding.values.tolist()]
-
     def retrieve_by_embedding(self, query: PaaEmbedding, k: int) -> list[EegMatch]:
-        """The k smallest ``(distance, id)`` over every entry, visited in order.
+        """The k smallest ``(distance, id)`` over every entry, ties by ascending id.
 
-        Each candidate's DTW is abandoned once it must exceed the k-th best
-        distance seen so far; those candidates could not enter the top k, so
-        the result is the full sort's first k, ties by ascending id.
+        Every in-band cell of every entry is computed, ``_SCAN_ROWS`` rows
+        of the sealed matrix per wavefront; rows are in id order, so a
+        stable sort of the distances breaks ties by id.
         """
         if not self._sealed:
             raise PreconditionError("seal the database before retrieval")
@@ -379,17 +392,19 @@ class EegVectorDatabase:
         if not self.entries:
             return []
         self._check_layout(query)
-        q = self._blocks(query)
-        best: list[tuple[float, str]] = []  # ascending; at most k
-        for rid, e in self.entries.items():
-            limit = best[-1][0] if len(best) == k else math.inf
-            scored = (_dtw_python(q, self._blocks(e.embedding), self.band, limit), rid)
-            if len(best) < k or scored < best[-1]:
-                bisect.insort(best, scored)
-                del best[k:]
+        blocks = query.n_channels if self.channel_blocked else 1
+        q = query.values.reshape(blocks, -1)
+        rows = self._matrix.reshape(len(self._ids), blocks, -1)
+        distances = np.concatenate(
+            [
+                _dtw_rows(q, rows[start : start + _SCAN_ROWS], self.band)
+                for start in range(0, len(rows), _SCAN_ROWS)
+            ]
+        )
+        top = np.argsort(distances, kind="stable")[:k].tolist()
         return [
-            EegMatch(rid, self.entries[rid].patient_hash, dist, rank)
-            for rank, (dist, rid) in enumerate(best, start=1)
+            EegMatch(self._ids[row], self.entries[self._ids[row]].patient_hash, float(distances[row]), rank)
+            for rank, row in enumerate(top, start=1)
         ]
 
     def retrieve(self, query: EegRecording, k: int) -> list[EegMatch]:

@@ -24,7 +24,7 @@ from typing import Protocol, runtime_checkable
 from .cases import CaseStore, PatientCase
 from .eeg import EegMatch
 from .errors import PreconditionError, ReferentialError, TransportError
-from .hypergraph import BipartiteStore, Entity
+from .hypergraph import BipartiteStore, Entity, Hyperedge
 from .retrieval import EntityMatch, MetadataQuery, ScoredHyperedge, find_entity_mentions
 
 logger = logging.getLogger(__name__)
@@ -56,8 +56,10 @@ class RetrievalBundle:
     expansion_edges: set[int] = field(default_factory=set)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ContextEdge:
+    """One kept hyperedge of a context, as ``FusedContext.hyperedges`` reads it."""
+
     hyperedge_id: int
     description: str
     reason: str  # "retrieved" | "expansion" | "closure"
@@ -69,11 +71,16 @@ class ContextEdge:
 class FusedContext:
     """The fused subgraph context: ranked edges plus their full entity support.
 
-    Entities, cases and EEG matches are the sealed stores' own records,
-    shared rather than copied; a context only reads them.
+    Kept hyperedges, entities, cases and EEG matches are the sealed stores'
+    own records, shared rather than copied; a context only reads them. The
+    kept edges' own fields sit in columns beside ``edges``, best first, so
+    a context holds no object per edge; ``hyperedges`` reads them as rows.
     """
 
-    hyperedges: list[ContextEdge] = field(default_factory=list)
+    edges: list[Hyperedge] = field(default_factory=list)
+    reasons: list[str] = field(default_factory=list)  # "retrieved" | "expansion" | "closure"
+    connectivity: list[int] = field(default_factory=list)
+    scores: list[float | None] = field(default_factory=list)
     entities: list[Entity] = field(default_factory=list)
     cases: list[PatientCase] = field(default_factory=list)
     eeg_summaries: list[EegMatch] = field(default_factory=list)
@@ -81,8 +88,17 @@ class FusedContext:
     budget: int = 0
     truncated: bool = False
 
+    @property
+    def hyperedges(self) -> list[ContextEdge]:
+        return [
+            ContextEdge(edge.id, edge.description, reason, connectivity, score)
+            for edge, reason, connectivity, score in zip(
+                self.edges, self.reasons, self.connectivity, self.scores
+            )
+        ]
+
     def is_empty(self) -> bool:
-        return not (self.hyperedges or self.cases or self.eeg_summaries)
+        return not (self.edges or self.cases or self.eeg_summaries)
 
     def to_dict(self) -> dict:
         return {
@@ -208,9 +224,10 @@ def fuse(
             reason = "expansion"
         else:
             reason = "closure"
-        ctx.hyperedges.append(
-            ContextEdge(hid, edge.description, reason, connectivity, score)
-        )
+        ctx.edges.append(edge)
+        ctx.reasons.append(reason)
+        ctx.connectivity.append(connectivity)
+        ctx.scores.append(score)
         entity_ids |= edge.members
 
     ctx.entities = [store.entities[eid] for eid in sorted(entity_ids)]
@@ -260,8 +277,8 @@ def _candidates(
 def render_context(ctx: FusedContext) -> str:
     """Deterministic text rendering with a fixed section order."""
     lines = ["[Knowledge]"]
-    if ctx.hyperedges:
-        lines.extend(f"- {edge.description}" for edge in ctx.hyperedges)
+    if ctx.edges:
+        lines.extend(f"- {edge.description}" for edge in ctx.edges)
     else:
         lines.append("(none)")
     lines.append("")

@@ -68,6 +68,18 @@ class TestIngest:
         assert f"error: {inputs / 'rec-003.json'}: 2 channels x 20 segments; " in err
         assert not (store / "evd.jsonl").exists()
 
+    def test_ingest_eeg_rejects_another_channel_order_naming_the_file(self, tmp_path):
+        inputs, store = tmp_path / "eeg", tmp_path / "store"
+        inputs.mkdir()
+        shutil.copy(FIXTURES / "eeg" / "rec-001.json", inputs)
+        rec = json.loads((FIXTURES / "eeg" / "rec-002.json").read_text(encoding="utf-8"))
+        rec["channels"][0], rec["channels"][1] = rec["channels"][1], rec["channels"][0]
+        (inputs / "rec-002.json").write_text(json.dumps(rec), encoding="utf-8")
+        code, err = run_cli(["ingest-eeg", inputs, "--store", store])
+        assert code == 2
+        assert f"error: {inputs / 'rec-002.json'}: channels ['Fp2', 'Fp1', 'C3', 'C4']; " in err
+        assert not (store / "evd.jsonl").exists()
+
     @pytest.mark.parametrize(
         "command, unused",
         [
@@ -289,6 +301,15 @@ class TestQuery:
         top = result["traces"]["eeg"][0]
         assert top["recording_id"] == "rec-003"
         assert top["distance"] == 0.0
+
+    def test_eeg_file_with_other_channel_names_exits_2(self, built_store, tmp_path):
+        rec = json.loads((FIXTURES / "eeg" / "rec-003.json").read_text(encoding="utf-8"))
+        for name, channel in zip("WXYZ", rec["channels"]):
+            channel["name"] = name
+        (tmp_path / "q.json").write_text(json.dumps(rec), encoding="utf-8")
+        code, err = run_cli(["query", "what is this", "--eeg", tmp_path / "q.json", "--store", built_store])
+        assert code == 2
+        assert "error: channels ['W', 'X', 'Y', 'Z']; the EEG database holds ['Fp1', 'Fp2', 'C3', 'C4']" in err
 
     def test_query_against_empty_knowledge_store(self, tmp_path, capsys):
         store = tmp_path / "empty"

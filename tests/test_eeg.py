@@ -6,7 +6,7 @@ import pytest
 
 import eegrag.eeg as eeg_module
 from eegrag.eeg import (
-    _dtw_python,
+    _dtw_rows,
     _paa_plan,
     Channel,
     EegRecording,
@@ -21,7 +21,7 @@ from eegrag.eeg import (
 )
 from eegrag.errors import ComparabilityError, PreconditionError, StoreSealedError
 
-from conftest import eeg_topk_oracle, rewrite_row
+from conftest import dtw_python, eeg_topk_oracle, rewrite_row
 
 
 def float64_recurrence(a: np.ndarray, b: np.ndarray, w: int) -> np.float64:
@@ -298,8 +298,8 @@ class TestDtw:
             dtw([1.0], [1.0], band=-1)
 
     def test_kernel_equals_the_recurrence_on_float64_scalars(self):
-        # the kernel reads Python floats; numpy float64 scalars must give
-        # the same IEEE results, cell by cell, with and without a band
+        # the recurrence on numpy float64 scalars, cell by cell, must give
+        # the kernel's IEEE results, with and without a band
         rng = np.random.default_rng(46)
         for _ in range(60):
             a = rng.normal(size=int(rng.integers(1, 40))) * 10.0 ** rng.uniform(-6, 6)
@@ -309,55 +309,37 @@ class TestDtw:
             assert dtw(a, b, band=band) == float64_recurrence(a, b, w)
 
 
-class TestAbandoningKernel:
-    def test_returns_the_distance_or_inf_only_past_the_limit(self):
-        # a leading one-value block [0.0] vs [lead] has distance exactly
-        # ``lead``, so the kernel carries a known sum into the second block
-        rng = np.random.default_rng(47)
-        for _ in range(200):
-            a = rng.normal(size=int(rng.integers(1, 25))).tolist()
-            b = rng.normal(size=int(rng.integers(1, 25))).tolist()
-            band = None if rng.random() < 0.5 else int(rng.integers(0, 4))
-            d = _dtw_python([a], [b], band)
-            lead = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 3.0))
-            blocks_a, blocks_b = [[0.0], a], [[lead], b]
-            total = lead + d
-            assert _dtw_python(blocks_a, blocks_b, band) == total
-            for limit in (
-                total,
-                math.nextafter(total, math.inf),
-                math.nextafter(total, -math.inf),
-                total * float(rng.uniform(0.0, 1.0)),
-                float(rng.uniform(0.0, 2.0 * total + 1.0)),
-                0.0,
-                math.inf,
-            ):
-                got = _dtw_python(blocks_a, blocks_b, band, limit)
-                if total <= limit:
-                    assert got == total
-                else:
-                    assert got == total or got == math.inf
+def random_batch(rng: np.random.Generator):
+    """A query ``(C, n)``, rows ``(R, C, m)`` and a band for the kernel: n != m
+    in most batches, values at magnitudes 1e-8 to 1e8, or small integers so
+    that distances tie exactly."""
+    c, r = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+    n, m = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+    band = None if rng.random() < 0.3 else int(rng.integers(0, 6))
+    if rng.random() < 0.3:
+        return rng.integers(-3, 4, size=(c, n)) * 1.0, rng.integers(-3, 4, size=(r, c, m)) * 1.0, band
+    scale = 10.0 ** rng.uniform(-8.0, 8.0)
+    return rng.normal(size=(c, n)) * scale, rng.normal(size=(r, c, m)) * scale, band
 
-    def test_abandons_inside_a_later_block_on_the_finished_blocks_sum(self):
-        # [0, 0] vs [1, 1] costs 2 with a first-row minimum of 1, within the
-        # limit alone; after a finished block of 1.5 that row already exceeds it
-        assert _dtw_python([[0.0, 0.0]], [[1.0, 1.0]], None, 2.0) == 2.0
-        assert _dtw_python([[0.0], [0.0, 0.0]], [[1.5], [1.0, 1.0]], None, 3.5) == 3.5
-        assert _dtw_python([[0.0], [0.0, 0.0]], [[1.5], [1.0, 1.0]], None, 2.0) == math.inf
+
+class TestBatchedKernel:
+    def test_equals_the_scalar_oracle_on_random_batches(self):
+        rng = np.random.default_rng(47)
+        for _ in range(600):
+            query, rows, band = random_batch(rng)
+            expected = [dtw_python(query.tolist(), row.tolist(), band) for row in rows]
+            assert _dtw_rows(query, rows, band).tolist() == expected
 
     def test_blocks_sum_in_order_with_each_band_widened(self):
         rng = np.random.default_rng(48)
         for _ in range(50):
-            blocks = [
-                (rng.normal(size=int(rng.integers(1, 12))), rng.normal(size=int(rng.integers(1, 12))))
-                for _ in range(int(rng.integers(1, 5)))
-            ]
+            c, n, m = (int(x) for x in rng.integers(1, 12, size=3))
+            query, row = rng.normal(size=(c, n)), rng.normal(size=(c, m))
             band = None if rng.random() < 0.5 else int(rng.integers(0, 3))
             expected = 0.0
-            for a, b in blocks:
+            for a, b in zip(query, row):
                 expected += dtw(a, b, band=band)
-            got = _dtw_python([a.tolist() for a, _ in blocks], [b.tolist() for _, b in blocks], band)
-            assert got == expected
+            assert _dtw_rows(query, row[None], band).tolist() == [expected]
 
 
 def fill_db(recordings, n=4) -> EegVectorDatabase:
@@ -427,6 +409,20 @@ class TestVectorDatabase:
         with pytest.raises(ComparabilityError, match="1 channels x 4 segments; .* holds 2 x 4"):
             db.insert_recording(make_recording([[1, 2, 3]], rec_id="r2"))
         assert list(db.entries) == ["r1"]
+
+    def test_channel_order_is_part_of_the_layout(self):
+        # the same two signals in swapped channels, then under other names
+        signals = np.random.default_rng(61).normal(size=(2, 12))
+        db = fill_db([make_recording(signals, rec_id="r1")])
+        swapped = EegRecording("r2", 100.0, [Channel("ch1", signals[1]), Channel("ch0", signals[0])])
+        with pytest.raises(ComparabilityError, match=r"channels \['ch1', 'ch0'\]; .* holds \['ch0', 'ch1'\]"):
+            db.insert_recording(swapped)
+        assert list(db.entries) == ["r1"]
+        db.seal()
+        renamed = EegRecording("q", 100.0, [Channel("X", signals[0]), Channel("Y", signals[1])])
+        with pytest.raises(ComparabilityError, match=r"channels \['X', 'Y'\]"):
+            db.retrieve(renamed, 1)
+        assert db.retrieve(make_recording(signals, rec_id="q"), 1)[0].distance == 0.0
 
     @pytest.mark.parametrize("blocked", [False, True])
     def test_query_with_another_segment_count_rejected(self, blocked):
@@ -513,6 +509,14 @@ class TestVectorDatabase:
         with pytest.raises(PreconditionError, match="evd.jsonl: line 3: 1 channels x 3 segments"):
             EegVectorDatabase.load(tmp_path, n_segments=3)
 
+    def test_load_rejects_another_channel_order_naming_its_line(self, tmp_path):
+        rng = np.random.default_rng(62)
+        recs = [make_recording(rng.normal(size=(2, 15)), rec_id=f"r{i}") for i in range(3)]
+        fill_db(recs, n=3).save(tmp_path)
+        rewrite_row(tmp_path / "evd.jsonl", 2, "channel_order", ["ch1", "ch0"])
+        with pytest.raises(PreconditionError, match=r"evd.jsonl: line 2: channels \['ch1', 'ch0'\]"):
+            EegVectorDatabase.load(tmp_path, n_segments=3)
+
     def test_load_of_empty_file_takes_configured_settings(self, tmp_path):
         (tmp_path / "evd.jsonl").write_text("")
         loaded = EegVectorDatabase.load(tmp_path, n_segments=7)
@@ -555,6 +559,8 @@ def paired_db(band, blocked, seed=56) -> tuple[EegVectorDatabase, np.random.Gene
 
 
 class TestAbandoningScan:
+    """The scan's top k equals the oracle's, ties at the k-th distance included."""
+
     @pytest.mark.parametrize(
         "band, blocked",
         [(None, False), (0, False), (2, False), (None, True), (2, True)],
@@ -571,18 +577,35 @@ class TestAbandoningScan:
             assert [(m.distance, m.recording_id) for m in got] == expected
             assert [m.rank for m in got] == list(range(1, len(expected) + 1))
 
-    def test_some_candidate_is_abandoned(self, monkeypatch):
-        db, rng = paired_db(None, False)
-        query = eeg_embed(make_recording(rng.normal(size=(2, 25)), "q"), 5)
-        expected = eeg_topk_oracle(db, query, 1)
-        results = []
 
-        def spy(*args):
-            results.append(_dtw_python(*args))
-            return results[-1]
+class TestBatchedScan:
+    @pytest.mark.parametrize("blocked", [False, True], ids=["plain", "blocked"])
+    @pytest.mark.parametrize("scan_rows", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 3, 24, 26])
+    def test_chunks_merge_to_the_oracle_top_k(self, monkeypatch, blocked, scan_rows, k):
+        # every distance is tied with a twin under a shuffled id, so chunks of
+        # 1 to 3 rows split tied pairs, at the k-th distance too
+        monkeypatch.setattr(eeg_module, "_SCAN_ROWS", scan_rows)
+        db, rng = paired_db(None, blocked)
+        queries = [db.get(rid).embedding for rid in sorted(db.entries)[::7]]
+        queries += [eeg_embed(make_recording(rng.normal(size=(2, 25)), "q"), 5) for _ in range(2)]
+        for query in queries:
+            got = db.retrieve_by_embedding(query, k)
+            assert [(m.distance, m.recording_id) for m in got] == eeg_topk_oracle(db, query, k)
 
-        monkeypatch.setattr(eeg_module, "_dtw_python", spy)
-        got = db.retrieve_by_embedding(query, 1)
-        assert [(m.distance, m.recording_id) for m in got] == expected
-        assert len(results) == len(db)
-        assert math.inf in results
+    def test_entries_view_one_read_only_matrix(self):
+        rng = np.random.default_rng(60)
+        recs = [make_recording(rng.normal(size=(2, 15)), rec_id=f"r{i}") for i in (3, 1, 2)]
+        db = fill_db(recs, n=3)
+        before = {rid: e.embedding.values.copy() for rid, e in db.entries.items()}
+        db.seal()
+        matrix = db._matrix
+        assert matrix.shape == (3, 6) and not matrix.flags.writeable
+        for row, rid in enumerate(sorted(db.entries)):
+            values = db.get(rid).embedding.values
+            assert np.shares_memory(values, matrix)
+            assert values.tobytes() == matrix[row].tobytes() == before[rid].tobytes()
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            db.get("r1").embedding.values[0] = 1.0

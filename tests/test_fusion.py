@@ -12,6 +12,7 @@ from eegrag.eeg import EegMatch
 from eegrag.errors import PreconditionError, ReferentialError, TransportError
 from eegrag.fusion import (
     AblationFlags,
+    ContextEdge,
     HttpChatClient,
     MockGenerationClient,
     RetrievalBundle,
@@ -212,13 +213,15 @@ class TestFuse:
     def test_context_shares_the_stores_records(self):
         store = BipartiteStore(embedding_dim=32)
         epilepsy = store.add_entity("epilepsy")
-        add_edge(store, "epilepsy fact", {epilepsy})
+        edge = add_edge(store, "epilepsy fact", {epilepsy})
         store.seal()
         cases = CaseStore()
         h = cases.add_record(PatientRecord.from_raw({"diagnosis": "epilepsy"}))
         cases.seal()
         matches = [EegMatch("rec-1", h, 0.5, 1), EegMatch("rec-2", None, 0.75, 2)]
         ctx = fuse(RetrievalBundle(eeg_matches=matches), store, cases, radius=1)
+        assert ctx.edges == [store.hyperedges[edge]] and ctx.edges[0] is store.hyperedges[edge]
+        assert ctx.hyperedges == [ContextEdge(edge, "epilepsy fact", "closure", 1, None)]
         assert ctx.entities[0] is store.entities[epilepsy]
         assert ctx.cases[0] is cases.cases[h]
         assert ctx.eeg_summaries == matches and ctx.eeg_summaries is not matches
