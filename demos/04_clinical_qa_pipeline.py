@@ -23,9 +23,10 @@ store = Path(tempfile.mkdtemp(prefix="eegrag-demo-"))
 atexit.register(shutil.rmtree, store, ignore_errors=True)
 
 # Offline single-writer ingestion, one layer at a time. Each command loads
-# only the store files it extends and writes them back: ingest-docs the
-# hypergraph, ingest-cases the hypergraph and the cases, ingest-eeg the EEG
-# database.
+# only the store files it uses: ingest-docs reads the hypergraph and the
+# cases and writes the hypergraph, ingest-cases reads and writes both, and
+# ingest-eeg only the EEG database. Both of the first two rebuild the case
+# layer, so their order does not matter.
 main(["ingest-docs", str(CORPUS / "docs.jsonl"), "--store", str(store)])
 main(["ingest-cases", str(CORPUS / "cases.jsonl"), "--store", str(store)])
 main(["ingest-eeg", str(CORPUS / "eeg"), "--store", str(store)])

@@ -16,7 +16,7 @@ from pathlib import Path
 from .cases import CaseStore, augment_pseudo_cases, embed_case, load_records
 from .config import PipelineConfig
 from .eeg import EegVectorDatabase, load_recording
-from .embedding import HashedTokenEmbedder
+from .embedding import Embedder, HashedTokenEmbedder
 from .errors import ComparabilityError, EegragError, PreconditionError
 from .evaluation import load_qa, run_benchmark
 from .hypergraph import CASE_LAYER, BipartiteStore, NameIndex
@@ -46,9 +46,27 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def link_case_layer(store: BipartiteStore, case_store: CaseStore, embedder: Embedder) -> int:
+    """Rebuild the case layer: one edge per case over the entities its
+    attribute tuple mentions, if any. Every ingest that changes the cases or
+    the entities calls this, so the links never depend on ingest order.
+    Returns the layer's edge count."""
+    store.drop_layer(CASE_LAYER)
+    before = len(store.hyperedges)
+    names = NameIndex(store.entities)
+    for h in sorted(case_store.cases):
+        case = case_store.cases[h]
+        members = {m.entity_id for m in find_entity_mentions(case.canonical, store, names)}
+        if members:
+            vector = embed_case(h, case.canonical, embedder)
+            store.add_hyperedge(case.canonical, members, vector, CASE_LAYER)
+    return len(store.hyperedges) - before
+
+
 def cmd_ingest_docs(args: argparse.Namespace) -> int:
     config = _load_config(args)
     store = BipartiteStore.load(args.store, config.embedding_dim)
+    case_store = CaseStore.load(args.store)
     if args.facts:
         sidecar = load_fact_sidecar(args.facts)
     else:
@@ -58,6 +76,7 @@ def cmd_ingest_docs(args: argparse.Namespace) -> int:
     embedder = HashedTokenEmbedder(config.embedding_dim)
     docs = load_documents(args.input)
     report = build_kgh(docs, extractor, embedder, store)
+    link_case_layer(store, case_store, embedder)
     save_stores(args.store, store=store)
     print(json.dumps(vars(report), sort_keys=True, indent=2))
     return 0
@@ -82,20 +101,7 @@ def cmd_ingest_cases(args: argparse.Namespace) -> int:
     if len(case_store.real_cases()) >= 2:
         fills = len(augment_pseudo_cases(case_store, embedder, tau=config.pseudo_tau))
 
-    linked = 0
-    if store.entities:
-        names = NameIndex(store.entities)  # case linking adds no entities
-        for h in sorted(case_store.cases):
-            case = case_store.cases[h]
-            mentions = find_entity_mentions(case.canonical, store, names)
-            members = {m.entity_id for m in mentions}
-            if members:
-                before = len(store.hyperedges)
-                vector = embed_case(h, case.canonical, embedder)
-                store.add_hyperedge(case.canonical, members, vector, CASE_LAYER)
-                if len(store.hyperedges) > before:
-                    linked += 1
-
+    linked = link_case_layer(store, case_store, embedder)
     save_stores(args.store, store=store, case_store=case_store)
     print(
         json.dumps(

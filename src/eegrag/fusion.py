@@ -25,7 +25,9 @@ from .cases import CaseStore, PatientCase
 from .eeg import EegMatch
 from .errors import PreconditionError, ReferentialError, TransportError
 from .hypergraph import BipartiteStore, Entity, Hyperedge
-from .retrieval import EntityMatch, MetadataQuery, ScoredHyperedge, find_entity_mentions
+from .retrieval import EntityMatch, MetadataQuery, ScoredHyperedge
+# unused: kept only because perfbench/spans.py wraps this name (``fusion.relink``)
+from .retrieval import find_entity_mentions  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -148,15 +150,18 @@ def fuse(
     """Close the retrieval results into one bounded context subgraph.
 
     Seeds are the retrieved hyperedges, the linked query entities, and the
-    entities mentioned by cases reached through EEG matches' patient hashes
-    (the signal-to-symbol bridge). All hyperedges within ``radius`` bipartite
-    hops of a seed are candidates, ranked by (number of distinct seed nodes
-    they connect, retrieval score, id) and capped at ``budget``; members of
-    every kept edge are always included so the context is self-contained.
+    members of the case-layer edges of cases reached through EEG matches'
+    patient hashes (the signal-to-symbol bridge; ``store.case_members``).
+    All hyperedges within ``radius`` bipartite hops of a seed are
+    candidates, ranked by (number of distinct seed nodes they connect,
+    retrieval score, id) and capped at ``budget``; members of every kept
+    edge are always included so the context is self-contained.
 
     EEG matches whose patient hash has no case record contribute no seeds
     (a recording may legitimately lack a linked case).
     """
+    if not store.sealed:
+        raise PreconditionError("fusion requires a sealed store")
     if radius < 0:
         raise PreconditionError("radius must be >= 0")
     if budget < 1:
@@ -186,7 +191,7 @@ def fuse(
         ph = match.patient_hash
         if ph and case_store is not None and ph in case_store.cases and ph not in cases:
             cases[ph] = case_store.cases[ph]
-            seed_set.update(m.entity_id for m in find_entity_mentions(cases[ph].canonical, store))
+            seed_set.update(store.case_members.get(cases[ph].canonical, ()))
 
     ctx = FusedContext(
         cases=list(cases.values()),

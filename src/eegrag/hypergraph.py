@@ -8,8 +8,8 @@ retrieval-fusion stage relies on.
 Lifecycle: a store is mutable while being built (single writer), then
 ``seal()`` freezes it for unlimited concurrent readers. There is no
 reader/writer interleaving; re-ingestion starts from a fresh load. Sealing
-also builds the query indexes (``HyperedgeIndex``, ``NameIndex``); queries
-only read them.
+also builds the query indexes (``HyperedgeIndex``, ``NameIndex``, and
+``case_members``); queries only read them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
 from .hashing import collapse_whitespace, entity_id, hyperedge_id, is_hyperedge_id
 from .jsonl import int_field, read_json, read_jsonl, str_field, write_json, write_jsonl
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 META_FILE = "meta.json"
 
 KNOWLEDGE_LAYER = "knowledge"
@@ -129,6 +129,8 @@ class BipartiteStore:
 
     ``incidence`` is maintained as the exact inverse of the member relation:
     ``e in incidence[v]  <=>  v in members(e)`` for every reachable state.
+    Once sealed, ``case_members`` maps each case-layer edge's description (a
+    case's attribute tuple) to its members, the entities the case mentions.
     """
 
     def __init__(self, embedding_dim: int = 256):
@@ -140,6 +142,7 @@ class BipartiteStore:
         self.incidence: dict[int, set[int]] = {}
         self.edge_index: HyperedgeIndex | None = None
         self.names: NameIndex | None = None
+        self.case_members: dict[str, frozenset[int]] = {}
         self._sealed = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -155,6 +158,8 @@ class BipartiteStore:
             return
         self.edge_index = HyperedgeIndex(self.hyperedges, self.embedding_dim)
         self.names = NameIndex(self.entities)
+        case_edges = map(self.hyperedges.get, self.edge_index.ids[self.edge_index.blocks[CASE_LAYER]])
+        self.case_members = {edge.description: edge.members for edge in case_edges}
         self._sealed = True
 
     def _require_unsealed(self) -> None:
@@ -217,6 +222,13 @@ class BipartiteStore:
             for m in member_set:
                 self.incidence[m].add(hid)
         return hid
+
+    def drop_layer(self, layer: str) -> None:
+        """Delete every hyperedge of ``layer``, and its incidence entries."""
+        self._require_unsealed()
+        for hid in [hid for hid, e in self.hyperedges.items() if e.layer == layer]:
+            for m in self.hyperedges.pop(hid).members:
+                self.incidence[m].discard(hid)
 
     # -- lookup --------------------------------------------------------------
 
@@ -326,7 +338,8 @@ class BipartiteStore:
         def from_meta(meta: dict) -> "BipartiteStore":
             if meta.get("format_version") != FORMAT_VERSION:
                 raise PreconditionError(
-                    f"unsupported store format version {meta.get('format_version')!r}"
+                    f"unsupported store format version {meta.get('format_version')!r}; "
+                    "re-run the ingest commands into an empty store directory"
                 )
             return cls(embedding_dim=meta["embedding_dim"])
 
@@ -350,7 +363,11 @@ class BipartiteStore:
             for m in members:
                 if m not in store.entities:
                     raise ReferentialError(f"hyperedge {hid} references unknown entity {m}")
+            if row["layer"] == CASE_LAYER and case_ids.setdefault(description, hid) != hid:
+                raise PreconditionError(f"case-layer description {description!r} repeats")
             return Hyperedge(hid, description, members, row["layer"], emb)
+
+        case_ids: dict[str, int] = {}  # description -> id of its case-layer edge
 
         store = read_json(directory / META_FILE, from_meta)
         if store.embedding_dim != embedding_dim:

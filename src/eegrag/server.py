@@ -7,14 +7,17 @@ POST /query  {"question": ..., "role"?: ..., "domain"?: ..., "eeg_recording_id"?
              a body over MAX_BODY_BYTES is refused with 413
 GET  /healthz -> store statistics
 
-Requests are independent and the stores are sealed, so the threading
-server needs no locking. Ingestion stays offline by design.
+Any other error inside a query is answered with 500 and logged once, and
+a client that disconnects is logged at debug level; neither prints a
+traceback. Requests are independent and the stores are sealed, so the
+threading server needs no locking. Ingestion stays offline by design.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .errors import EegragError, NotFoundError, TransportError
@@ -88,6 +91,9 @@ class _Handler(BaseHTTPRequestHandler):
             return 502, {"error": str(exc)}
         except EegragError as exc:
             return 400, {"error": str(exc)}
+        except Exception as exc:
+            logger.error("POST /query failed: %s: %s", type(exc).__name__, exc)
+            return 500, {"error": "internal server error"}
 
 
 class PipelineServer(ThreadingHTTPServer):
@@ -96,6 +102,13 @@ class PipelineServer(ThreadingHTTPServer):
     def __init__(self, pipeline: Pipeline, host: str, port: int):
         self.pipeline = pipeline
         super().__init__((host, port), _Handler)
+
+    def handle_error(self, request, client_address) -> None:
+        exc = sys.exc_info()[1]
+        if isinstance(exc, ConnectionError):
+            logger.debug("client %s disconnected: %s", client_address[0], exc)
+        else:
+            super().handle_error(request, client_address)
 
 
 def serve(pipeline: Pipeline, host: str, port: int) -> None:

@@ -22,7 +22,7 @@ from eegrag.hypergraph import BipartiteStore
 from eegrag.pipeline import Pipeline
 from eegrag.retrieval import MetadataQuery, ScoredHyperedge, cosine, retrieve_hyperedges
 
-from conftest import FIXTURES, random_store, reference_bfs
+from conftest import FIXTURES, dtw_python, random_store, reference_bfs
 from test_eeg import dtw_oracle, make_recording, paa_oracle
 from test_fusion import bridging_fixture
 
@@ -98,7 +98,8 @@ def test_retrieval_oracle_equivalence():
         got = [(m.distance, m.recording_id) for m in db.retrieve(query, k)]
         q_emb = eeg_embed(query, n_seg)
         expected = sorted(
-            (dtw(q_emb.values, e.embedding.values), rid) for rid, e in db.entries.items()
+            (dtw_python([q_emb.values.tolist()], [e.embedding.values.tolist()], None), rid)
+            for rid, e in db.entries.items()
         )[:k]
         ok &= got == expected
 

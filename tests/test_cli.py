@@ -83,7 +83,7 @@ class TestIngest:
     @pytest.mark.parametrize(
         "command, unused",
         [
-            ("ingest-docs", [CaseStore, EegVectorDatabase]),
+            ("ingest-docs", [EegVectorDatabase]),
             ("ingest-cases", [EegVectorDatabase]),
             ("ingest-eeg", [BipartiteStore, CaseStore]),
         ],
@@ -169,10 +169,69 @@ class TestIngest:
         for f in built_store.iterdir():
             assert (store / f.name).read_bytes() == f.read_bytes(), f.name
 
+    def test_re_ingest_rebuilds_the_case_layer(self, tmp_path, capsys):
+        # a knowledge layer that grows after the cases were linked re-links
+        # each case in place: one edge per case that mentions an entity
+        few = tmp_path / "docs.jsonl"
+        lines = (FIXTURES / "docs.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        few.write_text("".join(lines[:3]), encoding="utf-8")
+        store, facts = tmp_path / "store", ["--facts", FIXTURES / "docs.facts.jsonl"]
+        for argv in (
+            ["ingest-docs", few, *facts],
+            ["ingest-cases", FIXTURES / "cases.jsonl"],
+            ["ingest-docs", FIXTURES / "docs.jsonl", *facts],
+            ["ingest-cases", FIXTURES / "cases.jsonl"],
+        ):
+            assert run_cli([*argv, "--store", store])[0] == 0
+            report = capsys.readouterr().out
+        assert case_edges(store) == 9 == json.loads(report)["case_hyperedges_linked"]
+
+    def test_docs_and_cases_ingest_in_either_order_alike(self, tmp_path):
+        docs = ["ingest-docs", FIXTURES / "docs.jsonl"]
+        cases = ["ingest-cases", FIXTURES / "cases.jsonl"]
+        stores = []
+        for name, commands in (("docs-first", (docs, cases)), ("cases-first", (cases, docs))):
+            stores.append(tmp_path / name)
+            for argv in commands:
+                assert run_cli([*argv, "--store", stores[-1]])[0] == 0
+        files = sorted(f.name for f in stores[0].iterdir())
+        assert files == sorted(f.name for f in stores[1].iterdir())
+        for name in files:
+            assert (stores[0] / name).read_bytes() == (stores[1] / name).read_bytes(), name
+        assert case_edges(stores[0]) == 9
+
+    def test_format_version_1_store_asks_for_a_re_ingest(self, built_store, tmp_path):
+        store = tmp_path / "store"
+        shutil.copytree(built_store, store)
+        meta = json.loads((store / "meta.json").read_text(encoding="utf-8"))
+        (store / "meta.json").write_text(json.dumps({**meta, "format_version": 1}), encoding="utf-8")
+        for argv in (QUERY_ARGS, ["ingest-cases", FIXTURES / "cases.jsonl"]):
+            code, err = run_cli([*argv, "--store", store])
+            assert code == 2
+            assert f"error: {store / 'meta.json'}: unsupported store format version 1; " in err
+            assert "re-run the ingest commands into an empty store directory" in err
+
+    def test_repeated_case_layer_description_exits_2_naming_its_line(self, built_store, tmp_path):
+        store = tmp_path / "store"
+        shutil.copytree(built_store, store)
+        path = store / "hyperedges.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = next(r for r in map(json.loads, lines) if r["layer"] == "case")
+        stale = {**row, "id": row["id"] ^ 1, "members": row["members"][:1]}
+        path.write_text("".join(lines) + json.dumps(stale) + "\n", encoding="utf-8")
+        code, err = run_cli([*QUERY_ARGS, "--store", store])
+        assert code == 2
+        assert f"error: {path}: line {len(lines) + 1}: case-layer description " in err
+
     def test_ingest_eeg_rejects_other_paa_settings(self, built_store, capsys):
         args = ["ingest-eeg", str(FIXTURES / "eeg"), "--store", str(built_store)]
         assert main(args + ["--set", "paa_segments=10"]) == 2
         assert "n_segments 20 != configured 10" in capsys.readouterr().err
+
+
+def case_edges(store) -> int:
+    with (store / "hyperedges.jsonl").open(encoding="utf-8") as fh:
+        return sum(json.loads(line)["layer"] == "case" for line in fh)
 
 
 def first_entity(value):

@@ -5,10 +5,13 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+import eegrag.cli as cli_module
 import eegrag.fusion as fusion_module
 from eegrag.cases import CaseStore, PatientRecord
+from eegrag.cli import link_case_layer
 from eegrag.config import PipelineConfig
 from eegrag.eeg import EegMatch
+from eegrag.embedding import HashedTokenEmbedder
 from eegrag.errors import PreconditionError, ReferentialError, TransportError
 from eegrag.fusion import (
     AblationFlags,
@@ -20,10 +23,19 @@ from eegrag.fusion import (
     generate,
     render_context,
 )
-from eegrag.hypergraph import BipartiteStore
+from eegrag.hypergraph import CASE_LAYER, BipartiteStore
 from eegrag.retrieval import EntityMatch, MetadataQuery, ScoredHyperedge, find_entity_mentions
 
 from conftest import add_edge
+
+
+def seal_with_case_layer(store: BipartiteStore, cases: CaseStore) -> set[int]:
+    """Build the case layer as the ingest commands do, seal both stores, and
+    return the case-layer hyperedge ids."""
+    link_case_layer(store, cases, HashedTokenEmbedder(store.embedding_dim))
+    store.seal()
+    cases.seal()
+    return {hid for hid, e in store.hyperedges.items() if e.layer == CASE_LAYER}
 
 
 def bridging_fixture():
@@ -200,42 +212,44 @@ class TestFuse:
         store = BipartiteStore(embedding_dim=32)
         epilepsy = store.add_entity("epilepsy")
         edge = add_edge(store, "epilepsy fact", {epilepsy})
-        store.seal()
         cases = CaseStore()
         h = cases.add_record(PatientRecord.from_raw({"diagnosis": "epilepsy", "age": "30"}))
-        cases.seal()
+        case_edges = seal_with_case_layer(store, cases)
         bundle = RetrievalBundle(eeg_matches=[EegMatch("rec-1", h, 0.5, 1)])
         ctx = fuse(bundle, store, cases, radius=1)
         assert [c.h for c in ctx.cases] == [h]
-        assert {e.hyperedge_id for e in ctx.hyperedges} == {edge}
+        assert len(case_edges) == 1
+        assert {e.hyperedge_id for e in ctx.hyperedges} == {edge} | case_edges
         assert [s.recording_id for s in ctx.eeg_summaries] == ["rec-1"]
 
     def test_context_shares_the_stores_records(self):
         store = BipartiteStore(embedding_dim=32)
         epilepsy = store.add_entity("epilepsy")
         edge = add_edge(store, "epilepsy fact", {epilepsy})
-        store.seal()
         cases = CaseStore()
         h = cases.add_record(PatientRecord.from_raw({"diagnosis": "epilepsy"}))
-        cases.seal()
+        kept = sorted({edge} | seal_with_case_layer(store, cases))
         matches = [EegMatch("rec-1", h, 0.5, 1), EegMatch("rec-2", None, 0.75, 2)]
         ctx = fuse(RetrievalBundle(eeg_matches=matches), store, cases, radius=1)
-        assert ctx.edges == [store.hyperedges[edge]] and ctx.edges[0] is store.hyperedges[edge]
-        assert ctx.hyperedges == [ContextEdge(edge, "epilepsy fact", "closure", 1, None)]
+        assert ctx.edges == [store.hyperedges[hid] for hid in kept]
+        assert all(a is store.hyperedges[hid] for a, hid in zip(ctx.edges, kept))
+        assert ctx.hyperedges == [
+            ContextEdge(hid, store.hyperedges[hid].description, "closure", 1, None) for hid in kept
+        ]
+        assert ContextEdge(edge, "epilepsy fact", "closure", 1, None) in ctx.hyperedges
         assert ctx.entities[0] is store.entities[epilepsy]
         assert ctx.cases[0] is cases.cases[h]
         assert ctx.eeg_summaries == matches and ctx.eeg_summaries is not matches
         assert all(a is b for a, b in zip(ctx.eeg_summaries, matches))
 
     def test_each_matched_case_is_linked_once(self, monkeypatch):
+        # once when the case layer is built, in hash order; never by fuse
         store = BipartiteStore(embedding_dim=32)
         epilepsy, sleep = store.add_entity("epilepsy"), store.add_entity("sleep")
         edges = {add_edge(store, "epilepsy fact", {epilepsy}), add_edge(store, "sleep fact", {sleep})}
-        store.seal()
         cases = CaseStore()
         h1 = cases.add_record(PatientRecord.from_raw({"diagnosis": "epilepsy"}))
         h2 = cases.add_record(PatientRecord.from_raw({"diagnosis": "sleep apnea"}))
-        cases.seal()
         patients = [h2, h1, h2, None, "unknown", h1, h2]
         matches = [EegMatch(f"rec-{i}", ph, float(i), i) for i, ph in enumerate(patients, start=1)]
         linked = []
@@ -244,11 +258,16 @@ class TestFuse:
             linked.append(text)
             return find_entity_mentions(text, *args)
 
-        monkeypatch.setattr(fusion_module, "find_entity_mentions", spy)
+        for module in (cli_module, fusion_module):
+            monkeypatch.setattr(module, "find_entity_mentions", spy)
+        case_edges = seal_with_case_layer(store, cases)
+        assert linked == [cases.cases[h].canonical for h in sorted((h1, h2))]
+        linked.clear()
         ctx = fuse(RetrievalBundle(eeg_matches=matches), store, cases, radius=1)
-        assert linked == [cases.cases[h2].canonical, cases.cases[h1].canonical]
+        assert linked == []
         assert [c.h for c in ctx.cases] == [h2, h1]
-        assert {e.hyperedge_id for e in ctx.hyperedges} == edges
+        assert len(case_edges) == 2
+        assert {e.hyperedge_id for e in ctx.hyperedges} == edges | case_edges
         assert ctx.eeg_summaries == matches
 
     def test_unknown_patient_hash_is_skipped(self):
@@ -281,6 +300,11 @@ class TestFuse:
             fuse(RetrievalBundle(), store, radius=-1)
         with pytest.raises(PreconditionError):
             fuse(RetrievalBundle(), store, budget=0)
+
+    def test_requires_a_sealed_store(self):
+        # a matched case's seeds are read from the case layer mapped at seal()
+        with pytest.raises(PreconditionError, match="sealed store"):
+            fuse(RetrievalBundle(), BipartiteStore(embedding_dim=4))
 
 
 class TestRenderContext:

@@ -193,6 +193,23 @@ class TestNeighborhood:
                     store, seeds, radius
                 )
 
+    def test_dropping_a_layer_keeps_incidence_the_inverse_of_members(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            store = random_store(rng)
+            ids = sorted(store.entities)
+            for j in range(int(rng.integers(0, 10))):
+                picks = rng.choice(len(ids), size=min(2, len(ids)), replace=False)
+                add_edge(store, f"case {j}", {ids[i] for i in picks}, "case")
+            knowledge = {h: e for h, e in store.hyperedges.items() if e.layer == "knowledge"}
+            store.drop_layer("case")
+            assert store.hyperedges == knowledge
+            for eid in ids:
+                assert store.incidence[eid] == {h for h, e in knowledge.items() if eid in e.members}
+            store.seal()
+            with pytest.raises(StoreSealedError):
+                store.drop_layer("case")
+
 
 class TestLifecycleAndPersistence:
     def test_sealed_store_rejects_mutation(self):

@@ -1,5 +1,6 @@
 import http.client
 import json
+import logging
 import threading
 import urllib.error
 import urllib.request
@@ -207,6 +208,43 @@ class TestQueryEndpoint:
         assert not thread.is_alive()
         assert status == 502
         assert "backend unreachable" in body["error"]
+
+
+class TestUnexpectedErrors:
+    def test_error_in_a_query_is_500_logged_once(self, capfd, caplog):
+        class BrokenPipeline:
+            def run_query(self, **query):
+                raise RuntimeError("injected fault")
+
+        server = PipelineServer(BrokenPipeline(), "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            status, body = post(f"http://127.0.0.1:{server.server_address[1]}/query", {"question": "q"})
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert status == 500
+        assert body == {"error": "internal server error"}
+        logged = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert logged == ["POST /query failed: RuntimeError: injected fault"]
+        assert capfd.readouterr().err == ""
+
+    def test_client_disconnect_is_logged_at_debug_level(self, capfd, caplog):
+        server = PipelineServer(None, "127.0.0.1", 0)
+        try:
+            with caplog.at_level(logging.DEBUG, logger="eegrag.server"):
+                try:
+                    raise BrokenPipeError(32, "Broken pipe")
+                except BrokenPipeError:
+                    server.handle_error(None, ("127.0.0.1", 5000))
+        finally:
+            server.server_close()
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.DEBUG, "client 127.0.0.1 disconnected: [Errno 32] Broken pipe")
+        ]
+        assert capfd.readouterr().err == ""
 
 
 _FIELD_VALUES = (
