@@ -19,7 +19,7 @@ from .eeg import EegVectorDatabase, load_recording
 from .embedding import Embedder, HashedTokenEmbedder
 from .errors import ComparabilityError, EegragError, PreconditionError
 from .evaluation import load_qa, run_benchmark
-from .hypergraph import CASE_LAYER, BipartiteStore, NameIndex
+from .hypergraph import CASE_LAYER, BipartiteStore
 from .knowledge import RuleBasedExtractor, build_kgh, load_documents, load_fact_sidecar
 from .pipeline import Pipeline, save_stores
 from .retrieval import find_entity_mentions
@@ -53,10 +53,9 @@ def link_case_layer(store: BipartiteStore, case_store: CaseStore, embedder: Embe
     Returns the layer's edge count."""
     store.drop_layer(CASE_LAYER)
     before = len(store.hyperedges)
-    names = NameIndex(store.entities)
     for h in sorted(case_store.cases):
         case = case_store.cases[h]
-        members = {m.entity_id for m in find_entity_mentions(case.canonical, store, names)}
+        members = {m.entity_id for m in find_entity_mentions(case.canonical, store)}
         if members:
             vector = embed_case(h, case.canonical, embedder)
             store.add_hyperedge(case.canonical, members, vector, CASE_LAYER)

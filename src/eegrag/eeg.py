@@ -334,8 +334,6 @@ class EegVectorDatabase:
     def insert_recording(self, rec: EegRecording) -> str:
         if self._sealed:
             raise StoreSealedError("EEG database is sealed")
-        if rec.id in self.entries:
-            raise PreconditionError(f"duplicate recording id {rec.id!r}")
         emb = eeg_embed(rec, self.n_segments)
         self._add(EvdEntry(rec.id, rec.patient_hash, rec.sample_rate, emb))
         return rec.id
@@ -355,6 +353,9 @@ class EegVectorDatabase:
             )
 
     def _add(self, entry: EvdEntry) -> None:
+        """The one writer of ``entries``: a new id with the stored layout."""
+        if entry.id in self.entries:
+            raise PreconditionError(f"duplicate recording id {entry.id!r}")
         self._check_layout(entry.embedding)
         self.entries[entry.id] = entry
 
@@ -443,8 +444,8 @@ class EegVectorDatabase:
         """The embeddings saved under ``directory`` with ``n_segments``; none without ``FILE``.
 
         A row embedded under other settings, whose embedding is invalid (see
-        ``PaaEmbedding``), or whose channel count differs from the first
-        row's, is rejected, naming its line.
+        ``PaaEmbedding``), whose layout differs from the first row's, or
+        whose id repeats an earlier row's, is rejected, naming its line.
         """
 
         def entry(row: dict) -> EvdEntry:

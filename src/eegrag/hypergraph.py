@@ -7,16 +7,17 @@ retrieval-fusion stage relies on.
 
 Lifecycle: a store is mutable while being built (single writer), then
 ``seal()`` freezes it for unlimited concurrent readers. There is no
-reader/writer interleaving; re-ingestion starts from a fresh load. Sealing
-also builds the query indexes (``HyperedgeIndex``, ``NameIndex``, and
-``case_members``); queries only read them.
+reader/writer interleaving; re-ingestion starts from a fresh load. Rows
+enter through one door per kind, ``_put_entity`` and ``_put_edge``, for
+ingest and load alike: the door checks the row and keeps ``incidence``, the
+``NameIndex`` and ``case_members`` current. Sealing builds only the vector
+matrix (``HyperedgeIndex``); queries only read.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -111,17 +112,20 @@ class NameIndex:
     """Entity names compiled for dictionary linking.
 
     ``by_seq`` maps each name's word-token sequence to its entity id; when
-    names share a sequence, the lowest id wins. ``width`` is the longest
-    sequence, so linking a text needs at most ``width`` lookups per token.
+    names share a sequence, the lowest id wins, in whatever order they were
+    added. ``width`` is the longest sequence, so linking a text needs at
+    most ``width`` lookups per token.
     """
 
-    def __init__(self, entities: dict[int, Entity]):
+    def __init__(self):
         self.by_seq: dict[tuple[str, ...], int] = {}
-        for eid in sorted(entities):
-            seq = tuple(word for word, _, _ in word_tokens(entities[eid].name))
-            if seq:
-                self.by_seq.setdefault(seq, eid)
-        self.width = max(map(len, self.by_seq), default=0)
+        self.width = 0
+
+    def add(self, entity: Entity) -> None:
+        seq = tuple(word for word, _, _ in word_tokens(entity.name))
+        if seq and self.by_seq.get(seq, entity.id) >= entity.id:
+            self.by_seq[seq] = entity.id
+            self.width = max(self.width, len(seq))
 
 
 class BipartiteStore:
@@ -129,8 +133,8 @@ class BipartiteStore:
 
     ``incidence`` is maintained as the exact inverse of the member relation:
     ``e in incidence[v]  <=>  v in members(e)`` for every reachable state.
-    Once sealed, ``case_members`` maps each case-layer edge's description (a
-    case's attribute tuple) to its members, the entities the case mentions.
+    ``case_members`` maps each case-layer edge's description (a case's
+    attribute tuple) to its members, the entities the case mentions.
     """
 
     def __init__(self, embedding_dim: int = 256):
@@ -141,7 +145,7 @@ class BipartiteStore:
         self.hyperedges: dict[int, Hyperedge] = {}
         self.incidence: dict[int, set[int]] = {}
         self.edge_index: HyperedgeIndex | None = None
-        self.names: NameIndex | None = None
+        self.names = NameIndex()
         self.case_members: dict[str, frozenset[int]] = {}
         self._sealed = False
 
@@ -152,29 +156,65 @@ class BipartiteStore:
         return self._sealed
 
     def seal(self) -> None:
-        """Freeze the store and build its query indexes; subsequent mutations
-        raise ``StoreSealedError``."""
+        """Freeze the store and stack its hyperedge vectors into one matrix;
+        subsequent mutations raise ``StoreSealedError``."""
         if self._sealed:
             return
         self.edge_index = HyperedgeIndex(self.hyperedges, self.embedding_dim)
-        self.names = NameIndex(self.entities)
-        case_edges = map(self.hyperedges.get, self.edge_index.ids[self.edge_index.blocks[CASE_LAYER]])
-        self.case_members = {edge.description: edge.members for edge in case_edges}
         self._sealed = True
 
     def _require_unsealed(self) -> None:
         if self._sealed:
             raise StoreSealedError("store is sealed; build a new store to re-ingest")
 
-    def _check_dim(self, embedding: np.ndarray) -> np.ndarray:
-        vec = np.asarray(embedding, dtype=np.float64)
-        if vec.ndim != 1 or vec.shape[0] != self.embedding_dim:
+    # -- the doors: the only writers of rows ---------------------------------
+
+    def _check_new_id(self, node_id: int, kind: str) -> None:
+        if not 0 <= node_id < 1 << 64:
+            raise PreconditionError(f"{kind} id {node_id} is not in [0, 2**64)")
+        if is_hyperedge_id(node_id) != (kind == "hyperedge"):
+            tag = "lacks" if kind == "hyperedge" else "carries"
+            raise PreconditionError(f"{kind} id {node_id} {tag} the hyperedge tag bit (1 << 63)")
+        if self.has_node(node_id):
+            raise PreconditionError(f"{kind} id {node_id} repeats")
+
+    def _put_entity(self, entity: Entity) -> None:
+        """Insert a new entity row and index its name."""
+        self._check_new_id(entity.id, "entity")
+        self.entities[entity.id] = entity
+        self.incidence[entity.id] = set()
+        self.names.add(entity)
+
+    def _check_edge(self, edge: Hyperedge) -> None:
+        """Raise unless ``edge``'s members, layer and vector are valid; the
+        vector becomes a float64 array."""
+        if not edge.members:
+            raise PreconditionError("hyperedge members must be non-empty")
+        if edge.layer not in LAYERS:
+            raise PreconditionError(f"unknown layer {edge.layer!r}; expected one of {LAYERS}")
+        unknown = [m for m in edge.members if m not in self.entities]
+        if unknown:
+            raise ReferentialError(f"hyperedge references unknown entity ids: {sorted(unknown)}")
+        vec = edge.embedding = np.asarray(edge.embedding, dtype=np.float64)
+        if vec.shape != (self.embedding_dim,):
             raise DimensionMismatchError(
                 f"embedding has dimension {vec.shape}, store expects {self.embedding_dim}"
             )
         if not np.isfinite(vec).all():
             raise PreconditionError("embedding values must be finite")
-        return vec
+
+    def _put_edge(self, edge: Hyperedge) -> None:
+        """Insert a new hyperedge row, index it under every member and, on
+        the case layer, map its description to its members."""
+        self._check_new_id(edge.id, "hyperedge")
+        self._check_edge(edge)
+        if edge.layer == CASE_LAYER:
+            if edge.description in self.case_members:
+                raise PreconditionError(f"case-layer description {edge.description!r} repeats")
+            self.case_members[edge.description] = edge.members
+        self.hyperedges[edge.id] = edge
+        for m in edge.members:
+            self.incidence[m].add(edge.id)
 
     # -- mutation ------------------------------------------------------------
 
@@ -188,8 +228,7 @@ class BipartiteStore:
         eid = entity_id(name)
         existing = self.entities.get(eid)
         if existing is None:
-            self.entities[eid] = Entity(eid, name, etype, definition)
-            self.incidence.setdefault(eid, set())
+            self._put_entity(Entity(eid, name, etype, definition))
         else:
             if etype:
                 existing.etype = etype
@@ -205,27 +244,24 @@ class BipartiteStore:
         layer: str = KNOWLEDGE_LAYER,
     ) -> int:
         """Store an n-ary relation with its embedding and index it under every
-        member entity; re-adding an edge keeps the first embedding."""
+        member entity; re-adding an edge checks it alike and keeps the first
+        embedding. A second case-layer edge with the same description is
+        refused."""
         self._require_unsealed()
-        if not members:
-            raise PreconditionError("hyperedge members must be non-empty")
-        if layer not in LAYERS:
-            raise PreconditionError(f"unknown layer {layer!r}; expected one of {LAYERS}")
-        unknown = [m for m in members if m not in self.entities]
-        if unknown:
-            raise ReferentialError(f"hyperedge references unknown entity ids: {sorted(unknown)}")
-        vec = self._check_dim(embedding)
         member_set = frozenset(members)
-        hid = hyperedge_id(description, member_set, layer)
-        if hid not in self.hyperedges:
-            self.hyperedges[hid] = Hyperedge(hid, description, member_set, layer, vec)
-            for m in member_set:
-                self.incidence[m].add(hid)
-        return hid
+        edge = Hyperedge(hyperedge_id(description, member_set, layer), description, member_set, layer, embedding)
+        if edge.id in self.hyperedges:
+            self._check_edge(edge)
+        else:
+            self._put_edge(edge)
+        return edge.id
 
     def drop_layer(self, layer: str) -> None:
-        """Delete every hyperedge of ``layer``, and its incidence entries."""
+        """Delete every hyperedge of ``layer``, and its incidence and
+        case-map entries."""
         self._require_unsealed()
+        if layer == CASE_LAYER:
+            self.case_members.clear()
         for hid in [hid for hid, e in self.hyperedges.items() if e.layer == layer]:
             for m in self.hyperedges.pop(hid).members:
                 self.incidence[m].discard(hid)
@@ -261,24 +297,14 @@ class BipartiteStore:
         if missing:
             raise NotFoundError(f"unknown seed node ids: {sorted(missing)}")
 
-        visited = set(seeds)
-        frontier = deque(seeds)
+        visited, frontier = set(seeds), set(seeds)
         for _ in range(radius):
+            frontier = {nb for node in frontier for nb in self._neighbors(node)} - visited
             if not frontier:
                 break
-            next_frontier: deque[int] = deque()
-            while frontier:
-                node = frontier.popleft()
-                for nb in self._neighbors(node):
-                    if nb not in visited:
-                        visited.add(nb)
-                        next_frontier.append(nb)
-            frontier = next_frontier
-
-        result = Neighborhood()
-        for node in visited:
-            (result.hyperedge_ids if is_hyperedge_id(node) else result.entity_ids).add(node)
-        return result
+            visited |= frontier
+        hyperedge_ids = {node for node in visited if is_hyperedge_id(node)}
+        return Neighborhood(visited - hyperedge_ids, hyperedge_ids)
 
     # -- persistence ---------------------------------------------------------
 
@@ -330,7 +356,9 @@ class BipartiteStore:
     @classmethod
     def load(cls, directory: str | Path, embedding_dim: int) -> "BipartiteStore":
         """The store saved under ``directory`` (empty without ``META_FILE``),
-        unsealed; one saved under another ``embedding_dim`` is rejected."""
+        unsealed; one saved under another ``embedding_dim`` is rejected.
+        Each row enters through the door that ingest uses, so a row that
+        ingest would refuse is refused here, naming its line."""
         directory = Path(directory)
         if not (directory / META_FILE).exists():
             return cls(embedding_dim)
@@ -343,42 +371,21 @@ class BipartiteStore:
                 )
             return cls(embedding_dim=meta["embedding_dim"])
 
-        def entity(row: dict) -> Entity:
-            return Entity(
-                int_field(row["id"], "id"),
-                str_field(row["name"], "name"),
-                str_field(row["etype"], "etype"),
-                str_field(row["definition"], "definition"),
-            )
+        def entity(row: dict) -> None:
+            eid = int_field(row["id"], "id")
+            store._put_entity(Entity(eid, *(str_field(row[k], k) for k in ("name", "etype", "definition"))))
 
-        def hyperedge(row: dict) -> Hyperedge:
+        def hyperedge(row: dict) -> None:
             hid = int_field(row["id"], "id")
             description = str_field(row["description"], "description")
-            if row["layer"] not in LAYERS:
-                raise PreconditionError(f"hyperedge {hid} has unknown layer {row['layer']!r}")
-            emb = store._check_dim(row["embedding"])
             members = frozenset(int_field(m, "member") for m in row["members"])
-            if not members:
-                raise PreconditionError("hyperedge members must be non-empty")
-            for m in members:
-                if m not in store.entities:
-                    raise ReferentialError(f"hyperedge {hid} references unknown entity {m}")
-            if row["layer"] == CASE_LAYER and case_ids.setdefault(description, hid) != hid:
-                raise PreconditionError(f"case-layer description {description!r} repeats")
-            return Hyperedge(hid, description, members, row["layer"], emb)
-
-        case_ids: dict[str, int] = {}  # description -> id of its case-layer edge
+            store._put_edge(Hyperedge(hid, description, members, row["layer"], row["embedding"]))
 
         store = read_json(directory / META_FILE, from_meta)
         if store.embedding_dim != embedding_dim:
             raise PreconditionError(
                 f"store embedding_dim {store.embedding_dim} != configured {embedding_dim}"
             )
-        for ent in read_jsonl(directory / "entities.jsonl", entity):
-            store.entities[ent.id] = ent
-            store.incidence.setdefault(ent.id, set())
-        for edge in read_jsonl(directory / "hyperedges.jsonl", hyperedge):
-            store.hyperedges[edge.id] = edge
-            for m in edge.members:
-                store.incidence[m].add(edge.id)
+        read_jsonl(directory / "entities.jsonl", entity)
+        read_jsonl(directory / "hyperedges.jsonl", hyperedge)
         return store

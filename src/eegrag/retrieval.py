@@ -1,9 +1,9 @@
 """Semantic retrieval: cosine search over hyperedges, entity linking, expansion.
 
-All operations here are read-only over sealed stores and use the indexes
-built at ``seal()``. Hyperedge retrieval is exact exhaustive cosine search
-(sufficient at desk scale); entity linking is deterministic dictionary
-matching, longest match first.
+All operations here are read-only over sealed stores and use the store's
+indexes. Hyperedge retrieval is exact exhaustive cosine search (sufficient
+at desk scale); entity linking is deterministic dictionary matching,
+longest match first.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .embedding import Embedder
 from .errors import DimensionMismatchError, PreconditionError
-from .hypergraph import LAYERS, BipartiteStore, NameIndex, word_tokens
+from .hypergraph import LAYERS, BipartiteStore, word_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -134,22 +134,16 @@ class EntityMatch:
     kind: str  # "exact-name" | "alias-normalized"
 
 
-def find_entity_mentions(
-    text: str, store: BipartiteStore, names: NameIndex | None = None
-) -> list[EntityMatch]:
-    """Dictionary entity linking over free text (no store lifecycle check).
+def find_entity_mentions(text: str, store: BipartiteStore) -> list[EntityMatch]:
+    """Dictionary entity linking over free text, sealed store or not.
 
     Entity names are matched case-insensitively on word-token sequences, so
     punctuation variants of a name still link ("spike-wave" matches "spike
     wave"). Overlaps resolve longest match first, then leftmost; results
-    come back in text order.
-
-    ``names`` defaults to the index built when the store was sealed; an
-    unsealed store compiles one per call, so a caller linking many texts
-    against an unsealed store passes its own.
+    come back in text order. The store's ``NameIndex`` is kept current as
+    entities are added.
     """
-    if names is None:
-        names = store.names if store.sealed else NameIndex(store.entities)
+    names = store.names
     tokens = word_tokens(text)
     words = [t[0] for t in tokens]
     candidates = []

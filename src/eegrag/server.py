@@ -4,7 +4,8 @@ POST /query  {"question": ..., "role"?: ..., "domain"?: ..., "eeg_recording_id"?
              -> the same JSON document the `query` CLI subcommand prints,
              on one line with sorted keys instead of indented (the
              indenting encoder is pure Python and slow);
-             a body over MAX_BODY_BYTES is refused with 413
+             a body over MAX_BODY_BYTES is refused with 413, and one
+             that stalls for REQUEST_TIMEOUT_S is answered with 408
 GET  /healthz -> store statistics
 
 Any other error inside a query is answered with 500 and logged once, and
@@ -26,6 +27,8 @@ from .pipeline import Pipeline
 logger = logging.getLogger(__name__)
 
 MAX_BODY_BYTES = 1 << 20
+# seconds any one read or write on a connection may block
+REQUEST_TIMEOUT_S = 10.0
 
 
 def _parse_query(body: bytes) -> dict:
@@ -50,6 +53,7 @@ def _parse_query(body: bytes) -> dict:
 
 class _Handler(BaseHTTPRequestHandler):
     server: "PipelineServer"
+    timeout = REQUEST_TIMEOUT_S
 
     def _send(self, status: int, payload: dict) -> None:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
@@ -81,6 +85,8 @@ class _Handler(BaseHTTPRequestHandler):
             return 413, {"error": f"body over {MAX_BODY_BYTES} bytes"}
         try:
             query = _parse_query(self.rfile.read(int(length)))
+        except TimeoutError:  # answered here: handle_one_request would drop it
+            return 408, {"error": f"body stalled for {self.timeout} s"}
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
             return 400, {"error": f"malformed /query body: {exc}"}
         try:

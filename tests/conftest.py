@@ -83,9 +83,11 @@ def random_store(
     max_entities: int = 30,
     max_edges: int = 20,
     embedder: HashedTokenEmbedder | None = None,
+    cases: bool = False,
 ) -> BipartiteStore:
     """A random bipartite store for property tests (<= 50 nodes by default);
-    each edge carries its description's embedding (8-d by default)."""
+    each edge carries its description's embedding (8-d by default). With
+    ``cases``, each edge lands on the knowledge or the case layer at random."""
     embedder = embedder or HashedTokenEmbedder(8)
     store = BipartiteStore(embedding_dim=embedder.dim)
     n_entities = int(rng.integers(1, max_entities + 1))
@@ -98,7 +100,8 @@ def random_store(
         picks = rng.choice(len(entity_ids), size=arity, replace=False)
         members = {entity_ids[i] for i in picks}
         desc = f"edge {j} over {sorted(members)}"
-        store.add_hyperedge(desc, members, embedder.embed(desc))
+        layer = ("knowledge", "case")[int(rng.integers(2))] if cases else "knowledge"
+        store.add_hyperedge(desc, members, embedder.embed(desc), layer)
     return store
 
 

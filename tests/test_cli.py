@@ -9,6 +9,7 @@ from eegrag.cli import main
 from eegrag.eeg import EegVectorDatabase
 from eegrag.embedding import HashedTokenEmbedder
 from eegrag.hypergraph import BipartiteStore
+from eegrag.retrieval import find_entity_mentions
 
 from conftest import FIXTURES, GOLDEN, rewrite_row, run_cli
 
@@ -263,6 +264,10 @@ MISTYPED = [
     ("hyperedges.jsonl", 2, "embedding", None, "embedding has dimension (), store expects 256"),
     ("entities.jsonl", 2, "name", 5, "name is 5, not a string"),
     ("entities.jsonl", 2, "id", 1.5, "id is 1.5, not an integer"),
+    ("entities.jsonl", 2, "id", 1 << 63, "entity id 9223372036854775808 carries the hyperedge tag bit"),
+    ("entities.jsonl", 2, "id", -1, "entity id -1 is not in [0, 2**64)"),
+    ("hyperedges.jsonl", 2, "id", 1 << 64, "hyperedge id 18446744073709551616 is not in [0, 2**64)"),
+    ("hyperedges.jsonl", 2, "id", 5, "hyperedge id 5 lacks the hyperedge tag bit"),
     ("evd.jsonl", 2, "patient_hash", 5, "patient_hash is 5, not a string or null"),
     ("evd.jsonl", 2, "channel_order", [1, 2, 3, 4], "channel_order is [1, 2, 3, 4], not a list of strings"),
     ("evd.jsonl", 2, "sample_rate", "x", "sample_rate is 'x', not a finite number > 0"),
@@ -306,6 +311,53 @@ def test_mistyped_field_exits_2_naming_file_and_line(
     assert code == 2
     where = str(path) if line is None else f"{path}: line {line}"
     assert f"error: {where}: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("entities.jsonl", "entity id {} repeats"),
+        ("hyperedges.jsonl", "hyperedge id {} repeats"),
+        ("evd.jsonl", "duplicate recording id {!r}"),
+    ],
+    ids=["entities", "hyperedges", "evd"],
+)
+def test_repeated_id_exits_2_naming_its_line(built_store, tmp_path, name, message):
+    store = tmp_path / "store"
+    shutil.copytree(built_store, store)
+    path = store / name
+    first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])["id"]
+    rewrite_row(path, 2, "id", first)
+    code, err = run_cli([*QUERY_ARGS, "--store", store])
+    assert code == 2
+    assert f"error: {path}: line 2: {message.format(first)}" in err
+
+
+def test_entity_ids_with_the_hyperedge_tag_exit_2_before_any_traversal(built_store, tmp_path):
+    # the entities that neither the question nor a case names are tagged,
+    # members alike, so every seed is found and the closure walks from a
+    # retrieved edge into a tagged entity
+    store = tmp_path / "store"
+    shutil.copytree(built_store, store)
+    graph = BipartiteStore.load(store, 256)
+    seeds = {m.entity_id for m in find_entity_mentions(QUERY_ARGS[1], graph)}
+    seeds.update(*(e.members for e in graph.hyperedges.values() if e.layer == "case"))
+    tag = 1 << 63
+
+    def retag(eid):
+        return eid if eid in seeds else eid | tag
+
+    for name, field, rewrite in (
+        ("entities.jsonl", "id", retag),
+        ("hyperedges.jsonl", "members", lambda members: [retag(m) for m in members]),
+    ):
+        path = store / name
+        for line in range(1, len(path.read_text(encoding="utf-8").splitlines()) + 1):
+            rewrite_row(path, line, field, rewrite)
+    code, err = run_cli([*QUERY_ARGS, "--store", store, "--set", "closure_radius=2"])
+    assert code == 2
+    assert f"error: {store / 'entities.jsonl'}: line " in err
+    assert "carries the hyperedge tag bit" in err
 
 
 class TestQuery:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,34 @@ class TestAddHyperedge:
         with pytest.raises(DimensionMismatchError):
             store.add_hyperedge("fact", {a}, None)
         assert len(store.hyperedges) == 0
+
+    @pytest.mark.parametrize(
+        "vector, error",
+        [(np.ones(3), DimensionMismatchError), (np.array([math.nan, 1.0]), PreconditionError)],
+        ids=["wrong-dimension", "non-finite"],
+    )
+    def test_repeated_edge_is_checked_like_a_new_one(self, vector, error):
+        store = BipartiteStore(embedding_dim=2)
+        a = store.add_entity("a")
+        first = store.add_hyperedge("fact", {a}, np.array([1.0, 0.0]))
+        with pytest.raises(error):
+            store.add_hyperedge("fact", {a}, vector)
+        np.testing.assert_array_equal(store.hyperedges[first].embedding, [1.0, 0.0])
+
+    def test_second_case_edge_with_a_known_description_is_refused(self):
+        store = BipartiteStore(embedding_dim=4)
+        a, b = store.add_entity("a"), store.add_entity("b")
+        first = add_edge(store, "age=34", {a}, "case")
+        assert add_edge(store, "age=34", {a}, "case") == first
+        with pytest.raises(PreconditionError, match="case-layer description 'age=34' repeats"):
+            add_edge(store, "age=34", {a, b}, "case")
+        assert set(store.hyperedges) == {first}
+        assert store.incidence == {a: {first}, b: set()}
+        assert store.case_members == {"age=34": frozenset({a})}
+        knowledge = add_edge(store, "age=34", {a, b})  # the knowledge layer may repeat it
+        store.drop_layer("case")
+        assert set(store.hyperedges) == {knowledge}
+        assert store.case_members == {}
 
     def test_unknown_layer_rejected(self):
         store = BipartiteStore()
@@ -236,6 +265,30 @@ class TestLifecycleAndPersistence:
         assert loaded.entities.keys() == store.entities.keys()
         assert loaded.hyperedges.keys() == store.hyperedges.keys()
         assert not loaded.sealed
+
+    def test_load_rebuilds_every_index_that_ingest_kept(self, tmp_path):
+        word = re.compile(r"[0-9A-Za-z]+")
+        rng = np.random.default_rng(16)
+        for trial in range(30):
+            store = random_store(rng, cases=True)
+            for i in rng.choice(len(store.entities), size=3):
+                store.add_entity(f"Entity {i}")  # shares "entity-{i}"'s words
+            store.save(tmp_path / str(trial))
+            loaded = BipartiteStore.load(tmp_path / str(trial), store.embedding_dim)
+            assert loaded.entities == store.entities
+            assert loaded.hyperedges.keys() == store.hyperedges.keys()
+            for hid, edge in store.hyperedges.items():
+                got = loaded.hyperedges[hid]
+                assert (got.description, got.members, got.layer) == (edge.description, edge.members, edge.layer)
+                np.testing.assert_array_equal(got.embedding, edge.embedding)
+            assert loaded.incidence == store.incidence
+            lowest_id = {}
+            for eid in sorted(store.entities):
+                lowest_id.setdefault(tuple(word.findall(store.entities[eid].name.lower())), eid)
+            assert loaded.names.by_seq == store.names.by_seq == lowest_id
+            assert loaded.names.width == store.names.width == max(map(len, lowest_id))
+            case_edges = [e for e in store.hyperedges.values() if e.layer == "case"]
+            assert loaded.case_members == store.case_members == {e.description: e.members for e in case_edges}
 
     @pytest.mark.parametrize(
         "field, value, error",

@@ -3,7 +3,7 @@ import pytest
 
 from eegrag.embedding import HashedTokenEmbedder
 from eegrag.errors import DimensionMismatchError, PreconditionError
-from eegrag.hypergraph import BipartiteStore, NameIndex
+from eegrag.hypergraph import BipartiteStore
 from eegrag.retrieval import (
     MetadataQuery,
     cosine,
@@ -343,13 +343,10 @@ class TestEntityLinkerOracle:
             texts = [random_phrase(rng, WORDS + FILLER, int(rng.integers(1, 25))) for _ in range(5)]
             want = [link_oracle(text, store) for text in texts]
             unsealed = [find_entity_mentions(text, store) for text in texts]
-            names = NameIndex(store.entities)
-            with_names = [find_entity_mentions(text, store, names) for text in texts]
             store.seal()
-            for text, expected, got_unsealed, got_names in zip(texts, want, unsealed, with_names):
+            for text, expected, got_unsealed in zip(texts, want, unsealed):
                 for got in (
                     got_unsealed,
-                    got_names,
                     find_entity_mentions(text, store),
                     extract_query_entities(MetadataQuery(text), store),
                 ):

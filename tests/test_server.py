@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eegrag import server as server_module
 from eegrag.cli import main
 from eegrag.config import PipelineConfig
 from eegrag.errors import TransportError
@@ -229,6 +230,27 @@ class TestUnexpectedErrors:
         assert body == {"error": "internal server error"}
         logged = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert logged == ["POST /query failed: RuntimeError: injected fault"]
+        assert capfd.readouterr().err == ""
+
+    def test_stalled_body_is_408(self, monkeypatch, capfd):
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.2)
+        server = PipelineServer(None, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=10)
+        try:
+            conn.putrequest("POST", "/query")
+            conn.putheader("Content-Length", "100")
+            conn.endheaders(b'{"question": ')
+            resp = conn.getresponse()
+            status, body = resp.status, json.loads(resp.read().decode())
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert status == 408
+        assert body == {"error": "body stalled for 0.2 s"}
         assert capfd.readouterr().err == ""
 
     def test_client_disconnect_is_logged_at_debug_level(self, capfd, caplog):
