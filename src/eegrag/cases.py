@@ -156,13 +156,18 @@ class CaseStore:
 
     @classmethod
     def load(cls, directory: str | Path) -> "CaseStore":
-        """The cases saved under ``directory``, none when it has no ``FILE``."""
+        """The cases saved under ``directory``, none when it has no ``FILE``;
+        a row whose hash ``h`` repeats an earlier row's is rejected, naming
+        its line."""
 
-        def case(row: dict) -> PatientCase:
+        def case(row: dict) -> None:
             if not isinstance(row["synthetic"], bool):
                 raise PreconditionError(f"synthetic is {row['synthetic']!r}, not true or false")
-            return PatientCase(
-                h=str_field(row["h"], "h"),
+            h = str_field(row["h"], "h")
+            if h in store.cases:
+                raise PreconditionError(f"case hash {h!r} repeats")
+            store.cases[h] = PatientCase(
+                h=h,
                 attributes={k: str_list(v, f"attribute {k!r}") for k, v in row["e"].items()},
                 synthetic=row["synthetic"],
                 eeg_refs=str_list(row.get("eeg_refs", []), "eeg_refs"),
@@ -170,7 +175,8 @@ class CaseStore:
 
         path = Path(directory) / cls.FILE
         store = cls()
-        store.cases = {c.h: c for c in read_jsonl(path, case)} if path.exists() else {}
+        if path.exists():
+            read_jsonl(path, case)
         return store
 
 

@@ -31,7 +31,17 @@ from .errors import (
     StoreSealedError,
 )
 from .hashing import collapse_whitespace, entity_id, hyperedge_id, is_hyperedge_id
-from .jsonl import int_field, read_json, read_jsonl, str_field, write_json, write_jsonl
+from .jsonl import (
+    VectorEncoder,
+    int_field,
+    json_str,
+    read_json,
+    read_jsonl,
+    str_field,
+    write_json,
+    write_jsonl,
+    write_lines,
+)
 
 FORMAT_VERSION = 2
 META_FILE = "meta.json"
@@ -330,16 +340,15 @@ class BipartiteStore:
                 for _, ent in sorted(self.entities.items())
             ),
         )
-        write_jsonl(
+        # each line is json.dumps(row, ensure_ascii=False, sort_keys=True),
+        # formatted row by row so that no vector's zeros become Python floats
+        vector = VectorEncoder()
+        write_lines(
             directory / "hyperedges.jsonl",
             (
-                {
-                    "id": edge.id,
-                    "description": edge.description,
-                    "members": sorted(edge.members),
-                    "layer": edge.layer,
-                    "embedding": edge.embedding.tolist(),
-                }
+                f'{{"description": {json_str(edge.description)}, "embedding": {vector(edge.embedding)}, '
+                f'"id": {edge.id}, "layer": {json_str(edge.layer)}, '
+                f'"members": [{", ".join(map(str, sorted(edge.members)))}]}}'
                 for _, edge in sorted(self.hyperedges.items())
             ),
         )

@@ -8,6 +8,13 @@ the same location; a parser checks a field's JSON type with ``str_field``,
 that replaces the target only once it is complete, so an exception or a
 process crash mid-write leaves the previous file as it was. Nothing is
 fsynced: the guarantee does not cover a power loss.
+
+``write_jsonl`` writes each row with ``json.dumps(row, ensure_ascii=False,
+sort_keys=True)``. A store whose rows hold long, mostly-zero float vectors
+(``hyperedges.jsonl``) formats its lines itself, with ``json_str`` for
+strings and a ``VectorEncoder`` for the vector, and passes them to
+``write_lines``; the bytes are those ``write_jsonl`` would write, while only
+the vector's nonzero entries are turned into Python floats and formatted.
 """
 
 from __future__ import annotations
@@ -18,6 +25,8 @@ from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TypeVar
+
+import numpy as np
 
 from .errors import DimensionMismatchError, PreconditionError, ReferentialError
 
@@ -91,11 +100,52 @@ def _replacing(path: str | Path):
         raise
 
 
+# a JSON string literal, as ``json.dumps(s, ensure_ascii=False)`` writes it
+json_str = json.JSONEncoder(ensure_ascii=False).encode
+
+# distinct floats whose repr one VectorEncoder keeps; a 10k-hyperedge
+# hashed-token store holds about 120, a dense embedder one per entry
+REPR_MEMO_SIZE = 4096
+
+
+class VectorEncoder:
+    """``json.dumps(v.tolist())``, byte for byte, for a finite 1-D float64 ``v``.
+
+    Every slot starts as ``0.0``; only entries whose bit pattern is nonzero
+    (``-0.0`` among them) are formatted, with ``float.__repr__`` as ``json``
+    formats a finite float. Reprs are memoised by bit pattern for the
+    encoder's life, and the memo is emptied when it reaches
+    ``REPR_MEMO_SIZE`` entries. Non-finite values are not checked: ``json``
+    would write ``NaN``, which no store holds.
+    """
+
+    def __init__(self):
+        self._reprs: dict[int, str] = {}
+
+    def __call__(self, v: np.ndarray) -> str:
+        bits = v.view(np.uint64)
+        nonzero = np.flatnonzero(bits)
+        parts = ["0.0"] * len(v)
+        for i, b in zip(nonzero.tolist(), bits[nonzero].tolist()):
+            text = self._reprs.get(b)
+            if text is None:
+                if len(self._reprs) >= REPR_MEMO_SIZE:
+                    self._reprs.clear()
+                text = self._reprs[b] = float.__repr__(float(v[i]))
+            parts[i] = text
+        return "[" + ", ".join(parts) + "]"
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Each of ``lines`` plus a newline, replacing ``path`` when complete."""
+    with _replacing(path) as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     """One sorted-key JSON object per line, replacing ``path`` when complete."""
-    with _replacing(path) as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+    write_lines(path, (json.dumps(row, ensure_ascii=False, sort_keys=True) for row in rows))
 
 
 def write_json(path: str | Path, obj: dict) -> None:

@@ -5,7 +5,9 @@ POST /query  {"question": ..., "role"?: ..., "domain"?: ..., "eeg_recording_id"?
              on one line with sorted keys instead of indented (the
              indenting encoder is pure Python and slow);
              a body over MAX_BODY_BYTES is refused with 413, and one
-             that stalls for REQUEST_TIMEOUT_S is answered with 408
+             that stalls for REQUEST_TIMEOUT_S is answered with 408;
+             past MAX_IN_FLIGHT_QUERIES queries at once, a query is
+             refused with 503 and ``Retry-After: 1``
 GET  /healthz -> store statistics
 
 Any other error inside a query is answered with 500 and logged once, and
@@ -19,6 +21,7 @@ from __future__ import annotations
 import json
 import logging
 import sys
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .errors import EegragError, NotFoundError, TransportError
@@ -29,6 +32,9 @@ logger = logging.getLogger(__name__)
 MAX_BODY_BYTES = 1 << 20
 # seconds any one read or write on a connection may block
 REQUEST_TIMEOUT_S = 10.0
+# queries read or answered at once; the cap bounds the threads that slow
+# clients and long queries can hold
+MAX_IN_FLIGHT_QUERIES = 8
 
 
 def _parse_query(body: bytes) -> dict:
@@ -60,6 +66,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
+        if status == 503:
+            self.send_header("Retry-After", "1")
         self.end_headers()
         self.wfile.write(body)
 
@@ -83,8 +91,16 @@ class _Handler(BaseHTTPRequestHandler):
             return 400, {"error": "Content-Length must be a non-negative integer"}
         if int(length) > MAX_BODY_BYTES:
             return 413, {"error": f"body over {MAX_BODY_BYTES} bytes"}
+        if not self.server.query_slots.acquire(blocking=False):
+            return 503, {"error": "too many queries in flight; retry later"}
         try:
-            query = _parse_query(self.rfile.read(int(length)))
+            return self._run_query(int(length))
+        finally:
+            self.server.query_slots.release()
+
+    def _run_query(self, length: int) -> tuple[int, dict]:
+        try:
+            query = _parse_query(self.rfile.read(length))
         except TimeoutError:  # answered here: handle_one_request would drop it
             return 408, {"error": f"body stalled for {self.timeout} s"}
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError included
@@ -107,6 +123,7 @@ class PipelineServer(ThreadingHTTPServer):
 
     def __init__(self, pipeline: Pipeline, host: str, port: int):
         self.pipeline = pipeline
+        self.query_slots = threading.BoundedSemaphore(MAX_IN_FLIGHT_QUERIES)
         super().__init__((host, port), _Handler)
 
     def handle_error(self, request, client_address) -> None:

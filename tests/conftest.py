@@ -105,6 +105,23 @@ def random_store(
     return store
 
 
+def hyperedges_jsonl_oracle(store: BipartiteStore) -> bytes:
+    """``hyperedges.jsonl`` as ``BipartiteStore.save`` writes it, built the
+    plain way: one dict per row through ``json.dumps`` (the row and vector
+    encoders' oracle)."""
+    rows = (
+        {
+            "id": edge.id,
+            "description": edge.description,
+            "members": sorted(edge.members),
+            "layer": edge.layer,
+            "embedding": edge.embedding.tolist(),
+        }
+        for _, edge in sorted(store.hyperedges.items())
+    )
+    return "".join(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n" for row in rows).encode("utf-8")
+
+
 def add_edge(store: BipartiteStore, description: str, members: set, layer: str = "knowledge"):
     """``store.add_hyperedge`` with the description's hashed embedding."""
     vector = HashedTokenEmbedder(store.embedding_dim).embed(description)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import shutil
@@ -25,6 +26,20 @@ QUERY_ARGS = [
 
 
 class TestIngest:
+    def test_store_bytes_match_the_golden_digests(self, tmp_path, capsys):
+        # the sha256 of every store file after each ingest command; a change
+        # that alters a stored byte must update the golden file and say why
+        golden = json.loads((GOLDEN / "fixture_store.sha256.json").read_text(encoding="utf-8"))
+        store = tmp_path / "store"
+        for command, source in (
+            ("ingest-docs", "docs.jsonl"),
+            ("ingest-cases", "cases.jsonl"),
+            ("ingest-eeg", "eeg"),
+        ):
+            assert main([command, str(FIXTURES / source), "--store", str(store)]) == 0
+            digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(store.iterdir())}
+            assert digests == golden[command], command
+
     def test_zero_line_docs_file(self, tmp_path, capsys):
         empty = tmp_path / "docs.jsonl"
         empty.write_text("")
@@ -314,20 +329,21 @@ def test_mistyped_field_exits_2_naming_file_and_line(
 
 
 @pytest.mark.parametrize(
-    "name, message",
+    "name, key, message",
     [
-        ("entities.jsonl", "entity id {} repeats"),
-        ("hyperedges.jsonl", "hyperedge id {} repeats"),
-        ("evd.jsonl", "duplicate recording id {!r}"),
+        ("entities.jsonl", "id", "entity id {} repeats"),
+        ("hyperedges.jsonl", "id", "hyperedge id {} repeats"),
+        ("evd.jsonl", "id", "duplicate recording id {!r}"),
+        ("cases.jsonl", "h", "case hash {!r} repeats"),
     ],
-    ids=["entities", "hyperedges", "evd"],
+    ids=["entities", "hyperedges", "evd", "cases"],
 )
-def test_repeated_id_exits_2_naming_its_line(built_store, tmp_path, name, message):
+def test_repeated_id_exits_2_naming_its_line(built_store, tmp_path, name, key, message):
     store = tmp_path / "store"
     shutil.copytree(built_store, store)
     path = store / name
-    first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])["id"]
-    rewrite_row(path, 2, "id", first)
+    first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])[key]
+    rewrite_row(path, 2, key, first)
     code, err = run_cli([*QUERY_ARGS, "--store", store])
     assert code == 2
     assert f"error: {path}: line 2: {message.format(first)}" in err

@@ -13,7 +13,7 @@ from eegrag.errors import (
 )
 from eegrag.hypergraph import BipartiteStore
 
-from conftest import add_edge, random_store, reference_bfs, rewrite_row
+from conftest import add_edge, hyperedges_jsonl_oracle, random_store, reference_bfs, rewrite_row
 
 
 def make_path_store():
@@ -289,6 +289,25 @@ class TestLifecycleAndPersistence:
             assert loaded.names.width == store.names.width == max(map(len, lowest_id))
             case_edges = [e for e in store.hyperedges.values() if e.layer == "case"]
             assert loaded.case_members == store.case_members == {e.description: e.members for e in case_edges}
+
+    def test_saved_hyperedges_equal_the_json_dumps_oracle(self, tmp_path):
+        # descriptions that json escapes or keeps as they are, and vectors
+        # with -0.0, subnormals, dense rows and all-zero rows
+        texts = ['say "no"', "back\\slash", "tab\tnew\nline\x00bell\x07\x7f", "café ∑ 脑电 \u2028 🧠"]
+        specials = [-0.0, 5e-324, 1e-310, 1e16, 1e-7, 0.1, 1.7976931348623157e308]
+        rng = np.random.default_rng(18)
+        for trial in range(20):
+            store = random_store(rng, cases=True)
+            entity_ids = sorted(store.entities)
+            for j, text in enumerate(texts):
+                vector = np.zeros(store.embedding_dim)
+                if j % 2:
+                    vector = rng.standard_normal(store.embedding_dim) * 10.0 ** rng.integers(-300, 300)
+                vector[rng.integers(store.embedding_dim)] = specials[(trial + j) % len(specials)]
+                members = set(rng.choice(entity_ids, size=min(2, len(entity_ids)), replace=False).tolist())
+                store.add_hyperedge(f"{text} {trial}", members, vector, ("knowledge", "case")[j % 2])
+            store.save(tmp_path / str(trial))
+            assert (tmp_path / str(trial) / "hyperedges.jsonl").read_bytes() == hyperedges_jsonl_oracle(store)
 
     @pytest.mark.parametrize(
         "field, value, error",

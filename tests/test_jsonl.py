@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,8 @@ from eegrag.cases import CaseStore, PatientCase
 from eegrag.eeg import EegVectorDatabase
 from eegrag.errors import DimensionMismatchError, PreconditionError, ReferentialError
 from eegrag.hypergraph import BipartiteStore
-from eegrag.jsonl import int_field, read_json, read_jsonl, write_json, write_jsonl
+from eegrag import jsonl
+from eegrag.jsonl import VectorEncoder, int_field, read_json, read_jsonl, write_json, write_jsonl
 
 
 class TestRead:
@@ -159,6 +161,36 @@ class TestWrite:
             store.save(tmp_path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["cases.jsonl"]
+
+
+# finite floats, with the values whose repr is easiest to get wrong
+_EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e16, 1e-7, 1e22, 0.1, 1.7976931348623157e308]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+_VECTORS = st.one_of(
+    st.lists(st.just(0.0) | _FINITE, min_size=1, max_size=300),
+    st.integers(1, 300).map(lambda n: [0.0] * n),
+    st.lists(_FINITE.filter(lambda x: x != 0.0), min_size=1, max_size=300),
+)
+
+
+class TestVectorEncoder:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(values=_VECTORS)
+    def test_equals_json_dumps(self, values):
+        encode = VectorEncoder()
+        vector = np.array(values, dtype=np.float64)
+        # the second call reads every repr from the memo
+        assert encode(vector) == encode(vector) == json.dumps(vector.tolist())
+
+    def test_a_full_memo_is_emptied_and_output_is_unchanged(self, monkeypatch):
+        monkeypatch.setattr(jsonl, "REPR_MEMO_SIZE", 3)
+        encode = VectorEncoder()
+        rng = np.random.default_rng(18)
+        for _ in range(50):
+            vector = rng.standard_normal(int(rng.integers(1, 20)))
+            vector[rng.random(len(vector)) < 0.5] = 0.0
+            assert encode(vector) == json.dumps(vector.tolist())
+            assert len(encode._reprs) <= 3
 
 
 class TestStoreDirectory:

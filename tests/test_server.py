@@ -253,6 +253,50 @@ class TestUnexpectedErrors:
         assert body == {"error": "body stalled for 0.2 s"}
         assert capfd.readouterr().err == ""
 
+    def test_query_past_the_in_flight_cap_is_503(self, monkeypatch, capfd):
+        # three connections: one held inside run_query, one refused while it
+        # is held, and one answered once the held query has returned
+        monkeypatch.setattr(server_module, "MAX_IN_FLIGHT_QUERIES", 1)
+        entered, release = threading.Event(), threading.Event()
+
+        class Answer:
+            def to_dict(self):
+                return {"answer": "held"}
+
+        class BlockingPipeline:
+            def run_query(self, **query):
+                entered.set()
+                release.wait(timeout=10)
+                return Answer()
+
+        server = PipelineServer(BlockingPipeline(), "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        url = f"http://127.0.0.1:{server.server_address[1]}/query"
+        held = []
+        client = threading.Thread(target=lambda: held.append(post(url, {"question": "q"})))
+        conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=10)
+        try:
+            client.start()
+            assert entered.wait(timeout=10)
+            conn.request("POST", "/query", body=json.dumps({"question": "q"}))
+            resp = conn.getresponse()
+            refused = resp.status, resp.getheader("Retry-After"), json.loads(resp.read().decode())
+            release.set()
+            client.join(timeout=10)
+            after = post(url, {"question": "q"})
+        finally:
+            release.set()
+            conn.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not client.is_alive()
+        assert refused == (503, "1", {"error": "too many queries in flight; retry later"})
+        assert held == [(200, {"answer": "held"})]
+        assert after == (200, {"answer": "held"})
+        assert capfd.readouterr().err == ""
+
     def test_client_disconnect_is_logged_at_debug_level(self, capfd, caplog):
         server = PipelineServer(None, "127.0.0.1", 0)
         try:
