@@ -121,18 +121,23 @@ class CaseStore:
     def __len__(self) -> int:
         return len(self.cases)
 
-    def add_record(self, record: PatientRecord) -> str:
-        """Serialize, hash, and store a real case (idempotent by content)."""
+    def _put(self, case: PatientCase) -> None:
+        """The one writer of ``cases``: a new hash with at least one attribute,
+        into an unsealed store."""
         if self._sealed:
             raise StoreSealedError("case store is sealed")
+        if case.h in self.cases:
+            raise PreconditionError(f"case hash {case.h!r} repeats")
+        if not case.attributes:
+            raise PreconditionError("case has no attributes")
+        self.cases[case.h] = case
+
+    def add_record(self, record: PatientRecord) -> str:
+        """Serialize, hash, and store a real case (idempotent by content: a
+        record already stored is not written again, sealed or not)."""
         h = case_id(serialize_case(record))
         if h not in self.cases:
-            self.cases[h] = PatientCase(
-                h=h,
-                attributes=record.attributes,
-                synthetic=False,
-                eeg_refs=list(record.eeg_refs),
-            )
+            self._put(PatientCase(h, record.attributes, eeg_refs=list(record.eeg_refs)))
         return h
 
     def real_cases(self) -> list[PatientCase]:
@@ -156,22 +161,21 @@ class CaseStore:
 
     @classmethod
     def load(cls, directory: str | Path) -> "CaseStore":
-        """The cases saved under ``directory``, none when it has no ``FILE``;
-        a row whose hash ``h`` repeats an earlier row's is rejected, naming
-        its line."""
+        """The cases saved under ``directory``, none when it has no ``FILE``.
+        Every row enters through ``_put``, so a repeated hash ``h`` or a case
+        without attributes is rejected, naming its line. ``h`` is not
+        re-derived from the attributes: that would cost twice the rest of
+        loading."""
 
         def case(row: dict) -> None:
             if not isinstance(row["synthetic"], bool):
                 raise PreconditionError(f"synthetic is {row['synthetic']!r}, not true or false")
-            h = str_field(row["h"], "h")
-            if h in store.cases:
-                raise PreconditionError(f"case hash {h!r} repeats")
-            store.cases[h] = PatientCase(
-                h=h,
+            store._put(PatientCase(
+                h=str_field(row["h"], "h"),
                 attributes={k: str_list(v, f"attribute {k!r}") for k, v in row["e"].items()},
                 synthetic=row["synthetic"],
                 eeg_refs=str_list(row.get("eeg_refs", []), "eeg_refs"),
-            )
+            ))
 
         path = Path(directory) / cls.FILE
         store = cls()
@@ -195,15 +199,13 @@ def augment_pseudo_cases(
     a new synthetic case (hash of the new tuple plus a synthetic marker
     suffix).
 
-    Real cases are never mutated or deleted.
+    Real cases are never mutated or deleted. With fewer than two real cases
+    there is no donor, and nothing is created; a sealed store refuses the
+    first pseudo-case it would get.
     """
-    if store.sealed:
-        raise StoreSealedError("case store is sealed")
     if not 0.0 < tau <= 1.0:
         raise PreconditionError("tau must be in (0, 1]")
     real = store.real_cases()
-    if len(real) < 2:
-        raise PreconditionError("augmentation needs at least 2 cases")
 
     threshold = len(real) / 2.0
     counts = Counter(name for c in real for name in c.attributes)
@@ -238,12 +240,7 @@ def augment_pseudo_cases(
         synthetic_hash = case_id(canonical) + SYNTHETIC_SUFFIX
         if synthetic_hash in store.cases:
             continue
-        store.cases[synthetic_hash] = PatientCase(
-            h=synthetic_hash,
-            attributes=new_attrs,
-            synthetic=True,
-            eeg_refs=list(case.eeg_refs),
-        )
+        store._put(PatientCase(synthetic_hash, new_attrs, synthetic=True, eeg_refs=list(case.eeg_refs)))
         fills.append(FillRecord(case.h, donor.h, fillable, best[0], synthetic_hash))
     return fills
 

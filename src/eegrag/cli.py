@@ -96,10 +96,7 @@ def cmd_ingest_cases(args: argparse.Namespace) -> int:
         else:
             merged += 1
 
-    fills = 0
-    if len(case_store.real_cases()) >= 2:
-        fills = len(augment_pseudo_cases(case_store, embedder, tau=config.pseudo_tau))
-
+    fills = len(augment_pseudo_cases(case_store, embedder, tau=config.pseudo_tau))
     linked = link_case_layer(store, case_store, embedder)
     save_stores(args.store, store=store, case_store=case_store)
     print(

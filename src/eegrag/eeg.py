@@ -187,9 +187,6 @@ class PaaEmbedding:
     def n_channels(self) -> int:
         return len(self.channel_order)
 
-    def channel_blocks(self) -> np.ndarray:
-        return self.values.reshape(self.n_channels, self.segments_per_channel)
-
 
 def eeg_embed(rec: EegRecording, n: int) -> PaaEmbedding:
     """Per-channel z-score, PAA, then concatenation.

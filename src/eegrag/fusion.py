@@ -17,6 +17,7 @@ import logging
 import os
 import threading
 import time
+import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
@@ -398,6 +399,8 @@ class HttpChatClient:
             # OSError: URLError, HTTPError, a reset connection; HTTPException:
             # RemoteDisconnected, IncompleteRead; the rest: a malformed body
             except (OSError, http.client.HTTPException, LookupError, TypeError, ValueError) as exc:
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()  # it holds the response's socket open
                 last_error = exc
                 logger.warning("generation call failed (attempt %d): %s", attempt + 1, exc)
         raise TransportError(

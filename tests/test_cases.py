@@ -156,6 +156,7 @@ class TestCaseStore:
             ("synthetic", 0, "synthetic is 0, not true or false"),
             ("synthetic", "false", "synthetic is 'false', not true or false"),
             ("h", 5, "h is 5, not a string"),
+            ("e", {}, "case has no attributes"),
         ],
     )
     def test_load_rejects_mistyped_fields_naming_the_line(self, tmp_path, field, value, message):
@@ -181,6 +182,9 @@ class TestCaseStore:
         store.seal()
         with pytest.raises(StoreSealedError):
             store.add_record(record(age="2"))
+        assert len(store) == 1
+        # a record already stored writes nothing, so sealing does not refuse it
+        assert store.add_record(record(age="1")) in store.cases
 
 
 class TestAugmentation:
@@ -250,14 +254,24 @@ class TestAugmentation:
         assert fill.synthetic_hash.endswith("-s")
 
     def test_preconditions(self):
-        store = build_store(record(age="1"))
-        with pytest.raises(PreconditionError):
-            augment_pseudo_cases(store, EMB, tau=0.5)
         store2 = build_store(record(age="1"), record(age="2"))
         with pytest.raises(PreconditionError):
             augment_pseudo_cases(store2, EMB, tau=0.0)
         with pytest.raises(PreconditionError):
             augment_pseudo_cases(store2, EMB, tau=1.5)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_real_cases_create_nothing(self, n):
+        store = build_store(*[record(age="30", sex="F")][:n])
+        assert augment_pseudo_cases(store, EMB, tau=0.1) == []
+        assert len(store) == n
+
+    def test_sealed_store_is_refused(self):
+        store = build_store(record(age="30", sex="F", medication="x"), record(age="31", sex="F"))
+        store.seal()
+        with pytest.raises(StoreSealedError):
+            augment_pseudo_cases(store, EMB, tau=0.1)
+        assert len(store) == 2
 
     def test_rerun_is_idempotent(self):
         store = build_store(

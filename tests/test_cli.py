@@ -163,7 +163,8 @@ class TestIngest:
         assert "Traceback" not in err
 
     def test_entities_are_stored_without_embeddings(self, built_store):
-        rows = [json.loads(line) for line in (built_store / "entities.jsonl").open(encoding="utf-8")]
+        with (built_store / "entities.jsonl").open(encoding="utf-8") as fh:
+            rows = [json.loads(line) for line in fh]
         assert rows and all("embedding" not in row for row in rows)
 
     def test_store_with_entity_and_case_vectors_still_loads(self, built_store, tmp_path, capsys):
@@ -347,6 +348,28 @@ def test_repeated_id_exits_2_naming_its_line(built_store, tmp_path, name, key, m
     code, err = run_cli([*QUERY_ARGS, "--store", store])
     assert code == 2
     assert f"error: {path}: line 2: {message.format(first)}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        QUERY_ARGS,
+        ["ingest-docs", FIXTURES / "docs.jsonl"],
+        ["ingest-cases", FIXTURES / "cases.jsonl"],
+        ["serve", "--bind", "127.0.0.1:0"],
+    ],
+    ids=["query", "ingest-docs", "ingest-cases", "serve"],
+)
+def test_case_without_attributes_exits_2_naming_its_line(built_store, tmp_path, monkeypatch, argv):
+    # loading must refuse the row: a store that loads it fails later, unlocated
+    monkeypatch.setattr("eegrag.server.serve", lambda *a: pytest.fail("the store loaded"))
+    store = tmp_path / "store"
+    shutil.copytree(built_store, store)
+    path = store / "cases.jsonl"
+    rewrite_row(path, 2, "e", {})
+    code, err = run_cli([*argv, "--store", store])
+    assert code == 2
+    assert f"error: {path}: line 2: case has no attributes" in err
 
 
 def test_entity_ids_with_the_hyperedge_tag_exit_2_before_any_traversal(built_store, tmp_path):

@@ -456,8 +456,8 @@ class TestVectorDatabase:
         db.seal()
         query = make_recording(rng.normal(size=(3, 20)), rec_id="q")
         (match,) = db.retrieve(query, 1)
-        q = eeg_embed(query, 4).channel_blocks()
-        s = db.get("r1").embedding.channel_blocks()
+        q = eeg_embed(query, 4).values.reshape(3, 4)
+        s = db.get("r1").embedding.values.reshape(3, 4)
         expected = sum(dtw(q[c], s[c]) for c in range(3))
         assert match.distance == expected
 

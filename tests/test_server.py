@@ -68,7 +68,8 @@ class TestHealthz:
         url, _ = endpoint
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(f"{url}/nope", timeout=10)
-        assert err.value.code == 404
+        with err.value:
+            assert err.value.code == 404
 
 
 class TestQueryEndpoint:
