@@ -11,6 +11,7 @@ complete neighbor; real cases are never mutated.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -121,24 +122,42 @@ class CaseStore:
     def __len__(self) -> int:
         return len(self.cases)
 
-    def _put(self, case: PatientCase) -> None:
-        """The one writer of ``cases``: a new hash with at least one attribute,
-        into an unsealed store."""
-        if self._sealed:
-            raise StoreSealedError("case store is sealed")
-        if case.h in self.cases:
-            raise PreconditionError(f"case hash {case.h!r} repeats")
+    def _put(self, case: PatientCase, content_hash: bool = False) -> bool:
+        """The one writer of ``cases``: check ``case``, copying its lists, and
+        insert it under a new hash into an unsealed store; returns whether
+        it inserted. With ``content_hash``, ``h`` is first set to the hash
+        of the attribute tuple (marked when synthetic), and a case already
+        stored under it is left as it is, sealed store or not."""
+        if not isinstance(case.synthetic, bool):
+            raise PreconditionError(f"synthetic is {case.synthetic!r}, not true or false")
+        if not isinstance(case.attributes, dict):
+            raise PreconditionError(f"attributes are {case.attributes!r}, not an object")
+        attrs = case.attributes.items()
+        case.attributes = {str_field(k, "attribute name"): str_list(v, f"attribute {k!r}") for k, v in attrs}
+        case.eeg_refs = str_list(case.eeg_refs, "eeg_refs")
         if not case.attributes:
             raise PreconditionError("case has no attributes")
+        suffix = SYNTHETIC_SUFFIX if case.synthetic else ""
+        if content_hash:
+            case.h = case_id(serialize_case(case.attributes)) + suffix
+            if case.h in self.cases:
+                return False
+        if self._sealed:
+            raise StoreSealedError("case store is sealed")
+        if str_field(case.h, "h") in self.cases:
+            raise PreconditionError(f"case hash {case.h!r} repeats")
+        if not re.fullmatch(f"[0-9a-f]{{16}}{suffix}", case.h):
+            digits = f"16 lowercase hex digits{' and ' + suffix if suffix else ''}"
+            raise PreconditionError(f"h is {case.h!r}, not {digits}")
         self.cases[case.h] = case
+        return True
 
     def add_record(self, record: PatientRecord) -> str:
         """Serialize, hash, and store a real case (idempotent by content: a
         record already stored is not written again, sealed or not)."""
-        h = case_id(serialize_case(record))
-        if h not in self.cases:
-            self._put(PatientCase(h, record.attributes, eeg_refs=list(record.eeg_refs)))
-        return h
+        case = PatientCase("", record.attributes, eeg_refs=record.eeg_refs)
+        self._put(case, content_hash=True)
+        return case.h
 
     def real_cases(self) -> list[PatientCase]:
         return [self.cases[h] for h in sorted(self.cases) if not self.cases[h].synthetic]
@@ -162,20 +181,12 @@ class CaseStore:
     @classmethod
     def load(cls, directory: str | Path) -> "CaseStore":
         """The cases saved under ``directory``, none when it has no ``FILE``.
-        Every row enters through ``_put``, so a repeated hash ``h`` or a case
-        without attributes is rejected, naming its line. ``h`` is not
-        re-derived from the attributes: that would cost twice the rest of
-        loading."""
+        Every row enters through ``_put``, so a row it refuses is rejected,
+        naming its line. ``h`` is checked in form only, not re-derived from
+        the attributes: that would cost twice the rest of loading."""
 
         def case(row: dict) -> None:
-            if not isinstance(row["synthetic"], bool):
-                raise PreconditionError(f"synthetic is {row['synthetic']!r}, not true or false")
-            store._put(PatientCase(
-                h=str_field(row["h"], "h"),
-                attributes={k: str_list(v, f"attribute {k!r}") for k, v in row["e"].items()},
-                synthetic=row["synthetic"],
-                eeg_refs=str_list(row.get("eeg_refs", []), "eeg_refs"),
-            ))
+            store._put(PatientCase(row["h"], row["e"], row["synthetic"], row.get("eeg_refs", [])))
 
         path = Path(directory) / cls.FILE
         store = cls()
@@ -233,15 +244,10 @@ def augment_pseudo_cases(
         fillable = [a for a in missing if a in donor.attributes]
         if not fillable:
             continue
-        new_attrs = {k: list(v) for k, v in case.attributes.items()}
-        for a in fillable:
-            new_attrs[a] = list(donor.attributes[a])
-        canonical = serialize_case(new_attrs)
-        synthetic_hash = case_id(canonical) + SYNTHETIC_SUFFIX
-        if synthetic_hash in store.cases:
-            continue
-        store._put(PatientCase(synthetic_hash, new_attrs, synthetic=True, eeg_refs=list(case.eeg_refs)))
-        fills.append(FillRecord(case.h, donor.h, fillable, best[0], synthetic_hash))
+        new_attrs = {**case.attributes, **{a: donor.attributes[a] for a in fillable}}
+        pseudo = PatientCase("", new_attrs, synthetic=True, eeg_refs=case.eeg_refs)
+        if store._put(pseudo, content_hash=True):
+            fills.append(FillRecord(case.h, donor.h, fillable, best[0], pseudo.h))
     return fills
 
 

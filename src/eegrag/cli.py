@@ -87,14 +87,10 @@ def cmd_ingest_cases(args: argparse.Namespace) -> int:
     case_store = CaseStore.load(args.store)
     embedder = HashedTokenEmbedder(config.embedding_dim)
     records = load_records(args.input)
-    added = merged = 0
+    before = len(case_store)
     for record in records:
-        before = len(case_store)
         case_store.add_record(record)
-        if len(case_store) > before:
-            added += 1
-        else:
-            merged += 1
+    added = len(case_store) - before
 
     fills = len(augment_pseudo_cases(case_store, embedder, tau=config.pseudo_tau))
     linked = link_case_layer(store, case_store, embedder)
@@ -103,7 +99,7 @@ def cmd_ingest_cases(args: argparse.Namespace) -> int:
         json.dumps(
             {
                 "cases_added": added,
-                "cases_merged": merged,
+                "cases_merged": len(records) - added,
                 "pseudo_cases_created": fills,
                 "case_hyperedges_linked": linked,
             },
@@ -208,8 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("question")
     p.add_argument("--role", help="clinical role tag (doctor/patient/researcher/intern/nurse)")
     p.add_argument("--domain", help="disorder tag")
-    p.add_argument("--eeg", help="query EEG recording JSON file")
-    p.add_argument("--eeg-id", help="id of a stored recording to use as the query signal")
+    eeg = p.add_mutually_exclusive_group()
+    eeg.add_argument("--eeg", help="query EEG recording JSON file")
+    eeg.add_argument("--eeg-id", help="id of a stored recording to use as the query signal")
     _add_common(p)
     p.set_defaults(func=cmd_query)
 

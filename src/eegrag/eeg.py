@@ -163,8 +163,8 @@ def zscore(series) -> np.ndarray:
 
 @dataclass
 class PaaEmbedding:
-    """Channel-major concatenation of per-channel PAA vectors (length C*n);
-    built valid (a channel, a segment, finite values) or not at all."""
+    """Channel-major concatenation of per-channel PAA vectors (length C*n); built
+    valid (string channel names, a channel, a segment, finite values) or not at all."""
 
     segments_per_channel: int
     values: np.ndarray
@@ -172,6 +172,7 @@ class PaaEmbedding:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
+        self.channel_order = str_list(self.channel_order, "channel_order")
         if not self.channel_order or self.segments_per_channel < 1:
             raise PreconditionError("embedding needs at least one channel and one segment")
         expected = self.segments_per_channel * len(self.channel_order)
@@ -329,8 +330,6 @@ class EegVectorDatabase:
         return len(self.entries)
 
     def insert_recording(self, rec: EegRecording) -> str:
-        if self._sealed:
-            raise StoreSealedError("EEG database is sealed")
         emb = eeg_embed(rec, self.n_segments)
         self._add(EvdEntry(rec.id, rec.patient_hash, rec.sample_rate, emb))
         return rec.id
@@ -350,7 +349,15 @@ class EegVectorDatabase:
             )
 
     def _add(self, entry: EvdEntry) -> None:
-        """The one writer of ``entries``: a new id with the stored layout."""
+        """The one writer of ``entries``: into an unsealed database, a new
+        non-empty string id, a string or null ``patient_hash``, a finite
+        ``sample_rate`` > 0 (made a float) and the stored layout."""
+        if self._sealed:
+            raise StoreSealedError("EEG database is sealed")
+        if not str_field(entry.id, "id"):
+            raise PreconditionError("recording id must be non-empty")
+        str_field(entry.patient_hash, "patient_hash", optional=True)
+        entry.sample_rate = _sample_rate(entry.sample_rate)
         if entry.id in self.entries:
             raise PreconditionError(f"duplicate recording id {entry.id!r}")
         self._check_layout(entry.embedding)
@@ -441,8 +448,7 @@ class EegVectorDatabase:
         """The embeddings saved under ``directory`` with ``n_segments``; none without ``FILE``.
 
         A row embedded under other settings, whose embedding is invalid (see
-        ``PaaEmbedding``), whose layout differs from the first row's, or
-        whose id repeats an earlier row's, is rejected, naming its line.
+        ``PaaEmbedding``) or that ``_add`` refuses is rejected, naming its line.
         """
 
         def entry(row: dict) -> EvdEntry:
@@ -452,14 +458,8 @@ class EegVectorDatabase:
                 raise PreconditionError(
                     f"EEG database n_segments {row['n_segments']} != configured {n_segments}"
                 )
-            order = str_list(row["channel_order"], "channel_order")
-            emb = PaaEmbedding(n_segments, row["values"], order)
-            return EvdEntry(
-                str_field(row["id"], "id"),
-                str_field(row["patient_hash"], "patient_hash", optional=True),
-                _sample_rate(row["sample_rate"]),
-                emb,
-            )
+            emb = PaaEmbedding(n_segments, row["values"], row["channel_order"])
+            return EvdEntry(row["id"], row["patient_hash"], row["sample_rate"], emb)
 
         path = Path(directory) / cls.FILE
         db = cls(n_segments, band, channel_blocked)

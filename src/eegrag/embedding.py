@@ -14,6 +14,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from .errors import PreconditionError
 from .hashing import fnv1a64_text
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
@@ -56,7 +57,7 @@ class HashedTokenEmbedder:
 
     def __init__(self, dim: int = 256):
         if dim < 1:
-            raise ValueError("embedding dimension must be >= 1")
+            raise PreconditionError("embedding dimension must be >= 1")
         self._dim = dim
 
     @property

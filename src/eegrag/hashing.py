@@ -8,7 +8,6 @@ lets traversal code treat both as plain graph nodes.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 
 FNV64_OFFSET = 0xCBF29CE484222325
@@ -17,8 +16,6 @@ _MASK64 = (1 << 64) - 1
 
 # Top bit of the 64-bit id tags the node kind: 0 = entity, 1 = hyperedge.
 HYPEREDGE_TAG = 1 << 63
-
-_WS = re.compile(r"\s+")
 
 # distinct names whose entity id is kept; a full cache is ~3 MiB
 _ENTITY_IDS = 1 << 14
@@ -39,11 +36,12 @@ def fnv1a64_text(text: str) -> int:
 
 def normalize_name(name: str) -> str:
     """Canonical form used for entity identity: lowercase, collapsed whitespace."""
-    return _WS.sub(" ", name.strip()).lower()
+    return collapse_whitespace(name).lower()
 
 
 def collapse_whitespace(text: str) -> str:
-    return _WS.sub(" ", text.strip())
+    """``text`` stripped, each inner run of whitespace (``str.isspace``) one space."""
+    return " ".join(text.split())
 
 
 @lru_cache(maxsize=_ENTITY_IDS)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -180,7 +181,7 @@ class BipartiteStore:
     # -- the doors: the only writers of rows ---------------------------------
 
     def _check_new_id(self, node_id: int, kind: str) -> None:
-        if not 0 <= node_id < 1 << 64:
+        if not 0 <= int_field(node_id, "id") < 1 << 64:
             raise PreconditionError(f"{kind} id {node_id} is not in [0, 2**64)")
         if is_hyperedge_id(node_id) != (kind == "hyperedge"):
             tag = "lacks" if kind == "hyperedge" else "carries"
@@ -188,16 +189,40 @@ class BipartiteStore:
         if self.has_node(node_id):
             raise PreconditionError(f"{kind} id {node_id} repeats")
 
-    def _put_entity(self, entity: Entity) -> None:
-        """Insert a new entity row and index its name."""
+    def _put_entity(self, entity: Entity, content_id: bool = False) -> None:
+        """Check an entity row and insert it under a new id, indexing its
+        name. With ``content_id`` the id is first set from the name, and an
+        entity already stored under it takes the row's non-empty texts."""
+        self._require_unsealed()
+        for key in ("name", "etype", "definition"):
+            str_field(getattr(entity, key), key)
+        if not entity.name.strip():
+            raise PreconditionError("entity name must be non-empty")
+        if entity.name != collapse_whitespace(entity.name):
+            raise PreconditionError(f"entity name {entity.name!r} is not whitespace-collapsed")
+        if content_id:
+            entity.id = entity_id(entity.name)
+            existing = self.entities.get(entity.id)
+            if existing is not None:
+                existing.etype = entity.etype or existing.etype
+                existing.definition = entity.definition or existing.definition
+                return
         self._check_new_id(entity.id, "entity")
         self.entities[entity.id] = entity
         self.incidence[entity.id] = set()
         self.names.add(entity)
 
-    def _check_edge(self, edge: Hyperedge) -> None:
-        """Raise unless ``edge``'s members, layer and vector are valid; the
-        vector becomes a float64 array."""
+    def _put_edge(self, edge: Hyperedge, content_id: bool = False) -> None:
+        """Check a hyperedge row and insert it under a new id, indexed under
+        its members and, on the case layer, by its description. With
+        ``content_id`` the id is first set to the content hash, and an edge
+        already stored under it is left as it is."""
+        self._require_unsealed()
+        if not str_field(edge.description, "description").strip():
+            raise PreconditionError("hyperedge description must be non-blank")
+        if not isinstance(edge.members, Iterable):
+            raise PreconditionError(f"members is {edge.members!r}, not a list of integers")
+        edge.members = frozenset(int_field(m, "member") for m in edge.members)
         if not edge.members:
             raise PreconditionError("hyperedge members must be non-empty")
         if edge.layer not in LAYERS:
@@ -212,12 +237,11 @@ class BipartiteStore:
             )
         if not np.isfinite(vec).all():
             raise PreconditionError("embedding values must be finite")
-
-    def _put_edge(self, edge: Hyperedge) -> None:
-        """Insert a new hyperedge row, index it under every member and, on
-        the case layer, map its description to its members."""
+        if content_id:
+            edge.id = hyperedge_id(edge.description, edge.members, edge.layer)
+            if edge.id in self.hyperedges:
+                return
         self._check_new_id(edge.id, "hyperedge")
-        self._check_edge(edge)
         if edge.layer == CASE_LAYER:
             if edge.description in self.case_members:
                 raise PreconditionError(f"case-layer description {edge.description!r} repeats")
@@ -231,20 +255,9 @@ class BipartiteStore:
     def add_entity(self, name: str, etype: str = "", definition: str = "") -> int:
         """Register an entity; re-adding the same normalized name merges its
         text fields, the newest non-empty one winning."""
-        self._require_unsealed()
-        if not name or not name.strip():
-            raise PreconditionError("entity name must be non-empty")
-        name = collapse_whitespace(name)
-        eid = entity_id(name)
-        existing = self.entities.get(eid)
-        if existing is None:
-            self._put_entity(Entity(eid, name, etype, definition))
-        else:
-            if etype:
-                existing.etype = etype
-            if definition:
-                existing.definition = definition
-        return eid
+        entity = Entity(0, collapse_whitespace(str_field(name, "name")), etype, definition)
+        self._put_entity(entity, content_id=True)
+        return entity.id
 
     def add_hyperedge(
         self,
@@ -257,13 +270,8 @@ class BipartiteStore:
         member entity; re-adding an edge checks it alike and keeps the first
         embedding. A second case-layer edge with the same description is
         refused."""
-        self._require_unsealed()
-        member_set = frozenset(members)
-        edge = Hyperedge(hyperedge_id(description, member_set, layer), description, member_set, layer, embedding)
-        if edge.id in self.hyperedges:
-            self._check_edge(edge)
-        else:
-            self._put_edge(edge)
+        edge = Hyperedge(0, description, members, layer, embedding)
+        self._put_edge(edge, content_id=True)
         return edge.id
 
     def drop_layer(self, layer: str) -> None:
@@ -381,14 +389,11 @@ class BipartiteStore:
             return cls(embedding_dim=meta["embedding_dim"])
 
         def entity(row: dict) -> None:
-            eid = int_field(row["id"], "id")
-            store._put_entity(Entity(eid, *(str_field(row[k], k) for k in ("name", "etype", "definition"))))
+            store._put_entity(Entity(row["id"], row["name"], row["etype"], row["definition"]))
 
         def hyperedge(row: dict) -> None:
-            hid = int_field(row["id"], "id")
-            description = str_field(row["description"], "description")
-            members = frozenset(int_field(m, "member") for m in row["members"])
-            store._put_edge(Hyperedge(hid, description, members, row["layer"], row["embedding"]))
+            fields = row["id"], row["description"], row["members"], row["layer"], row["embedding"]
+            store._put_edge(Hyperedge(*fields))
 
         store = read_json(directory / META_FILE, from_meta)
         if store.embedding_dim != embedding_dim:

@@ -3,11 +3,11 @@
 Reading skips blank lines and reports a malformed line as
 ``PreconditionError("<path>: line N: ...")``; a store's own typed errors
 (``DimensionMismatchError``, ``ReferentialError``) keep their type and gain
-the same location; a parser checks a field's JSON type with ``str_field``,
-``str_list`` or ``int_field``. Writing goes to a sibling temporary file
-that replaces the target only once it is complete, so an exception or a
-process crash mid-write leaves the previous file as it was. Nothing is
-fsynced: the guarantee does not cover a power loss.
+the same location; a parser or a store's door checks a field's JSON type
+with ``str_field``, ``str_list`` or ``int_field``. Writing goes to a
+sibling temporary file that replaces the target only once it is complete,
+so an exception or a process crash mid-write leaves the previous file as
+it was. Nothing is fsynced: the guarantee does not cover a power loss.
 
 ``write_jsonl`` writes each row with ``json.dumps(row, ensure_ascii=False,
 sort_keys=True)``. A store whose rows hold long, mostly-zero float vectors

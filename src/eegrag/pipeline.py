@@ -165,6 +165,8 @@ class Pipeline:
         recording: EegRecording | None,
         recording_id: str | None,
     ) -> list:
+        if recording is not None and recording_id is not None:
+            raise PreconditionError("give an EEG recording or a stored recording id, not both")
         flags = self.config.ablation
         if not flags.el:
             if recording is not None or recording_id is not None:

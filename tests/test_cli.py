@@ -7,9 +7,12 @@ import pytest
 
 from eegrag.cases import CaseStore, embed_case, serialize_case
 from eegrag.cli import main
-from eegrag.eeg import EegVectorDatabase
+from eegrag.config import PipelineConfig
+from eegrag.eeg import EegVectorDatabase, load_recording
 from eegrag.embedding import HashedTokenEmbedder
+from eegrag.errors import PreconditionError
 from eegrag.hypergraph import BipartiteStore
+from eegrag.pipeline import Pipeline
 from eegrag.retrieval import find_entity_mentions
 
 from conftest import FIXTURES, GOLDEN, rewrite_row, run_cli
@@ -293,6 +296,18 @@ MISTYPED = [
         ("rec-001.json", None, "sample_rate", value, f"sample_rate is {value!r}, not a finite number > 0")
         for value in ("nan", math.inf, -5, 0, "256", True)
     ],
+    # rows that no ingest writes: each store's door refuses them on load too
+    ("entities.jsonl", 2, "name", "", "entity name must be non-empty"),
+    ("entities.jsonl", 2, "name", "  ", "entity name must be non-empty"),
+    ("entities.jsonl", 2, "name", "beta  oscillation", "entity name 'beta  oscillation' is not whitespace-collapsed"),
+    ("hyperedges.jsonl", 2, "description", "", "hyperedge description must be non-blank"),
+    ("hyperedges.jsonl", 2, "description", " ", "hyperedge description must be non-blank"),
+    ("evd.jsonl", 2, "id", "", "recording id must be non-empty"),
+    # line 2 is the real case 26bb22054f5fdaf9, line 1 a pseudo-case
+    ("cases.jsonl", 2, "synthetic", True, "h is '26bb22054f5fdaf9', not 16 lowercase hex digits and -s"),
+    ("cases.jsonl", 2, "h", "26bb22054f5fdaf9-s", "h is '26bb22054f5fdaf9-s', not 16 lowercase hex digits"),
+    ("cases.jsonl", 2, "h", "26BB22054F5FDAF9", "h is '26BB22054F5FDAF9', not 16 lowercase hex digits"),
+    ("cases.jsonl", 2, "h", "26bb22054f5fdaf", "h is '26bb22054f5fdaf', not 16 lowercase hex digits"),
 ]
 STORE_FILES = ("entities.jsonl", "hyperedges.jsonl", "evd.jsonl", "cases.jsonl")
 
@@ -488,6 +503,20 @@ class TestQuery:
         result = json.loads(capsys.readouterr().out)
         assert [m["recording_id"] for m in result["traces"]["eeg"]][:1] == ["rec-001"]
         assert result["traces"]["hyperedges"] == [] and result["context"]["cases"] == []
+
+    def test_eeg_file_and_eeg_id_together_exit_2(self, built_store, capsys):
+        argv = ["query", "q", "--eeg", str(FIXTURES / "eeg" / "rec-003.json"), "--eeg-id", "rec-001"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--store", str(built_store)])
+        assert exit_info.value.code == 2
+        assert "argument --eeg-id: not allowed with argument --eeg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("el", ["true", "false"])
+    def test_run_query_refuses_a_recording_and_a_stored_id_together(self, built_store, el):
+        pipeline = Pipeline.from_directory(built_store, PipelineConfig.from_mapping({"el": el}))
+        recording = load_recording(FIXTURES / "eeg" / "rec-003.json")
+        with pytest.raises(PreconditionError, match="not both"):
+            pipeline.run_query("q", eeg_recording=recording, eeg_recording_id="rec-001")
 
     def test_unknown_eeg_id(self, built_store, capsys):
         code = main(["query", "q", "--eeg-id", "rec-nope", "--store", str(built_store)])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eegrag.embedding import HashedTokenEmbedder
+from eegrag.errors import PreconditionError
 
 
 def test_deterministic():
@@ -22,6 +23,12 @@ def test_dimension():
         assert HashedTokenEmbedder(d).embed("x").shape == (d,)
     with pytest.raises(ValueError):
         HashedTokenEmbedder(0)
+
+
+@pytest.mark.parametrize("dim", [0, -3])
+def test_dimension_below_one_is_a_precondition_error(dim):
+    with pytest.raises(PreconditionError, match="embedding dimension must be >= 1"):
+        HashedTokenEmbedder(dim)
 
 
 def test_no_tokens_degenerates_to_zero_vector():

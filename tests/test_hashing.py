@@ -1,5 +1,9 @@
+import re
+import sys
+
 from eegrag.hashing import (
     HYPEREDGE_TAG,
+    collapse_whitespace,
     entity_id,
     fnv1a64,
     fnv1a64_text,
@@ -29,6 +33,18 @@ def test_fnv1a64_text_is_utf8():
 def test_normalize_name():
     assert normalize_name("  Spike   Wave \t Discharge ") == "spike wave discharge"
     assert normalize_name("ALPHA") == "alpha"
+
+
+def test_collapse_whitespace_counts_exactly_regex_whitespace():
+    # the entity ids and case hashes of existing stores were derived from
+    # names collapsed with re.sub(r"\s+", " ", ...), so a different set of
+    # whitespace characters would give their rows new ids
+    chars = [chr(code) for code in range(sys.maxunicode + 1)]
+    whitespace = [c for c in chars if re.fullmatch(r"\s", c)]
+    assert whitespace == [c for c in chars if c.isspace()]
+    for c in whitespace:
+        assert collapse_whitespace(f"{c} a{c}{c}b {c}x") == "a b x"
+    assert collapse_whitespace("a\u200bb") == "a\u200bb"  # a zero-width space is not whitespace
 
 
 def test_entity_id_normalization_invariance():
