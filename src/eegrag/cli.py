@@ -52,13 +52,14 @@ def link_case_layer(store: BipartiteStore, case_store: CaseStore, embedder: Embe
     the entities calls this, so the links never depend on ingest order.
     Returns the layer's edge count."""
     store.drop_layer(CASE_LAYER)
-    before = len(store.hyperedges)
+    rows = []
     for h in sorted(case_store.cases):
         case = case_store.cases[h]
         members = {m.entity_id for m in find_entity_mentions(case.canonical, store)}
         if members:
-            vector = embed_case(h, case.canonical, embedder)
-            store.add_hyperedge(case.canonical, members, vector, CASE_LAYER)
+            rows.append((case.canonical, members, embed_case(h, case.canonical, embedder), CASE_LAYER))
+    before = len(store.hyperedges)
+    store.add_hyperedges(rows)
     return len(store.hyperedges) - before
 
 

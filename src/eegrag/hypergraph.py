@@ -10,8 +10,11 @@ Lifecycle: a store is mutable while being built (single writer), then
 reader/writer interleaving; re-ingestion starts from a fresh load. Rows
 enter through one door per kind, ``_put_entity`` and ``_put_edge``, for
 ingest and load alike: the door checks the row and keeps ``incidence``, the
-``NameIndex`` and ``case_members`` current. Sealing builds only the vector
-matrix (``HyperedgeIndex``); queries only read.
+``NameIndex`` and ``case_members`` current. A hyperedge row passes the
+door's field rules, ``_check_edge``, before ``_put_edge``; ingest adds
+hyperedges in batches (``add_hyperedges``), which check every row first
+and hash all their ids at once. Sealing builds only the vector matrix
+(``HyperedgeIndex``); queries only read.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import (
     ReferentialError,
     StoreSealedError,
 )
-from .hashing import collapse_whitespace, entity_id, hyperedge_id, is_hyperedge_id
+from .hashing import collapse_whitespace, entity_id, hyperedge_ids, is_hyperedge_id
 from .jsonl import (
     VectorEncoder,
     int_field,
@@ -212,11 +215,9 @@ class BipartiteStore:
         self.incidence[entity.id] = set()
         self.names.add(entity)
 
-    def _put_edge(self, edge: Hyperedge, content_id: bool = False) -> None:
-        """Check a hyperedge row and insert it under a new id, indexed under
-        its members and, on the case layer, by its description. With
-        ``content_id`` the id is first set to the content hash, and an edge
-        already stored under it is left as it is."""
+    def _check_edge(self, edge: Hyperedge) -> None:
+        """Check a hyperedge row's fields, leaving its members a frozenset
+        and its embedding a float64 array; the id is ``_put_edge``'s."""
         self._require_unsealed()
         if not str_field(edge.description, "description").strip():
             raise PreconditionError("hyperedge description must be non-blank")
@@ -237,10 +238,11 @@ class BipartiteStore:
             )
         if not np.isfinite(vec).all():
             raise PreconditionError("embedding values must be finite")
-        if content_id:
-            edge.id = hyperedge_id(edge.description, edge.members, edge.layer)
-            if edge.id in self.hyperedges:
-                return
+
+    def _put_edge(self, edge: Hyperedge) -> None:
+        """Insert a hyperedge row that ``_check_edge`` has passed under a new
+        id, indexed under its members and, on the case layer, by its
+        description."""
         self._check_new_id(edge.id, "hyperedge")
         if edge.layer == CASE_LAYER:
             if edge.description in self.case_members:
@@ -266,13 +268,32 @@ class BipartiteStore:
         embedding: np.ndarray,
         layer: str = KNOWLEDGE_LAYER,
     ) -> int:
-        """Store an n-ary relation with its embedding and index it under every
-        member entity; re-adding an edge checks it alike and keeps the first
-        embedding. A second case-layer edge with the same description is
-        refused."""
-        edge = Hyperedge(0, description, members, layer, embedding)
-        self._put_edge(edge, content_id=True)
-        return edge.id
+        """``add_hyperedges`` of the one row."""
+        return self.add_hyperedges([(description, members, embedding, layer)])[0]
+
+    def add_hyperedges(self, rows: Iterable[tuple]) -> list[int]:
+        """Store each ``(description, members, embedding, layer)`` row as an
+        n-ary relation and index it under every member entity; return the
+        rows' ids, the content hashes of their description, members and
+        layer.
+
+        Every row is checked before any is stored, so a row that breaks a
+        row rule raises its error with the store unchanged. The ids are then
+        hashed in one ``hyperedge_ids`` call, and the rows are inserted in
+        order: a row whose id is already stored, earlier in the batch or
+        before it, is left as it is (the first embedding is kept), and a
+        second case-layer edge with the same description is refused when its
+        row is reached.
+        """
+        edges = [Hyperedge(0, text, members, layer, vec) for text, members, vec, layer in rows]
+        for edge in edges:
+            self._check_edge(edge)
+        ids = hyperedge_ids((e.description, e.members, e.layer) for e in edges)
+        for edge, edge_id in zip(edges, ids):
+            if edge_id not in self.hyperedges:
+                edge.id = edge_id
+                self._put_edge(edge)
+        return ids
 
     def drop_layer(self, layer: str) -> None:
         """Delete every hyperedge of ``layer``, and its incidence and
@@ -393,7 +414,9 @@ class BipartiteStore:
 
         def hyperedge(row: dict) -> None:
             fields = row["id"], row["description"], row["members"], row["layer"], row["embedding"]
-            store._put_edge(Hyperedge(*fields))
+            edge = Hyperedge(*fields)
+            store._check_edge(edge)
+            store._put_edge(edge)
 
         store = read_json(directory / META_FILE, from_meta)
         if store.embedding_dim != embedding_dim:

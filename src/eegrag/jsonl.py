@@ -1,13 +1,15 @@
 """The one reader and writer of the package's JSON and JSONL files.
 
 Reading skips blank lines and reports a malformed line as
-``PreconditionError("<path>: line N: ...")``; a store's own typed errors
-(``DimensionMismatchError``, ``ReferentialError``) keep their type and gain
-the same location; a parser or a store's door checks a field's JSON type
-with ``str_field``, ``str_list`` or ``int_field``. Writing goes to a
-sibling temporary file that replaces the target only once it is complete,
-so an exception or a process crash mid-write leaves the previous file as
-it was. Nothing is fsynced: the guarantee does not cover a power loss.
+``PreconditionError("<path>: line N: ...")``, a string that UTF-8 cannot
+encode (a lone surrogate escape such as ``"\\ud800"``) among them; a
+store's own typed errors (``DimensionMismatchError``, ``ReferentialError``)
+keep their type and gain the same location; a parser or a store's door
+checks a field's JSON type with ``str_field``, ``str_list`` or
+``int_field``. Writing goes to a sibling temporary file that replaces the
+target only once it is complete, so an exception or a process crash
+mid-write leaves the previous file as it was. Nothing is fsynced: the
+guarantee does not cover a power loss.
 
 ``write_jsonl`` writes each row with ``json.dumps(row, ensure_ascii=False,
 sort_keys=True)``. A store whose rows hold long, mostly-zero float vectors
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import reprlib
 from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from pathlib import Path
@@ -66,6 +69,33 @@ def int_field(value, what: str) -> int:
     raise PreconditionError(f"{what} is {value!r}, not an integer")
 
 
+def _decoded(text: str):
+    """The JSON value in ``text``, refused if any of its strings (keys too)
+    holds a lone surrogate, which UTF-8 cannot encode. Text is decoded
+    strictly, which refuses an encoded surrogate, so one can only come from
+    a ``\\u`` escape, and only a document with such an escape is walked (a
+    backslash is looked for first, which is several times faster)."""
+    value = json.loads(text)
+    if "\\" in text and "\\u" in text:
+        stack = [value]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                try:
+                    item.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise PreconditionError(
+                        f"string {reprlib.repr(item)} is not valid UTF-8 text: "
+                        f"a lone surrogate {item[exc.start]!r} at index {exc.start}"
+                    ) from None
+            elif isinstance(item, dict):
+                stack.extend(item)
+                stack.extend(item.values())
+            elif isinstance(item, list):
+                stack.extend(item)
+    return value
+
+
 def read_jsonl(path: str | Path, parse: Callable[[object], T]) -> list[T]:
     """``parse`` of each non-blank line of ``path``, in file order."""
     rows = []
@@ -73,16 +103,18 @@ def read_jsonl(path: str | Path, parse: Callable[[object], T]) -> list[T]:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    rows.append(parse(json.loads(line.decode("utf-8"))))
+                    rows.append(parse(_decoded(line.decode("utf-8"))))
                 except _MALFORMED as exc:
                     raise _located(exc, f"{path}: line {lineno}") from exc
     return rows
 
 
 def read_json(path: str | Path, parse: Callable[[object], T]) -> T:
-    """``parse`` of the one JSON document in ``path``."""
+    """``parse`` of the one JSON document in ``path``, decoded as ``json``
+    detects (UTF-8, -16 or -32), strictly."""
+    raw = Path(path).read_bytes()
     try:
-        return parse(json.loads(Path(path).read_bytes()))
+        return parse(_decoded(raw.decode(json.detect_encoding(raw))))
     except _MALFORMED as exc:
         raise _located(exc, str(path)) from exc
 

@@ -149,13 +149,16 @@ def build_kgh(
     Degenerate facts are dropped (logged and counted, not fatal); every
     other fact becomes a knowledge-layer hyperedge with an embedded
     description, and every entity is registered (or merged); entities carry
-    no vector, since they are linked by name. Documents are processed in id
-    order so the build is deterministic regardless of input order.
+    no vector, since they are linked by name. The entities are added fact by
+    fact, then every hyperedge in one ``add_hyperedges`` batch. Documents
+    are processed in id order so the build is deterministic regardless of
+    input order.
     An extractor's ``TransportError`` is re-raised naming the document.
     """
     if store.sealed:
         raise PreconditionError("cannot ingest into a sealed store")
     report = IngestReport()
+    rows = []
     for doc in sorted(docs, key=lambda d: d.id):
         report.documents += 1
         try:
@@ -174,14 +177,11 @@ def build_kgh(
                     report.entities_added += 1
                 else:
                     report.entities_merged += 1
-            before = len(store.hyperedges)
-            store.add_hyperedge(
-                fact.description, member_ids, embedder.embed(fact.description), KNOWLEDGE_LAYER
-            )
-            if len(store.hyperedges) > before:
-                report.hyperedges_added += 1
-            else:
-                report.hyperedges_merged += 1
+            rows.append((fact.description, member_ids, embedder.embed(fact.description), KNOWLEDGE_LAYER))
+    before = len(store.hyperedges)
+    store.add_hyperedges(rows)
+    report.hyperedges_added = len(store.hyperedges) - before
+    report.hyperedges_merged = len(rows) - report.hyperedges_added
     return report
 
 

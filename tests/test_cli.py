@@ -387,6 +387,36 @@ def test_case_without_attributes_exits_2_naming_its_line(built_store, tmp_path, 
     assert f"error: {path}: line 2: case has no attributes" in err
 
 
+@pytest.mark.parametrize(
+    "command, name, line, field, value",
+    [
+        ("ingest-docs", "docs.facts.jsonl", 2, "entities", first_entity("epi\ud800")),
+        ("ingest-cases", "cases.jsonl", 3, "age", "3\ud8004"),
+        ("ingest-eeg", "rec-001.json", None, "id", "rec-\ud800"),
+    ],
+    ids=["ingest-docs", "ingest-cases", "ingest-eeg"],
+)
+def test_lone_surrogate_escape_exits_2_naming_file_and_line(tmp_path, command, name, line, field, value):
+    # json reads "\ud800" as a lone surrogate, which no store can write as UTF-8
+    for f in ("docs.jsonl", "docs.facts.jsonl", "cases.jsonl", "eeg/rec-001.json"):
+        shutil.copy(FIXTURES / f, tmp_path)
+    path = tmp_path / name
+    if line is None:
+        path.write_text(json.dumps({**json.loads(path.read_text(encoding="utf-8")), field: value}), encoding="utf-8")
+    else:
+        rewrite_row(path, line, field, value)
+    assert "\\ud800" in path.read_text(encoding="utf-8")
+    inputs = {
+        "ingest-docs": [tmp_path / "docs.jsonl", "--facts", path],
+        "ingest-cases": [path],
+        "ingest-eeg": [path],
+    }[command]
+    code, err = run_cli([command, *inputs, "--store", tmp_path / "store"])
+    assert code == 2
+    where = f"{path}: line {line}" if line else path
+    assert f"error: {where}: string " in err and "is not valid UTF-8 text: a lone surrogate '\\ud800'" in err
+
+
 def test_entity_ids_with_the_hyperedge_tag_exit_2_before_any_traversal(built_store, tmp_path):
     # the entities that neither the question nor a case names are tagged,
     # members alike, so every seed is found and the closure walks from a

@@ -1,16 +1,30 @@
 import re
 import sys
+import tracemalloc
+from unittest import mock
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from eegrag import hashing
 from eegrag.hashing import (
     HYPEREDGE_TAG,
     collapse_whitespace,
     entity_id,
     fnv1a64,
+    fnv1a64_many,
     fnv1a64_text,
-    hyperedge_id,
+    hyperedge_ids,
     is_hyperedge_id,
     normalize_name,
 )
+
+PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+
+def hyperedge_id(description, member_ids, layer):
+    return hyperedge_ids([(description, member_ids, layer)])[0]
+
 
 # Published FNV-1a 64-bit test vectors (independently recomputed before freezing).
 FNV_VECTORS = {
@@ -70,3 +84,56 @@ def test_hyperedge_id_member_order_invariant():
 def test_entity_id_is_the_hash_of_the_normalized_name():
     for _ in range(2):  # cold, then from the cache
         assert entity_id(" Alpha  Rhythm") == fnv1a64_text("alpha rhythm") & ~HYPEREDGE_TAG
+
+
+LONG = b"\xff\x00" * 50_000  # 100 kB
+
+
+@PROPERTY
+@given(blobs=st.lists(st.binary(max_size=1000), max_size=100))
+@example(blobs=[])
+@example(blobs=[b""])
+@example(blobs=[b""] * 40)
+@example(blobs=[bytes(range(256))] * 20 + [b"", bytes(range(255, -1, -1))])
+@example(blobs=[bytes([i]) * 30 for i in range(32)])  # every row live to the last column
+@example(blobs=[bytes([i % 256]) * n for i, n in enumerate(range(0, 1001, 25))])
+@example(blobs=[b"short"] * 30 + [LONG] + [b""] * 5)
+def test_fnv1a64_many_equals_fnv1a64_per_blob(blobs):
+    expected = [fnv1a64(b) for b in blobs]
+    assert fnv1a64_many(blobs) == expected
+    assert fnv1a64_many(iter(blobs)) == expected
+    # a tail of 2 sends all but the last live row through the numpy passes
+    with mock.patch.object(hashing, "_SCALAR_TAIL", 2):
+        assert fnv1a64_many(blobs) == expected
+
+
+def test_fnv1a64_continues_from_a_state():
+    assert fnv1a64(b"bar", fnv1a64(b"foo")) == FNV_VECTORS[b"foobar"]
+
+
+def test_fnv1a64_many_finishes_its_last_live_rows_with_the_loop(monkeypatch):
+    # one long blob among short ones: numpy passes stop once fewer than
+    # _SCALAR_TAIL rows are live, and the loop hashes the long blob's rest
+    calls = []
+
+    def loop(data, h=hashing.FNV64_OFFSET):
+        calls.append(len(data))
+        return fnv1a64(data, h)
+
+    monkeypatch.setattr(hashing, "fnv1a64", loop)
+    blobs = [bytes([i % 256]) * (i + 1) for i in range(200)] + [LONG]
+    assert fnv1a64_many(blobs) == [fnv1a64(b) for b in blobs]
+    assert len(calls) < hashing._SCALAR_TAIL
+    assert max(calls) > len(LONG) - 200
+
+
+def test_fnv1a64_many_holds_no_padded_matrix():
+    # padded to the longest blob, these 101 rows would take 10 MB as bytes
+    blobs = [LONG] + [b"y" * 10] * 100
+    tracemalloc.start()
+    try:
+        fnv1a64_many(blobs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(LONG)

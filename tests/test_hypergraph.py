@@ -135,6 +135,116 @@ class TestAddHyperedge:
             add_edge(store, "fact", {a}, layer="bogus")
 
 
+def batch_rows(n: int, seed: int = 5) -> tuple[list[str], list[tuple]]:
+    """Entity names and ``n`` hyperedge rows over them: repeated rows with
+    other vectors, non-ASCII descriptions, member sets shared by several
+    descriptions, and case-layer rows with unique descriptions."""
+    rng = np.random.default_rng(seed)
+    names = [f"entity {i}" for i in range(60)]
+    words = ["spike", "wave", "électroencéphalogramme", "脑电图", "🧠", "alpha", "x" * 300]
+    member_sets = [sorted(rng.choice(60, size=int(rng.integers(1, 5)), replace=False).tolist()) for _ in range(50)]
+    rows = []
+    for j in range(n):
+        if rows and rng.random() < 0.2:
+            description, picks, _, layer = rows[int(rng.integers(len(rows)))]
+            if layer == "case":
+                layer = "knowledge"
+        else:
+            count = int(rng.integers(1, 6))
+            description = " ".join(words[int(k)] for k in rng.integers(len(words), size=count)) + f" {j % 700}"
+            picks = member_sets[int(rng.integers(len(member_sets)))]
+            layer = "case" if rng.random() < 0.1 else "knowledge"
+            if layer == "case":
+                description = f"case {j}: {description}"
+        rows.append((description, picks, rng.normal(size=4), layer))
+    return names, rows
+
+
+def batch_store(names: list[str]) -> tuple[BipartiteStore, list[int]]:
+    store = BipartiteStore(embedding_dim=4)
+    return store, [store.add_entity(name) for name in names]
+
+
+class TestAddHyperedges:
+    def test_one_batch_equals_one_call_per_row(self, tmp_path):
+        names, rows = batch_rows(2000)
+        one_by_one, ids = batch_store(names)
+        batched, _ = batch_store(names)
+        members = [({ids[i] for i in picks}) for _, picks, _, _ in rows]
+        want = [one_by_one.add_hyperedge(d, m, v, layer) for (d, _, v, layer), m in zip(rows, members)]
+        got = batched.add_hyperedges((d, m, v, layer) for (d, _, v, layer), m in zip(rows, members))
+        assert got == want
+        assert len(set(got)) < len(got)  # the batch repeats rows
+        assert len(batched.hyperedges) == len(one_by_one.hyperedges)
+        assert any(e.layer == "case" for e in batched.hyperedges.values())
+        assert batched.incidence == one_by_one.incidence
+        assert batched.case_members == one_by_one.case_members
+        for store, directory in ((one_by_one, "one"), (batched, "batch")):
+            store.save(tmp_path / directory)
+        for name in ("entities.jsonl", "hyperedges.jsonl", "meta.json"):
+            assert (tmp_path / "batch" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    def test_a_row_repeated_in_the_batch_keeps_the_first_embedding(self):
+        store = BipartiteStore(embedding_dim=2)
+        a = store.add_entity("a")
+        rows = [(f"fact {i % 3}", {a}, np.array([float(i), 1.0]), "knowledge") for i in range(40)]
+        ids = store.add_hyperedges(rows)
+        assert len(store.hyperedges) == 3 and ids[:3] == ids[3:6]
+        for i, edge_id in enumerate(ids[:3]):
+            np.testing.assert_array_equal(store.hyperedges[edge_id].embedding, [float(i), 1.0])
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("description", " "),
+            ("description", 5),
+            ("members", set()),
+            ("members", {12345}),
+            ("members", {True}),
+            ("embedding", np.ones(3)),
+            ("embedding", np.array([math.nan, 0.0, 0.0, 0.0])),
+            ("layer", "bogus"),
+        ],
+    )
+    def test_a_bad_row_mid_batch_raises_its_error_before_any_row_is_stored(self, field, value):
+        names, rows = batch_rows(300)
+        store, ids = batch_store(names)
+        batch = [(d, {ids[i] for i in picks}, v, layer) for d, picks, v, layer in rows]
+        bad = dict(zip(("description", "members", "embedding", "layer"), batch[150]))
+        bad[field] = value
+        batch[150] = tuple(bad.values())
+        # what one call per row raises when it reaches the bad row
+        one_by_one, _ = batch_store(names)
+        with pytest.raises(Exception) as expected:
+            for row in batch:
+                one_by_one.add_hyperedge(*row)
+        with pytest.raises(expected.type) as got:
+            store.add_hyperedges(batch)
+        assert str(got.value) == str(expected.value)
+        assert isinstance(got.value, (PreconditionError, ReferentialError, DimensionMismatchError))
+        assert store.hyperedges == {} and all(not edges for edges in store.incidence.values())
+
+    def test_a_repeated_case_description_is_refused_where_it_is_reached(self):
+        store = BipartiteStore(embedding_dim=4)
+        a, b = store.add_entity("a"), store.add_entity("b")
+        rows = [
+            ("age=34", {a}, np.ones(4), "case"),
+            ("age=34", {a}, np.ones(4), "case"),  # the same edge: merged
+            ("fact", {a, b}, np.ones(4), "knowledge"),
+            ("age=34", {a, b}, np.ones(4), "case"),
+            ("later", {b}, np.ones(4), "knowledge"),
+        ]
+        with pytest.raises(PreconditionError, match="case-layer description 'age=34' repeats"):
+            store.add_hyperedges(rows)
+        assert sorted(e.description for e in store.hyperedges.values()) == ["age=34", "fact"]
+        assert store.case_members == {"age=34": frozenset({a})}
+
+    def test_an_empty_batch_adds_nothing(self):
+        store = BipartiteStore(embedding_dim=4)
+        assert store.add_hyperedges([]) == []
+        assert store.hyperedges == {}
+
+
 class TestIncidence:
     def test_entity_without_edges(self):
         store = BipartiteStore()

@@ -77,12 +77,62 @@ class TestRead:
         with pytest.raises(PreconditionError, match="meta.json: .*recursion"):
             read_json(path, dict)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"a": "x\\ud800y"}',
+            '{"a": ["ok", {"b": "\\udfff"}]}',
+            '{"\\ud800": 1, "a": 1}',  # a key
+            '{"a": "\\ude00\\ud83d"}',  # a pair in the wrong order
+        ],
+        ids=["value", "nested", "key", "reversed-pair"],
+    )
+    def test_lone_surrogate_escape_names_path_and_line(self, tmp_path, text):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n' + text + "\n", encoding="utf-8")
+        with pytest.raises(PreconditionError, match=r"rows.jsonl: line 2: string .* is not valid UTF-8 text"):
+            read_jsonl(path, lambda row: row["a"])
+        meta = tmp_path / "meta.json"
+        meta.write_text(text, encoding="utf-8")
+        with pytest.raises(PreconditionError, match=r"meta.json: string .* is not valid UTF-8 text"):
+            read_json(meta, dict)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ('{"a": "\\ud83d\\ude00"}', "\U0001f600"),  # a surrogate pair is one character
+            ('{"a": "\\\\ud800"}', "\\ud800"),  # an escaped backslash, then text
+            ('{"a": "\\u00e9"}', "\xe9"),
+        ],
+    )
+    def test_escapes_that_spell_valid_text_are_read(self, tmp_path, text, value):
+        path = tmp_path / "rows.jsonl"
+        path.write_text(text + "\n", encoding="utf-8")
+        assert read_jsonl(path, lambda row: row["a"]) == [value]
+        meta = tmp_path / "meta.json"
+        meta.write_text(text, encoding="utf-8")
+        assert read_json(meta, dict) == {"a": value}
+
+    def test_json_document_with_an_encoded_surrogate_names_path(self, tmp_path):
+        # "surrogatepass" would read these bytes as "\ud800"; strict UTF-8 refuses them
+        path = tmp_path / "meta.json"
+        path.write_bytes(b'{"a": "\xed\xa0\x80"}')
+        with pytest.raises(PreconditionError, match="meta.json: .*codec can't decode"):
+            read_json(path, dict)
+
+    def test_json_document_in_utf16_is_read(self, tmp_path):
+        path = tmp_path / "meta.json"
+        path.write_bytes('{"a": "\xe9"}'.encode("utf-16"))
+        assert read_json(path, dict) == {"a": "\xe9"}
+
 
 def _first_bad_line(lines: list[bytes]) -> int | None:
     for lineno, line in enumerate(lines, start=1):
         if line.strip():
             try:
-                json.loads(line.decode("utf-8"))["a"]
+                row = json.loads(line.decode("utf-8"))
+                row["a"]
+                json.dumps(row, ensure_ascii=False).encode("utf-8")  # a lone surrogate
             except Exception:
                 return lineno
     return None
@@ -98,6 +148,7 @@ _LINES = st.one_of(
     _JSON_VALUES.map(lambda value: json.dumps(value).encode()),
     st.sampled_from([b"", b"  ", b"\t\r"]),
     st.binary(max_size=24).map(lambda raw: raw.replace(b"\n", b"")),
+    st.sampled_from([b'{"a": "\\ud800"}', b'{"a": 1, "\\udc00": 2}', b'{"a": "\\ud83d\\ude00"}']),
 )
 
 

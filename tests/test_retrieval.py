@@ -170,6 +170,14 @@ class TestEntityExtraction:
         surfaces = [(m.surface, m.start) for m in matches]
         assert surfaces == [("alpha rhythm", 0), ("alpha", 17)]
 
+    def test_equal_length_overlap_goes_to_the_leftmost(self):
+        # "alpha beta" and "beta gamma" are both 10 characters and share "beta"
+        store = entity_store("beta gamma", "alpha beta")
+        matches = extract_query_entities(MetadataQuery("alpha beta gamma"), store)
+        assert [(m.surface, m.start) for m in matches] == [("alpha beta", 0)]
+        matches = extract_query_entities(MetadataQuery("beta gamma, alpha beta gamma"), store)
+        assert [(m.surface, m.start) for m in matches] == [("beta gamma", 0), ("alpha beta", 12)]
+
     def test_punctuation_normalized_match(self):
         store = entity_store("spike-wave discharge")
         matches = extract_query_entities(
