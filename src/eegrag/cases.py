@@ -39,18 +39,19 @@ class PatientRecord:
         """Build from a free-form JSON object; ``eeg_refs`` is reserved (a list
         of strings). Names and values are whitespace-collapsed here, once, so a
         case's hash and stored attributes agree; names that collapse alike are
-        rejected."""
+        rejected. A value that is not a string is written with ``str``; a name
+        or a string value that UTF-8 cannot encode is refused."""
         attrs: dict[str, list[str]] = {}
         refs: list[str] = []
         for key, value in obj.items():
             if key == "eeg_refs":
                 refs = str_list(value, "eeg_refs")
                 continue
-            name = collapse_whitespace(str(key))
+            name = collapse_whitespace(str_field(key, "attribute name"))
             if name in attrs:
                 raise PreconditionError(f"attribute {key!r} repeats the name {name!r}")
             values = value if isinstance(value, list) else [value]
-            attrs[name] = [collapse_whitespace(str(v)) for v in values]
+            attrs[name] = str_list([collapse_whitespace(str(v)) for v in values], f"attribute {key!r}")
         return cls(attributes=attrs, eeg_refs=refs)
 
 

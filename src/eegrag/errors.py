@@ -30,4 +30,4 @@ class ComparabilityError(EegragError, ValueError):
 
 
 class TransportError(EegragError, RuntimeError):
-    """A remote extractor or generation client failed after retry exhaustion."""
+    """The generation client failed after retry exhaustion."""

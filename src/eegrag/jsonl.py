@@ -1,15 +1,16 @@
 """The one reader and writer of the package's JSON and JSONL files.
 
-Reading skips blank lines and reports a malformed line as
-``PreconditionError("<path>: line N: ...")``, a string that UTF-8 cannot
-encode (a lone surrogate escape such as ``"\\ud800"``) among them; a
-store's own typed errors (``DimensionMismatchError``, ``ReferentialError``)
-keep their type and gain the same location; a parser or a store's door
-checks a field's JSON type with ``str_field``, ``str_list`` or
-``int_field``. Writing goes to a sibling temporary file that replaces the
-target only once it is complete, so an exception or a process crash
-mid-write leaves the previous file as it was. Nothing is fsynced: the
-guarantee does not cover a power loss.
+Reading decodes strictly (an encoded surrogate is malformed), skips blank
+lines and reports a malformed line as ``PreconditionError("<path>: line N:
+...")``; a store's own typed errors (``DimensionMismatchError``,
+``ReferentialError``) keep their type and gain the same location. A parser
+or a store's door checks each field it reads with ``str_field``,
+``str_list`` or ``int_field``: its JSON type and, for a string, that UTF-8
+can encode it, so a lone surrogate escape such as ``"\\ud800"`` is refused
+in a field that is read and ignored in one that is not. Writing goes to a
+sibling temporary file that replaces the target only once it is complete,
+so an exception or a process crash mid-write leaves the previous file as it
+was. Nothing is fsynced: the guarantee does not cover a power loss.
 
 ``write_jsonl`` writes each row with ``json.dumps(row, ensure_ascii=False,
 sort_keys=True)``. A store whose rows hold long, mostly-zero float vectors
@@ -49,16 +50,32 @@ def _located(exc: Exception, where: str) -> Exception:
 
 
 def str_field(value, what: str, optional: bool = False) -> str | None:
-    """``value``, if it is a JSON string (or null, when ``optional``)."""
-    if isinstance(value, str) or (optional and value is None):
+    """``value``, if it is a JSON string that UTF-8 can encode (or null, when
+    ``optional``). A lone surrogate cannot be encoded; a ``\\u`` escape or
+    an argument Python decoded with ``surrogateescape`` can hold one."""
+    if isinstance(value, str):
+        if not value.isascii():
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise PreconditionError(
+                    f"string {reprlib.repr(value)} in {what} is not valid UTF-8 text: "
+                    f"a lone surrogate {value[exc.start]!r} at index {exc.start}"
+                ) from None
         return value
+    if optional and value is None:
+        return None
     raise PreconditionError(f"{what} is {value!r}, not a string{' or null' if optional else ''}")
 
 
 def str_list(value, what: str) -> list[str]:
-    """``value`` as a new list, if it is a JSON list of strings."""
+    """``value`` as a new list, if it is a JSON list of strings that
+    ``str_field`` passes (checked one by one only when not all ASCII)."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise PreconditionError(f"{what} is {value!r}, not a list of strings")
+    if not "".join(value).isascii():
+        for v in value:
+            str_field(v, what)
     return list(value)
 
 
@@ -69,33 +86,6 @@ def int_field(value, what: str) -> int:
     raise PreconditionError(f"{what} is {value!r}, not an integer")
 
 
-def _decoded(text: str):
-    """The JSON value in ``text``, refused if any of its strings (keys too)
-    holds a lone surrogate, which UTF-8 cannot encode. Text is decoded
-    strictly, which refuses an encoded surrogate, so one can only come from
-    a ``\\u`` escape, and only a document with such an escape is walked (a
-    backslash is looked for first, which is several times faster)."""
-    value = json.loads(text)
-    if "\\" in text and "\\u" in text:
-        stack = [value]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                try:
-                    item.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    raise PreconditionError(
-                        f"string {reprlib.repr(item)} is not valid UTF-8 text: "
-                        f"a lone surrogate {item[exc.start]!r} at index {exc.start}"
-                    ) from None
-            elif isinstance(item, dict):
-                stack.extend(item)
-                stack.extend(item.values())
-            elif isinstance(item, list):
-                stack.extend(item)
-    return value
-
-
 def read_jsonl(path: str | Path, parse: Callable[[object], T]) -> list[T]:
     """``parse`` of each non-blank line of ``path``, in file order."""
     rows = []
@@ -103,7 +93,7 @@ def read_jsonl(path: str | Path, parse: Callable[[object], T]) -> list[T]:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    rows.append(parse(_decoded(line.decode("utf-8"))))
+                    rows.append(parse(json.loads(line.decode("utf-8"))))
                 except _MALFORMED as exc:
                     raise _located(exc, f"{path}: line {lineno}") from exc
     return rows
@@ -114,7 +104,7 @@ def read_json(path: str | Path, parse: Callable[[object], T]) -> T:
     detects (UTF-8, -16 or -32), strictly."""
     raw = Path(path).read_bytes()
     try:
-        return parse(_decoded(raw.decode(json.detect_encoding(raw))))
+        return parse(json.loads(raw.decode(json.detect_encoding(raw))))
     except _MALFORMED as exc:
         raise _located(exc, str(path)) from exc
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from .embedding import Embedder
-from .errors import PreconditionError, TransportError
+from .errors import PreconditionError
 from .hypergraph import KNOWLEDGE_LAYER, BipartiteStore
 from .jsonl import read_jsonl, str_field
 
@@ -153,7 +153,6 @@ def build_kgh(
     fact, then every hyperedge in one ``add_hyperedges`` batch. Documents
     are processed in id order so the build is deterministic regardless of
     input order.
-    An extractor's ``TransportError`` is re-raised naming the document.
     """
     if store.sealed:
         raise PreconditionError("cannot ingest into a sealed store")
@@ -161,10 +160,7 @@ def build_kgh(
     rows = []
     for doc in sorted(docs, key=lambda d: d.id):
         report.documents += 1
-        try:
-            raw = extractor.extract(doc)
-        except TransportError as exc:
-            raise TransportError(f"extraction failed for document {doc.id!r}: {exc}") from exc
+        raw = extractor.extract(doc)
         facts = _validate_facts(raw, doc.id)
         report.facts_dropped += len(raw) - len(facts)
         for fact in facts:

@@ -16,6 +16,7 @@ import numpy as np
 from .embedding import Embedder
 from .errors import DimensionMismatchError, PreconditionError
 from .hypergraph import LAYERS, BipartiteStore, word_tokens
+from .jsonl import str_field
 
 logger = logging.getLogger(__name__)
 
@@ -24,7 +25,10 @@ logger = logging.getLogger(__name__)
 class MetadataQuery:
     """Clinical metadata or question text, with optional role/domain tags.
 
-    The tags never alter scoring; they flow through to prompt assembly.
+    The tags never alter scoring; they flow through to prompt assembly. The
+    text is a non-blank string and each tag a string or None, all of them
+    text that UTF-8 can encode; every query, from argv, ``POST /query`` or a
+    library call, is checked here.
     """
 
     text: str
@@ -32,8 +36,10 @@ class MetadataQuery:
     domain: str | None = None
 
     def __post_init__(self):
-        if not self.text or not self.text.strip():
+        if not str_field(self.text, "query text").strip():
             raise PreconditionError("query text must be non-empty")
+        str_field(self.role, "query role", optional=True)
+        str_field(self.domain, "query domain", optional=True)
 
 
 def cosine(u, v) -> float:

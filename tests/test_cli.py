@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import shutil
 
 import pytest
@@ -547,6 +548,31 @@ class TestQuery:
         recording = load_recording(FIXTURES / "eeg" / "rec-003.json")
         with pytest.raises(PreconditionError, match="not both"):
             pipeline.run_query("q", eeg_recording=recording, eeg_recording_id="rec-001")
+
+    @pytest.mark.parametrize("option", ["question", "--role", "--domain"])
+    def test_undecodable_argument_exits_2_naming_the_field(self, built_store, option):
+        # Python decodes argv with surrogateescape, so the byte 0xff arrives as "\udcff"
+        text = os.fsdecode(b"epilepsy \xff")
+        argv = ["query", text] if option == "question" else [*QUERY_ARGS, option, text]
+        code, err = run_cli([*argv, "--store", built_store])
+        assert code == 2
+        field = {"question": "text", "--role": "role", "--domain": "domain"}[option]
+        assert f"in query {field} is not valid UTF-8 text: a lone surrogate '\\udcff'" in err
+
+    @pytest.mark.parametrize(
+        "query, message",
+        [
+            ({"question": "epilepsy \ud800"}, "in query text is not valid UTF-8 text"),
+            ({"question": "q", "role": "\udcff"}, "in query role is not valid UTF-8 text"),
+            ({"question": "q", "domain": 3}, "query domain is 3, not a string or null"),
+            ({"question": None}, "query text is None, not a string"),
+        ],
+        ids=["surrogate-text", "surrogate-role", "int-domain", "none-text"],
+    )
+    def test_run_query_refuses_text_that_is_not_valid(self, built_store, query, message):
+        pipeline = Pipeline.from_directory(built_store, PipelineConfig())
+        with pytest.raises(PreconditionError, match=message):
+            pipeline.run_query(**query)
 
     def test_unknown_eeg_id(self, built_store, capsys):
         code = main(["query", "q", "--eeg-id", "rec-nope", "--store", str(built_store)])

@@ -1,7 +1,8 @@
 """Each store has one door per kind of row, and the door is the one
 definition of a storable row. So whatever a library writer puts through it
-saves and loads back equal, and a field of the wrong JSON type is refused
-at the writer with ``PreconditionError``, not later by ``load``.
+saves and loads back equal, and a field of the wrong JSON type, or a string
+that UTF-8 cannot encode, is refused at the writer with
+``PreconditionError``, not later by ``load`` or ``save``.
 
 The writers are ``add_entity`` (a merge included), ``add_hyperedge``,
 ``add_record``, ``augment_pseudo_cases`` and ``insert_recording``.
@@ -28,6 +29,8 @@ PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=N
 TEXT = st.text(max_size=8)
 NON_BLANK = TEXT.filter(str.strip)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# a string with a lone surrogate, which UTF-8 cannot encode, so no store can write it
+SURROGATE = st.tuples(TEXT, st.integers(0xD800, 0xDFFF).map(chr), TEXT).map("".join)
 # JSON values that are not strings, not integers and not a list of strings
 NOT_STR = st.one_of(st.none(), st.booleans(), st.integers(), FINITE, st.lists(TEXT, max_size=2))
 NOT_INT = st.one_of(st.none(), st.booleans(), FINITE, TEXT)
@@ -83,19 +86,22 @@ def test_hypergraph_rows_from_every_writer_load_back_equal(entities, edges):
 
 
 @PROPERTY
-@given(field=st.sampled_from(["name", "etype", "definition"]), value=NOT_STR, merge=st.booleans())
+@given(field=st.sampled_from(["name", "etype", "definition"]), value=NOT_STR | SURROGATE, merge=st.booleans())
+@example(field="name", value="epi\ud800", merge=False)
+@example(field="etype", value="\udcff", merge=True)
+@example(field="definition", value="a\ud83d", merge=False)
 def test_add_entity_refuses_a_mistyped_field(field, value, merge):
     store = BipartiteStore(DIM)
     if merge:
         store.add_entity("epilepsy", "disorder", "recurrent seizures")
     before = {eid: dict(vars(e)) for eid, e in store.entities.items()}
-    with pytest.raises(PreconditionError, match=f"{field} is .*, not a string"):
+    with pytest.raises(PreconditionError, match=f"{field} is .*, not a string|in {field} is not valid UTF-8"):
         store.add_entity(**{"name": "epilepsy", "etype": "", "definition": "", field: value})
     assert {eid: vars(e) for eid, e in store.entities.items()} == before
 
 
 MISTYPED_EDGE = {
-    "description": NOT_STR,
+    "description": NOT_STR | SURROGATE,
     "members": st.one_of(st.none(), st.integers(), st.lists(NOT_INT, min_size=1, max_size=2)),
     "layer": NOT_STR,
     # the vector is converted to float64 (a string that spells a number
@@ -107,6 +113,7 @@ MISTYPED_EDGE = {
 
 @PROPERTY
 @given(mistyped=one_mistyped(MISTYPED_EDGE))
+@example(mistyped=("description", "fact \ud800"))
 def test_add_hyperedge_refuses_a_mistyped_field(mistyped):
     store = BipartiteStore(DIM)
     eid = store.add_entity("epilepsy")
@@ -167,13 +174,18 @@ MISTYPED_RECORD = {
         st.lists(st.tuples(TEXT, st.lists(TEXT, max_size=1)), max_size=2),  # pairs, not an object
         st.dictionaries(st.integers(), st.lists(TEXT, max_size=1), min_size=1, max_size=1),
         st.dictionaries(TEXT, NOT_STR_LIST, min_size=1, max_size=2),
+        st.dictionaries(SURROGATE, st.lists(TEXT, max_size=1), min_size=1, max_size=1),
+        st.dictionaries(TEXT, st.lists(SURROGATE, min_size=1, max_size=2), min_size=1, max_size=1),
     ),
-    "eeg_refs": NOT_STR_LIST,
+    "eeg_refs": NOT_STR_LIST | st.lists(SURROGATE, min_size=1, max_size=2),
 }
 
 
 @PROPERTY
 @given(mistyped=one_mistyped(MISTYPED_RECORD))
+@example(mistyped=("attributes", {"age\ud800": ["30"]}))
+@example(mistyped=("attributes", {"age": ["3\ud800"]}))
+@example(mistyped=("eeg_refs", ["rec-\udcff"]))
 def test_add_record_refuses_a_mistyped_field(mistyped):
     store = CaseStore()
     record = PatientRecord({"age": ["30"]}, ["rec-1"])
@@ -230,17 +242,20 @@ def test_evd_rows_from_every_writer_load_back_equal(names, recordings):
 
 
 MISTYPED_RECORDING = {
-    "id": NOT_STR | st.just(""),
+    "id": NOT_STR | st.just("") | SURROGATE,
     "sample_rate": st.one_of(
         st.none(), st.booleans(), TEXT, st.lists(FINITE, max_size=1), st.floats(max_value=0.0), st.just(math.nan)
     ),
-    "patient_hash": st.one_of(st.booleans(), st.integers(), FINITE, st.lists(TEXT, max_size=2)),
-    "channel name": NOT_STR,
+    "patient_hash": st.one_of(st.booleans(), st.integers(), FINITE, st.lists(TEXT, max_size=2), SURROGATE),
+    "channel name": NOT_STR | SURROGATE,
 }
 
 
 @PROPERTY
 @given(mistyped=one_mistyped(MISTYPED_RECORDING))
+@example(mistyped=("id", "rec-\ud800"))
+@example(mistyped=("patient_hash", "\udcff"))
+@example(mistyped=("channel name", "Fp\ud800"))
 def test_insert_recording_refuses_a_mistyped_field(mistyped):
     args = {"id": "rec-1", "sample_rate": 256.0, "patient_hash": None, "channel name": "Fp1"}
     field, args[field] = mistyped[0], mistyped[1]

@@ -10,7 +10,16 @@ from eegrag.eeg import EegVectorDatabase
 from eegrag.errors import DimensionMismatchError, PreconditionError, ReferentialError
 from eegrag.hypergraph import BipartiteStore
 from eegrag import jsonl
-from eegrag.jsonl import VectorEncoder, int_field, read_json, read_jsonl, write_json, write_jsonl
+from eegrag.jsonl import (
+    VectorEncoder,
+    int_field,
+    read_json,
+    read_jsonl,
+    str_field,
+    str_list,
+    write_json,
+    write_jsonl,
+)
 
 
 class TestRead:
@@ -78,24 +87,35 @@ class TestRead:
             read_json(path, dict)
 
     @pytest.mark.parametrize(
-        "text",
+        "text, parse",
         [
-            '{"a": "x\\ud800y"}',
-            '{"a": ["ok", {"b": "\\udfff"}]}',
-            '{"\\ud800": 1, "a": 1}',  # a key
-            '{"a": "\\ude00\\ud83d"}',  # a pair in the wrong order
+            ('{"a": "x\\ud800y"}', lambda row: str_field(row["a"], "a")),
+            ('{"a": ["ok", "\\udfff"]}', lambda row: str_list(row["a"], "a")),
+            ('{"\\ud800": 1}', lambda row: [str_field(key, "a") for key in row]),  # a key that is read
+            ('{"a": "\\ude00\\ud83d"}', lambda row: str_field(row["a"], "a")),  # a pair in the wrong order
         ],
         ids=["value", "nested", "key", "reversed-pair"],
     )
-    def test_lone_surrogate_escape_names_path_and_line(self, tmp_path, text):
+    def test_lone_surrogate_escape_names_path_and_line(self, tmp_path, text, parse):
+        # a field checker refuses the string; the reader adds the location
         path = tmp_path / "rows.jsonl"
-        path.write_text('{"a": 1}\n' + text + "\n", encoding="utf-8")
-        with pytest.raises(PreconditionError, match=r"rows.jsonl: line 2: string .* is not valid UTF-8 text"):
-            read_jsonl(path, lambda row: row["a"])
+        valid = text.replace("\\u", "u")  # the escapes spelt out as plain text
+        path.write_text(valid + "\n" + text + "\n", encoding="utf-8")
+        with pytest.raises(PreconditionError, match=r"rows.jsonl: line 2: string .* in a is not valid UTF-8 text"):
+            read_jsonl(path, parse)
         meta = tmp_path / "meta.json"
         meta.write_text(text, encoding="utf-8")
-        with pytest.raises(PreconditionError, match=r"meta.json: string .* is not valid UTF-8 text"):
-            read_json(meta, dict)
+        with pytest.raises(PreconditionError, match=r"meta.json: string .* in a is not valid UTF-8 text"):
+            read_json(meta, parse)
+
+    def test_lone_surrogate_in_a_field_no_parser_reads_is_ignored(self, tmp_path):
+        text = '{"a": "ok", "b": ["\\ud800"], "\\udc00": 1}'
+        path = tmp_path / "rows.jsonl"
+        path.write_text(text + "\n", encoding="utf-8")
+        assert read_jsonl(path, lambda row: str_field(row["a"], "a")) == ["ok"]
+        meta = tmp_path / "meta.json"
+        meta.write_text(text, encoding="utf-8")
+        assert read_json(meta, lambda row: str_field(row["a"], "a")) == "ok"
 
     @pytest.mark.parametrize(
         "text, value",
@@ -126,13 +146,18 @@ class TestRead:
         assert read_json(path, dict) == {"a": "\xe9"}
 
 
+def _read_a(row):
+    """``row["a"]``, through ``str_field`` when it is a string."""
+    return str_field(row["a"], "a") if isinstance(row["a"], str) else row["a"]
+
+
 def _first_bad_line(lines: list[bytes]) -> int | None:
     for lineno, line in enumerate(lines, start=1):
         if line.strip():
             try:
-                row = json.loads(line.decode("utf-8"))
-                row["a"]
-                json.dumps(row, ensure_ascii=False).encode("utf-8")  # a lone surrogate
+                a = json.loads(line.decode("utf-8"))["a"]
+                if isinstance(a, str):
+                    a.encode("utf-8")  # a lone surrogate
             except Exception:
                 return lineno
     return None
@@ -168,10 +193,10 @@ class TestReadFuzz:
         if bad is None:
             expected = [json.loads(line.decode("utf-8"))["a"] for line in lines if line.strip()]
             # compared as JSON text, since NaN != NaN
-            assert json.dumps(read_jsonl(path, lambda row: row["a"])) == json.dumps(expected)
+            assert json.dumps(read_jsonl(path, _read_a)) == json.dumps(expected)
         else:
             with pytest.raises(PreconditionError) as err:
-                read_jsonl(path, lambda row: row["a"])
+                read_jsonl(path, _read_a)
             assert str(err.value).startswith(f"{path}: line {bad}: ")
 
 

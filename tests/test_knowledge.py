@@ -78,17 +78,6 @@ class TestExtraction:
         names = [e.name for e in facts[0].entities]
         assert names == ["Temporal Lobe Epilepsy", "Febrile Seizures"]
 
-    def test_transport_failure_carries_document_id(self):
-        from eegrag.errors import TransportError
-
-        class FlakyExtractor:
-            def extract(self, doc):
-                raise TransportError("connection reset")
-
-        doc = Document("doc-42", "t", "body")
-        with pytest.raises(TransportError, match="'doc-42': connection reset"):
-            build_kgh([doc], FlakyExtractor(), EMB, BipartiteStore(embedding_dim=32))
-
     def test_sidecar_takes_precedence(self, tmp_path):
         sidecar_file = tmp_path / "facts.jsonl"
         sidecar_file.write_text(

@@ -145,11 +145,13 @@ class TestQueryEndpoint:
             {"question": "q", "eeg_recording_id": {"id": "rec-001"}},
             b"\xff\xfe not utf-8",
             b"[" * 100_000,
+            b'{"question": "epilepsy \\ud800"}',  # json reads the escape as a lone surrogate
+            b'{"question": "q", "role": "\\udcff"}',
         ],
         ids=[
             "array", "string", "null", "number", "int-question", "list-question",
             "int-role", "list-domain", "int-recording-id", "object-recording-id",
-            "not-utf8", "deep-nesting",
+            "not-utf8", "deep-nesting", "lone-surrogate-question", "lone-surrogate-role",
         ],
     )
     def test_malformed_shape_is_400_with_json_error(self, endpoint, payload):
