@@ -187,7 +187,7 @@ class CaseStore:
         the attributes: that would cost twice the rest of loading."""
 
         def case(row: dict) -> None:
-            store._put(PatientCase(row["h"], row["e"], row["synthetic"], row.get("eeg_refs", [])))
+            store._put(PatientCase(row["h"], row["e"], row["synthetic"], row["eeg_refs"]))
 
         path = Path(directory) / cls.FILE
         store = cls()

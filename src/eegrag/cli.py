@@ -17,7 +17,7 @@ from .cases import CaseStore, augment_pseudo_cases, embed_case, load_records
 from .config import PipelineConfig
 from .eeg import EegVectorDatabase, load_recording
 from .embedding import Embedder, HashedTokenEmbedder
-from .errors import ComparabilityError, EegragError, PreconditionError
+from .errors import EegragError, PreconditionError
 from .evaluation import load_qa, run_benchmark
 from .hypergraph import CASE_LAYER, BipartiteStore
 from .knowledge import RuleBasedExtractor, build_kgh, load_documents, load_fact_sidecar
@@ -127,8 +127,8 @@ def cmd_ingest_eeg(args: argparse.Namespace) -> int:
             continue
         try:
             evd.insert_recording(rec)
-        except ComparabilityError as exc:
-            raise ComparabilityError(f"{path}: {exc}") from exc
+        except EegragError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
         inserted += 1
     save_stores(args.store, evd=evd)
     print(json.dumps({"recordings_inserted": inserted, "recordings_skipped": skipped}, sort_keys=True, indent=2))

@@ -26,6 +26,7 @@ from .fusion import (
     render_context,
 )
 from .hypergraph import META_FILE, BipartiteStore
+from .jsonl import str_field
 from .retrieval import (
     MetadataQuery,
     expand_entities,
@@ -165,10 +166,7 @@ class Pipeline:
         recording: EegRecording | None,
         recording_id: str | None,
     ) -> list:
-        if recording is not None and recording_id is not None:
-            raise PreconditionError("give an EEG recording or a stored recording id, not both")
-        flags = self.config.ablation
-        if not flags.el:
+        if not self.config.ablation.el:
             if recording is not None or recording_id is not None:
                 logger.warning("EEG input supplied but the EEG channel is disabled; ignoring it")
             return []
@@ -187,7 +185,15 @@ class Pipeline:
         eeg_recording: EegRecording | None = None,
         eeg_recording_id: str | None = None,
     ) -> QueryResult:
+        """Answer one query from the CLI, ``POST /query`` or a library call.
+        Every argument is checked here, before any channel runs and whatever
+        the ablation flags say; a malformed one raises ``PreconditionError``."""
         mq = MetadataQuery(question, role=role, domain=domain)
+        str_field(eeg_recording_id, "eeg_recording_id", optional=True)
+        if not isinstance(eeg_recording, (EegRecording, type(None))):
+            raise PreconditionError(f"eeg_recording is a {type(eeg_recording).__name__}, not an EegRecording")
+        if eeg_recording is not None and eeg_recording_id is not None:
+            raise PreconditionError("give an EEG recording or a stored recording id, not both")
         flags = self.config.ablation
 
         eeg_matches = self._eeg_channel(eeg_recording, eeg_recording_id)

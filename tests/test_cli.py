@@ -88,6 +88,20 @@ class TestIngest:
         assert f"error: {inputs / 'rec-003.json'}: 2 channels x 20 segments; " in err
         assert not (store / "evd.jsonl").exists()
 
+    def test_ingest_eeg_rejects_an_unembeddable_recording_naming_the_file(self, tmp_path):
+        # finite samples whose segment means overflow to inf
+        inputs, store = tmp_path / "eeg", tmp_path / "store"
+        inputs.mkdir()
+        shutil.copy(FIXTURES / "eeg" / "rec-001.json", inputs)
+        rec = json.loads((FIXTURES / "eeg" / "rec-003.json").read_text(encoding="utf-8"))
+        for channel in rec["channels"]:
+            channel["samples"] = [1e308, 1e308, -1e308] * 40
+        (inputs / "rec-003.json").write_text(json.dumps(rec), encoding="utf-8")
+        code, err = run_cli(["ingest-eeg", inputs, "--store", store])
+        assert code == 2
+        assert f"error: {inputs / 'rec-003.json'}: embedding values must be finite" in err
+        assert not (store / "evd.jsonl").exists()
+
     def test_ingest_eeg_rejects_another_channel_order_naming_the_file(self, tmp_path):
         inputs, store = tmp_path / "eeg", tmp_path / "store"
         inputs.mkdir()
@@ -566,8 +580,20 @@ class TestQuery:
             ({"question": "q", "role": "\udcff"}, "in query role is not valid UTF-8 text"),
             ({"question": "q", "domain": 3}, "query domain is 3, not a string or null"),
             ({"question": None}, "query text is None, not a string"),
+            (
+                {"question": "q", "eeg_recording_id": ["rec-001"]},
+                r"eeg_recording_id is \['rec-001'\], not a string or null",
+            ),
+            (
+                {"question": "q", "eeg_recording_id": {"id": "rec-001"}},
+                r"eeg_recording_id is \{'id': 'rec-001'\}, not a string or null",
+            ),
+            ({"question": "q", "eeg_recording": "rec-001"}, "eeg_recording is a str, not an EegRecording"),
         ],
-        ids=["surrogate-text", "surrogate-role", "int-domain", "none-text"],
+        ids=[
+            "surrogate-text", "surrogate-role", "int-domain", "none-text",
+            "list-recording-id", "object-recording-id", "string-recording",
+        ],
     )
     def test_run_query_refuses_text_that_is_not_valid(self, built_store, query, message):
         pipeline = Pipeline.from_directory(built_store, PipelineConfig())
@@ -585,6 +611,7 @@ class TestQuery:
             ("entities.jsonl", "name"),
             ("hyperedges.jsonl", "members"),
             ("cases.jsonl", "e"),
+            ("cases.jsonl", "eeg_refs"),
             ("evd.jsonl", "values"),
         ],
     )

@@ -14,7 +14,7 @@ from eegrag.cli import main
 from eegrag.config import PipelineConfig
 from eegrag.errors import TransportError
 from eegrag.pipeline import Pipeline
-from eegrag.server import MAX_BODY_BYTES, PipelineServer, _parse_query
+from eegrag.server import MAX_BODY_BYTES, PipelineServer
 
 from conftest import FIXTURES
 
@@ -316,6 +316,9 @@ class TestUnexpectedErrors:
         assert capfd.readouterr().err == ""
 
 
+_STORED_IDS = {
+    json.loads(path.read_text(encoding="utf-8"))["id"] for path in (FIXTURES / "eeg").glob("*.json")
+}
 _FIELD_VALUES = (
     st.none() | st.booleans() | st.integers() | st.text(max_size=6) | st.lists(st.integers(), max_size=2)
 )
@@ -327,18 +330,46 @@ _PAYLOADS = st.one_of(
         max_size=5,
     ).map(lambda obj: json.dumps(obj).encode()),
     _FIELD_VALUES.map(lambda value: json.dumps(value).encode()),
+    # well-typed bodies, so that 200 and 404 are drawn often too
+    st.fixed_dictionaries(
+        {"question": st.text(min_size=1, max_size=6)},
+        optional={
+            name: st.none() | st.text(max_size=6) | st.just("rec-001")
+            for name in ("role", "domain", "eeg_recording_id")
+        },
+    ).map(lambda obj: json.dumps(obj).encode()),
 )
 
 
-class TestParseQueryFuzz:
+def _is_text(value) -> bool:
+    return isinstance(value, str) and not any("\ud800" <= c <= "\udfff" for c in value)
+
+
+def _expected_status(body: bytes) -> int:
+    """The status the query rules give ``body``, derived without the engine."""
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return 400
+    if not isinstance(payload, dict):
+        return 400
+    question = payload.get("question")
+    if not _is_text(question) or not question.strip():
+        return 400
+    tags = [payload.get(name) for name in ("role", "domain", "eeg_recording_id")]
+    if not all(tag is None or _is_text(tag) for tag in tags):
+        return 400
+    recording_id = payload.get("eeg_recording_id")
+    return 404 if recording_id is not None and recording_id not in _STORED_IDS else 200
+
+
+class TestQueryEndpointProperty:
+    # one request per connection, one connection at a time
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(body=_PAYLOADS)
-    def test_returns_a_query_or_raises_value_error(self, body):
-        try:
-            query = _parse_query(body)
-        except ValueError:
-            return
-        assert set(query) == {"question", "role", "domain", "eeg_recording_id"}
-        assert isinstance(query["question"], str) and query["question"].strip()
-        for name in ("role", "domain", "eeg_recording_id"):
-            assert query[name] is None or isinstance(query[name], str)
+    def test_status_follows_the_query_rules(self, endpoint, body):
+        url, _ = endpoint
+        status, reply = post(f"{url}/query", body)
+        assert status == _expected_status(body)
+        if status != 200:
+            assert isinstance(reply["error"], str) and reply["error"]
