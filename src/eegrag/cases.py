@@ -36,11 +36,11 @@ class PatientRecord:
 
     @classmethod
     def from_raw(cls, obj: dict) -> "PatientRecord":
-        """Build from a free-form JSON object; ``eeg_refs`` is reserved (a list
-        of strings). Names and values are whitespace-collapsed here, once, so a
-        case's hash and stored attributes agree; names that collapse alike are
-        rejected. A value that is not a string is written with ``str``; a name
-        or a string value that UTF-8 cannot encode is refused."""
+        """Build from a free-form JSON object with at least one attribute;
+        ``eeg_refs`` is reserved (a list of strings). Names and values are
+        whitespace-collapsed here, once, so a case's hash and stored attributes
+        agree; names that collapse alike are rejected. A value that is not a string
+        is written with ``str``; a name or string value UTF-8 cannot encode is refused."""
         attrs: dict[str, list[str]] = {}
         refs: list[str] = []
         for key, value in obj.items():
@@ -52,6 +52,8 @@ class PatientRecord:
                 raise PreconditionError(f"attribute {key!r} repeats the name {name!r}")
             values = value if isinstance(value, list) else [value]
             attrs[name] = str_list([collapse_whitespace(str(v)) for v in values], f"attribute {key!r}")
+        if not attrs:
+            raise PreconditionError("record has no attributes")
         return cls(attributes=attrs, eeg_refs=refs)
 
 
@@ -254,11 +256,4 @@ def augment_pseudo_cases(
 
 def load_records(path: str | Path) -> list[PatientRecord]:
     """Read ``cases.jsonl``: one JSON object of free attributes per patient."""
-
-    def record(obj: dict) -> PatientRecord:
-        rec = PatientRecord.from_raw(obj)
-        if not rec.attributes:
-            raise PreconditionError("record has no attributes")
-        return rec
-
-    return read_jsonl(path, record)
+    return read_jsonl(path, PatientRecord.from_raw)

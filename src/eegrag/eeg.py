@@ -41,13 +41,23 @@ class Channel:
     name: str
     samples: np.ndarray
 
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+
+def _recording_fields(rec_id, sample_rate, patient_hash) -> float:
+    """The rules a recording and a stored entry share; returns ``sample_rate`` as a float."""
+    if not str_field(rec_id, "id"):
+        raise PreconditionError("recording id must be non-empty")
+    str_field(patient_hash, "patient_hash", optional=True)
+    if isinstance(sample_rate, (int, float)) and not isinstance(sample_rate, bool):
+        rate = float(sample_rate)
+        if math.isfinite(rate) and rate > 0.0:
+            return rate
+    raise PreconditionError(f"sample_rate is {sample_rate!r}, not a finite number > 0")
 
 
 @dataclass
 class EegRecording:
-    """A multichannel recording: C channels over T samples each."""
+    """A multichannel recording: C channels over T samples each, built valid or not at all: see
+    ``_recording_fields``, and a list of ``Channel``s, each a string name and T > 0 finite samples."""
 
     id: str
     sample_rate: float
@@ -55,44 +65,32 @@ class EegRecording:
     patient_hash: str | None = None
 
     def __post_init__(self):
-        if not self.id:
-            raise PreconditionError("recording id must be non-empty")
-        if not self.channels:
-            raise PreconditionError("recording must have at least one channel")
-        lengths = {ch.samples.shape[0] for ch in self.channels}
+        self.sample_rate = _recording_fields(self.id, self.sample_rate, self.patient_hash)
+        if not isinstance(self.channels, list) or not self.channels:
+            raise PreconditionError("recording must have a list of one or more channels")
+        for ch in self.channels:
+            if not isinstance(ch, Channel):
+                raise PreconditionError(f"channel is a {type(ch).__name__}, not a Channel")
+            str_field(ch.name, "channel name")
+            try:
+                ch.samples = np.asarray(ch.samples, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise PreconditionError(f"channel {ch.name!r} samples are not numbers: {exc}") from None
+            if ch.samples.ndim != 1 or not ch.samples.size or not np.isfinite(ch.samples).all():
+                raise PreconditionError(f"channel {ch.name!r} samples are not a non-empty list of finite numbers")
+        lengths = {ch.samples.size for ch in self.channels}
         if len(lengths) != 1:
             raise PreconditionError(f"channels have differing lengths: {sorted(lengths)}")
-        if 0 in lengths:
-            raise PreconditionError("channels must have at least one sample")
-        for ch in self.channels:
-            if not np.all(np.isfinite(ch.samples)):
-                raise PreconditionError(f"channel {ch.name!r} contains non-finite samples")
 
     @property
     def channel_names(self) -> list[str]:
         return [ch.name for ch in self.channels]
 
 
-def _sample_rate(value) -> float:
-    """``value`` as a float, if it is a finite JSON number > 0."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        rate = float(value)
-        if math.isfinite(rate) and rate > 0.0:
-            return rate
-    raise PreconditionError(f"sample_rate is {value!r}, not a finite number > 0")
-
-
 def recording_from_dict(obj: dict) -> EegRecording:
     try:
-        channels = [
-            Channel(str_field(ch["name"], "channel name"), ch["samples"]) for ch in obj["channels"]
-        ]
-        return EegRecording(
-            id=str_field(obj["id"], "id"),
-            sample_rate=_sample_rate(obj["sample_rate"]),
-            channels=channels,
-            patient_hash=str_field(obj.get("patient_hash"), "patient_hash", optional=True),
-        )
+        channels = [Channel(ch["name"], ch["samples"]) for ch in obj["channels"]]
+        return EegRecording(obj["id"], obj["sample_rate"], channels, obj.get("patient_hash"))
     except (KeyError, TypeError) as exc:
         raise PreconditionError(f"malformed recording object: {exc}") from exc
 
@@ -153,12 +151,17 @@ def paa(series, n: int) -> np.ndarray:
 
 
 def zscore(series) -> np.ndarray:
-    """Center and scale a channel; a flat channel (std < 1e-12) becomes zeros."""
+    """Center and scale a channel; a flat channel (std < 1e-12) becomes zeros.
+
+    Finite samples whose mean or spread overflows a float raise
+    ``FloatingPointError``, not a warning and a vector of zeros or NaNs.
+    """
     x = np.asarray(series, dtype=np.float64)
-    std = float(x.std())
-    if std < 1e-12:
-        return np.zeros_like(x)
-    return (x - x.mean()) / std
+    with np.errstate(over="raise", invalid="raise"):
+        std = float(x.std())
+        if std < 1e-12:
+            return np.zeros_like(x)
+        return (x - x.mean()) / std
 
 
 @dataclass
@@ -193,13 +196,16 @@ def eeg_embed(rec: EegRecording, n: int) -> PaaEmbedding:
     """Per-channel z-score, PAA, then concatenation.
 
     Z-scoring makes the embedding exactly invariant to per-channel gain and
-    offset, which otherwise dominate DTW distances between electrodes.
+    offset, which otherwise dominate DTW distances between electrodes. A
+    channel that ``zscore`` cannot scale is refused, naming it.
     """
-    return PaaEmbedding(
-        segments_per_channel=n,
-        values=np.concatenate([paa(zscore(ch.samples), n) for ch in rec.channels]),
-        channel_order=rec.channel_names,
-    )
+    values = []
+    for ch in rec.channels:
+        try:
+            values.append(paa(zscore(ch.samples), n))
+        except FloatingPointError as exc:
+            raise PreconditionError(f"channel {ch.name!r} cannot be z-scored: {exc}") from None
+    return PaaEmbedding(n, np.concatenate(values), rec.channel_names)
 
 
 # -- dynamic time warping ------------------------------------------------------
@@ -354,10 +360,7 @@ class EegVectorDatabase:
         ``sample_rate`` > 0 (made a float) and the stored layout."""
         if self._sealed:
             raise StoreSealedError("EEG database is sealed")
-        if not str_field(entry.id, "id"):
-            raise PreconditionError("recording id must be non-empty")
-        str_field(entry.patient_hash, "patient_hash", optional=True)
-        entry.sample_rate = _sample_rate(entry.sample_rate)
+        entry.sample_rate = _recording_fields(entry.id, entry.sample_rate, entry.patient_hash)
         if entry.id in self.entries:
             raise PreconditionError(f"duplicate recording id {entry.id!r}")
         self._check_layout(entry.embedding)

@@ -78,6 +78,8 @@ def group_seed(base_seed: int, kind: str, label: str) -> int:
 
 @dataclass
 class QaExample:
+    """One benchmark question: string fields, non-blank ``question`` and ``gold``, an optional ``eeg_ref``."""
+
     id: str
     domain: str
     role: str
@@ -86,19 +88,20 @@ class QaExample:
     eeg_ref: str | None = None
 
     def __post_init__(self):
-        if not self.question or not self.question.strip():
+        for name in ("id", "domain", "role", "question", "gold"):
+            str_field(getattr(self, name), name)
+        str_field(self.eeg_ref, "eeg_ref", optional=True)
+        if not self.question.strip():
             raise PreconditionError(f"example {self.id!r} has an empty question")
-        if not self.gold or not self.gold.strip():
+        if not self.gold.strip():
             raise PreconditionError(f"example {self.id!r} has an empty gold answer")
 
 
 def load_qa(path: str | Path) -> list[QaExample]:
     """Read ``qa.jsonl``: id, domain, role, question, eeg_ref?, gold."""
 
-    def example(row: dict) -> QaExample:
-        row = {"domain": "", "role": "", "eeg_ref": None, **row}
-        texts = (str_field(row[k], k) for k in ("id", "domain", "role", "question", "gold"))
-        return QaExample(*texts, eeg_ref=str_field(row["eeg_ref"], "eeg_ref", optional=True))
+    def example(r: dict) -> QaExample:
+        return QaExample(r["id"], r.get("domain", ""), r.get("role", ""), r["question"], r["gold"], r.get("eeg_ref"))
 
     return read_jsonl(path, example)
 

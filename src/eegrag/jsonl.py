@@ -3,8 +3,8 @@
 Reading decodes strictly (an encoded surrogate is malformed), skips blank
 lines and reports a malformed line as ``PreconditionError("<path>: line N:
 ...")``; a store's own typed errors (``DimensionMismatchError``,
-``ReferentialError``) keep their type and gain the same location. A parser
-or a store's door checks each field it reads with ``str_field``,
+``ReferentialError``) keep their type and gain the same location. A record
+or a store's door checks each field it holds with ``str_field``,
 ``str_list`` or ``int_field``: its JSON type and, for a string, that UTF-8
 can encode it, so a lone surrogate escape such as ``"\\ud800"`` is refused
 in a field that is read and ignored in one that is not. Writing goes to a

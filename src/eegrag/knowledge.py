@@ -24,13 +24,17 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class Document:
+    """A source document: string fields and a non-blank ``body``."""
+
     id: str
     title: str
     body: str
     source: str = ""
 
     def __post_init__(self):
-        if not self.body or not self.body.strip():
+        for name in ("id", "title", "body", "source"):
+            str_field(getattr(self, name), name)
+        if not self.body.strip():
             raise PreconditionError(f"document {self.id!r} has an empty body")
 
 
@@ -40,13 +44,24 @@ class EntitySpec:
     etype: str = ""
     definition: str = ""
 
+    def __post_init__(self):
+        str_field(self.name, "entity name")
+        str_field(self.etype, "entity etype")
+        str_field(self.definition, "entity definition")
+
 
 @dataclass
 class Fact:
-    """One extracted n-ary relation: a description over named entities."""
+    """One extracted n-ary relation: a string description over a list of
+    ``EntitySpec``s; a blank description is dropped at ingest."""
 
     description: str
     entities: list[EntitySpec]
+
+    def __post_init__(self):
+        str_field(self.description, "description")
+        if not isinstance(self.entities, list) or not all(isinstance(e, EntitySpec) for e in self.entities):
+            raise PreconditionError(f"fact entities are {self.entities!r}, not a list of EntitySpec")
 
 
 @runtime_checkable
@@ -64,16 +79,8 @@ def load_fact_sidecar(path: str | Path) -> dict[str, list[Fact]]:
     """Read curated facts keyed by document id from a ``*.facts.jsonl`` file."""
 
     def fact(row: dict) -> tuple[str, Fact]:
-        entities = [
-            EntitySpec(
-                str_field(e["name"], "entity name"),
-                str_field(e.get("etype", ""), "entity etype"),
-                str_field(e.get("definition", ""), "entity definition"),
-            )
-            for e in row["entities"]
-        ]
-        description = str_field(row["description"], "description")
-        return str_field(row["doc_id"], "doc_id"), Fact(description, entities)
+        entities = [EntitySpec(e["name"], e.get("etype", ""), e.get("definition", "")) for e in row["entities"]]
+        return str_field(row["doc_id"], "doc_id"), Fact(row["description"], entities)
 
     sidecar: dict[str, list[Fact]] = {}
     for doc_id, f in read_jsonl(path, fact):
@@ -120,11 +127,11 @@ def _validate_facts(raw: list[Fact], doc_id: str) -> list[Fact]:
     normalizes the names."""
     kept = []
     for fact in raw:
-        entities = [e for e in fact.entities if e.name and e.name.strip()]
+        entities = [e for e in fact.entities if e.name.strip()]
         if not entities or not fact.description.strip():
             logger.info("dropping degenerate fact from document %s: %r", doc_id, fact.description)
             continue
-        kept.append(Fact(fact.description, entities))
+        kept.append(fact if len(entities) == len(fact.entities) else Fact(fact.description, entities))
     return kept
 
 
@@ -183,12 +190,4 @@ def build_kgh(
 
 def load_documents(path: str | Path) -> list[Document]:
     """Read ``docs.jsonl`` (id, title, body, source), one document per line."""
-    return read_jsonl(
-        path,
-        lambda row: Document(
-            str_field(row["id"], "id"),
-            str_field(row.get("title", ""), "title"),
-            str_field(row["body"], "body"),
-            str_field(row.get("source", ""), "source"),
-        ),
-    )
+    return read_jsonl(path, lambda row: Document(row["id"], row.get("title", ""), row["body"], row.get("source", "")))

@@ -37,7 +37,7 @@ class TestSerializeCase:
 
     def test_empty_record_rejected(self):
         with pytest.raises(PreconditionError):
-            serialize_case(record())
+            serialize_case({})
 
     def test_multivalued_attributes_keep_order(self):
         rec = record(symptoms=["tremor", "rigidity"])

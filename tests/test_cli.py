@@ -89,7 +89,7 @@ class TestIngest:
         assert not (store / "evd.jsonl").exists()
 
     def test_ingest_eeg_rejects_an_unembeddable_recording_naming_the_file(self, tmp_path):
-        # finite samples whose segment means overflow to inf
+        # finite samples whose mean overflows a float
         inputs, store = tmp_path / "eeg", tmp_path / "store"
         inputs.mkdir()
         shutil.copy(FIXTURES / "eeg" / "rec-001.json", inputs)
@@ -99,7 +99,21 @@ class TestIngest:
         (inputs / "rec-003.json").write_text(json.dumps(rec), encoding="utf-8")
         code, err = run_cli(["ingest-eeg", inputs, "--store", store])
         assert code == 2
-        assert f"error: {inputs / 'rec-003.json'}: embedding values must be finite" in err
+        assert f"error: {inputs / 'rec-003.json'}: channel 'Fp1' cannot be z-scored: overflow" in err
+        assert not (store / "evd.jsonl").exists()
+
+    def test_ingest_eeg_rejects_one_huge_sample_naming_the_file_and_channel(self, tmp_path):
+        # one finite sample whose square overflows: z-scoring it would store
+        # the channel as zeros
+        inputs, store = tmp_path / "eeg", tmp_path / "store"
+        inputs.mkdir()
+        rec = json.loads((FIXTURES / "eeg" / "rec-001.json").read_text(encoding="utf-8"))
+        rec["channels"][0]["samples"][0] = 1e308
+        (inputs / "rec-001.json").write_text(json.dumps(rec), encoding="utf-8")
+        code, err = run_cli(["ingest-eeg", inputs, "--store", store])
+        assert code == 2
+        assert f"error: {inputs / 'rec-001.json'}: channel 'Fp1' cannot be z-scored: overflow" in err
+        assert "Warning" not in err
         assert not (store / "evd.jsonl").exists()
 
     def test_ingest_eeg_rejects_another_channel_order_naming_the_file(self, tmp_path):

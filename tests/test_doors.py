@@ -6,6 +6,10 @@ that UTF-8 cannot encode, is refused at the writer with
 
 The writers are ``add_entity`` (a merge included), ``add_hyperedge``,
 ``add_record``, ``augment_pseudo_cases`` and ``insert_recording``.
+
+Each input record (``Document``, ``EntitySpec``, ``Fact``, ``QaExample``,
+``EegRecording`` and ``PatientRecord.from_raw``) is likewise its own door:
+built by a reader or a library caller, it is valid or it is not built.
 """
 
 import math
@@ -20,7 +24,9 @@ from eegrag.cases import CaseStore, PatientRecord, augment_pseudo_cases
 from eegrag.eeg import Channel, EegRecording, EegVectorDatabase
 from eegrag.embedding import HashedTokenEmbedder
 from eegrag.errors import PreconditionError
+from eegrag.evaluation import QaExample
 from eegrag.hypergraph import LAYERS, BipartiteStore
+from eegrag.knowledge import Document, EntitySpec, Fact
 
 DIM = 4
 SEGMENTS = 3
@@ -264,3 +270,41 @@ def test_insert_recording_refuses_a_mistyped_field(mistyped):
         rec = recording(args["id"], args["sample_rate"], args["patient_hash"], [args["channel name"]], [1.0, 2, 3])
         db.insert_recording(rec)
     assert db.entries == {}
+
+
+# -- the input records -------------------------------------------------------------
+
+
+def fp1(samples=(1.0, 2.0, 3.0)) -> list[Channel]:
+    return [Channel("Fp1", list(samples))]
+
+
+MISTYPED_INPUT = {
+    "document-id": lambda: Document(5, "t", "body"),
+    "document-title": lambda: Document("d", None, "body"),
+    "document-body": lambda: Document("d", "", 5),
+    "document-source": lambda: Document("d", "t", "body", "src\ud800"),
+    "entity-name": lambda: EntitySpec(5),
+    "entity-etype": lambda: EntitySpec("A", etype=None),
+    "entity-definition": lambda: EntitySpec("A", definition=["x"]),
+    "fact-description": lambda: Fact(7, [EntitySpec("A")]),
+    "fact-entities": lambda: Fact("f", [{"name": "A"}]),
+    "qa-question": lambda: QaExample("q", "", "", 7, "g"),
+    "qa-domain": lambda: QaExample("q", None, "", "question", "g"),
+    "qa-eeg-ref": lambda: QaExample("q", "", "", "question", "g", eeg_ref=5),
+    "recording-id": lambda: EegRecording(5, 256.0, fp1()),
+    "recording-sample-rate": lambda: EegRecording("r", "fast", fp1()),
+    "recording-patient-hash": lambda: EegRecording("r", 256.0, fp1(), patient_hash=7),
+    "recording-channels": lambda: EegRecording("r", 256.0, "Fp1"),
+    "recording-channel": lambda: EegRecording("r", 256.0, ["Fp1"]),
+    "channel-name": lambda: EegRecording("r", 256.0, [Channel(3, [1.0, 2.0])]),
+    "channel-samples-text": lambda: EegRecording("r", 256.0, fp1(["x"])),
+    "channel-samples-2d": lambda: EegRecording("r", 256.0, [Channel("Fp1", [[1.0, 2.0]])]),
+    "patient-record-empty": lambda: PatientRecord.from_raw({}),
+}
+
+
+@pytest.mark.parametrize("build", MISTYPED_INPUT.values(), ids=MISTYPED_INPUT)
+def test_an_input_record_refuses_a_mistyped_field_when_built(build):
+    with pytest.raises(PreconditionError):
+        build()

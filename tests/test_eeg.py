@@ -245,6 +245,35 @@ class TestRecordingValidation:
         with pytest.raises(PreconditionError):
             recording_from_dict({"id": "x"})
 
+    def test_the_recording_converts_its_channels(self):
+        channel = Channel("Fp1", [1, 2, 3])
+        assert channel.samples == [1, 2, 3]  # a lone Channel is not converted
+        rec = EegRecording("r", 256, [channel])
+        assert rec.sample_rate == 256.0 and isinstance(rec.sample_rate, float)
+        assert rec.channels[0].samples.dtype == np.float64
+        np.testing.assert_array_equal(rec.channels[0].samples, [1.0, 2.0, 3.0])
+
+
+class TestZscoreOverflow:
+    def test_zscore_raises_instead_of_warning(self):
+        with pytest.raises(FloatingPointError):
+            zscore([1e308, 0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "samples",
+        [[1e308, 1e308, -1e308] * 4, [1e308] + [0.5] * 11, [-1e308] + [0.5] * 11],
+        ids=["mean-overflows", "huge-sample", "huge-negative-sample"],
+    )
+    def test_eeg_embed_names_the_channel(self, samples):
+        rec = make_recording([np.arange(12.0), samples])
+        with pytest.raises(PreconditionError, match="channel 'ch1' cannot be z-scored: overflow"):
+            eeg_embed(rec, 4)
+
+    def test_valid_channels_still_embed(self):
+        rec = make_recording([[1e150, -1e150, 0.0, 5e149], [1.0, 1.0, 1.0, 1.0]])
+        values = eeg_embed(rec, 2).values
+        assert np.isfinite(values).all() and not values[2:].any()
+
 
 class TestDtw:
     def test_identity_is_zero(self):

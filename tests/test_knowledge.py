@@ -53,6 +53,16 @@ class TestExtraction:
         with pytest.raises(PreconditionError):
             Document("d1", "t", "   ")
 
+    def test_an_extractor_building_a_mistyped_fact_is_refused(self):
+        class MistypedExtractor:
+            def extract(self, doc):
+                return [Fact(7, [EntitySpec("A")])]
+
+        store = BipartiteStore(embedding_dim=32)
+        with pytest.raises(PreconditionError, match="description is 7, not a string"):
+            build_kgh([Document("d1", "t", "body")], MistypedExtractor(), EMB, store)
+        assert not store.entities and not store.hyperedges
+
     def test_entity_names_normalized(self):
         store = BipartiteStore(embedding_dim=32)
         doc = Document("d1", "t", "body")
