@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -30,7 +31,7 @@ from .errors import (
     PreconditionError,
     StoreSealedError,
 )
-from .jsonl import read_json, read_jsonl, str_field, str_list, write_jsonl
+from .jsonl import float_array, int_field, read_json, read_jsonl, str_field, str_list, write_jsonl
 
 
 # -- recordings ---------------------------------------------------------------
@@ -47,10 +48,10 @@ def _recording_fields(rec_id, sample_rate, patient_hash) -> float:
     if not str_field(rec_id, "id"):
         raise PreconditionError("recording id must be non-empty")
     str_field(patient_hash, "patient_hash", optional=True)
+    # an int beyond the largest float would overflow float(); NaN fails both comparisons
     if isinstance(sample_rate, (int, float)) and not isinstance(sample_rate, bool):
-        rate = float(sample_rate)
-        if math.isfinite(rate) and rate > 0.0:
-            return rate
+        if 0 < sample_rate <= sys.float_info.max:
+            return float(sample_rate)
     raise PreconditionError(f"sample_rate is {sample_rate!r}, not a finite number > 0")
 
 
@@ -72,12 +73,9 @@ class EegRecording:
             if not isinstance(ch, Channel):
                 raise PreconditionError(f"channel is a {type(ch).__name__}, not a Channel")
             str_field(ch.name, "channel name")
-            try:
-                ch.samples = np.asarray(ch.samples, dtype=np.float64)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise PreconditionError(f"channel {ch.name!r} samples are not numbers: {exc}") from None
-            if ch.samples.ndim != 1 or not ch.samples.size or not np.isfinite(ch.samples).all():
-                raise PreconditionError(f"channel {ch.name!r} samples are not a non-empty list of finite numbers")
+            ch.samples = float_array(ch.samples, f"channel {ch.name!r} samples")
+            if not ch.samples.size:
+                raise PreconditionError(f"channel {ch.name!r} has no samples")
         lengths = {ch.samples.size for ch in self.channels}
         if len(lengths) != 1:
             raise PreconditionError(f"channels have differing lengths: {sorted(lengths)}")
@@ -164,6 +162,13 @@ def zscore(series) -> np.ndarray:
         return (x - x.mean()) / std
 
 
+# z-scoring gives a channel of T samples a sum of squares of T, and PAA's
+# weights sum to T/n per segment and to 1 per sample, so by Jensen the n
+# segment means ``eeg_embed`` stores have a mean square of at most 1, up to
+# rounding; a row within it holds no value above sqrt(n), so DTW cannot overflow
+_MAX_MEAN_SQUARE = 1.0 + 1e-9
+
+
 @dataclass
 class PaaEmbedding:
     """Channel-major concatenation of per-channel PAA vectors (length C*n); built
@@ -174,7 +179,7 @@ class PaaEmbedding:
     channel_order: list[str]
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = float_array(self.values, "embedding values")
         self.channel_order = str_list(self.channel_order, "channel_order")
         if not self.channel_order or self.segments_per_channel < 1:
             raise PreconditionError("embedding needs at least one channel and one segment")
@@ -184,8 +189,6 @@ class PaaEmbedding:
                 f"embedding has {self.values.size} values, expected "
                 f"{len(self.channel_order)} channels x {self.segments_per_channel} segments"
             )
-        if not np.isfinite(self.values).all():
-            raise PreconditionError("embedding values must be finite")
 
     @property
     def n_channels(self) -> int:
@@ -451,17 +454,26 @@ class EegVectorDatabase:
         """The embeddings saved under ``directory`` with ``n_segments``; none without ``FILE``.
 
         A row embedded under other settings, whose embedding is invalid (see
-        ``PaaEmbedding``) or that ``_add`` refuses is rejected, naming its line.
+        ``PaaEmbedding``) or is not the PAA of z-scored channels, or that
+        ``_add`` refuses is rejected, naming its line.
         """
 
         def entry(row: dict) -> EvdEntry:
             if row["normalized"] is not True:
                 raise PreconditionError(f"normalized is {row['normalized']!r}, not true")
-            if row["n_segments"] != n_segments:
+            if int_field(row["n_segments"], "n_segments") != n_segments:
                 raise PreconditionError(
                     f"EEG database n_segments {row['n_segments']} != configured {n_segments}"
                 )
             emb = PaaEmbedding(n_segments, row["values"], row["channel_order"])
+            with np.errstate(over="ignore"):  # a square past the largest float is inf, and refused
+                sum_sq = np.square(emb.values.reshape(-1, n_segments)).sum(axis=1)
+            worst = int(sum_sq.argmax())
+            if sum_sq[worst] > n_segments * _MAX_MEAN_SQUARE:
+                raise PreconditionError(
+                    f"channel {emb.channel_order[worst]!r} values have mean square "
+                    f"{sum_sq[worst] / n_segments:.6g} > 1, so they are not the PAA of a z-scored channel"
+                )
             return EvdEntry(row["id"], row["patient_hash"], row["sample_rate"], emb)
 
         path = Path(directory) / cls.FILE

@@ -37,6 +37,7 @@ from .errors import (
 from .hashing import collapse_whitespace, entity_id, hyperedge_ids, is_hyperedge_id
 from .jsonl import (
     VectorEncoder,
+    float_array,
     int_field,
     json_str,
     read_json,
@@ -231,13 +232,11 @@ class BipartiteStore:
         unknown = [m for m in edge.members if m not in self.entities]
         if unknown:
             raise ReferentialError(f"hyperedge references unknown entity ids: {sorted(unknown)}")
-        vec = edge.embedding = np.asarray(edge.embedding, dtype=np.float64)
+        vec = edge.embedding = float_array(edge.embedding, "embedding values")
         if vec.shape != (self.embedding_dim,):
             raise DimensionMismatchError(
                 f"embedding has dimension {vec.shape}, store expects {self.embedding_dim}"
             )
-        if not np.isfinite(vec).all():
-            raise PreconditionError("embedding values must be finite")
 
     def _put_edge(self, edge: Hyperedge) -> None:
         """Insert a hyperedge row that ``_check_edge`` has passed under a new
@@ -407,7 +406,7 @@ class BipartiteStore:
                     f"unsupported store format version {meta.get('format_version')!r}; "
                     "re-run the ingest commands into an empty store directory"
                 )
-            return cls(embedding_dim=meta["embedding_dim"])
+            return cls(embedding_dim=int_field(meta["embedding_dim"], "embedding_dim"))
 
         def entity(row: dict) -> None:
             store._put_entity(Entity(row["id"], row["name"], row["etype"], row["definition"]))

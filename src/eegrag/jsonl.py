@@ -5,9 +5,10 @@ lines and reports a malformed line as ``PreconditionError("<path>: line N:
 ...")``; a store's own typed errors (``DimensionMismatchError``,
 ``ReferentialError``) keep their type and gain the same location. A record
 or a store's door checks each field it holds with ``str_field``,
-``str_list`` or ``int_field``: its JSON type and, for a string, that UTF-8
-can encode it, so a lone surrogate escape such as ``"\\ud800"`` is refused
-in a field that is read and ignored in one that is not. Writing goes to a
+``str_list``, ``int_field`` or ``float_array``: its JSON type, for a string
+that UTF-8 can encode it, and for a number list that every value is finite,
+so a lone surrogate escape such as ``"\\ud800"`` is refused in a field that
+is read and ignored in one that is not. Writing goes to a
 sibling temporary file that replaces the target only once it is complete,
 so an exception or a process crash mid-write leaves the previous file as it
 was. Nothing is fsynced: the guarantee does not cover a power loss.
@@ -84,6 +85,20 @@ def int_field(value, what: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise PreconditionError(f"{what} is {value!r}, not an integer")
+
+
+def float_array(value, what: str) -> np.ndarray:
+    """``value`` as a 1-D array of finite float64s (``value`` itself if it is
+    one), each value converted as numpy converts it: ``"1.5"`` and ``true`` pass."""
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionError(f"{what} are not numbers: {exc}") from None
+    if array.ndim != 1:
+        raise PreconditionError(f"{what} have shape {array.shape}, not a list of numbers")
+    if not np.isfinite(array).all():
+        raise PreconditionError(f"{what} must be finite")
+    return array
 
 
 def read_jsonl(path: str | Path, parse: Callable[[object], T]) -> list[T]:

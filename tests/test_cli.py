@@ -309,7 +309,7 @@ MISTYPED = [
     ("hyperedges.jsonl", 2, "id", "x", "id is 'x', not an integer"),
     ("hyperedges.jsonl", 2, "id", False, "id is False, not an integer"),
     ("hyperedges.jsonl", 2, "description", 5, "description is 5, not a string"),
-    ("hyperedges.jsonl", 2, "embedding", None, "embedding has dimension (), store expects 256"),
+    ("hyperedges.jsonl", 2, "embedding", None, "embedding values have shape (), not a list of numbers"),
     ("entities.jsonl", 2, "name", 5, "name is 5, not a string"),
     ("entities.jsonl", 2, "id", 1.5, "id is 1.5, not an integer"),
     ("entities.jsonl", 2, "id", 1 << 63, "entity id 9223372036854775808 carries the hyperedge tag bit"),
@@ -320,6 +320,9 @@ MISTYPED = [
     ("evd.jsonl", 2, "channel_order", [1, 2, 3, 4], "channel_order is [1, 2, 3, 4], not a list of strings"),
     ("evd.jsonl", 2, "sample_rate", "x", "sample_rate is 'x', not a finite number > 0"),
     ("evd.jsonl", 2, "sample_rate", 0, "sample_rate is 0, not a finite number > 0"),
+    ("evd.jsonl", 2, "n_segments", 20.0, "n_segments is 20.0, not an integer"),
+    ("evd.jsonl", 1, "values", lambda v: [1e308, *v[1:]], "channel 'Fp1' values have mean square inf > 1"),
+    ("meta.json", None, "embedding_dim", 256.0, "embedding_dim is 256.0, not an integer"),
     ("cases.jsonl", 2, "h", 5, "h is 5, not a string"),
     *[
         ("rec-001.json", None, "sample_rate", value, f"sample_rate is {value!r}, not a finite number > 0")
@@ -338,7 +341,7 @@ MISTYPED = [
     ("cases.jsonl", 2, "h", "26BB22054F5FDAF9", "h is '26BB22054F5FDAF9', not 16 lowercase hex digits"),
     ("cases.jsonl", 2, "h", "26bb22054f5fdaf", "h is '26bb22054f5fdaf', not 16 lowercase hex digits"),
 ]
-STORE_FILES = ("entities.jsonl", "hyperedges.jsonl", "evd.jsonl", "cases.jsonl")
+STORE_FILES = ("meta.json", "entities.jsonl", "hyperedges.jsonl", "evd.jsonl", "cases.jsonl")
 
 
 @pytest.mark.parametrize(

@@ -138,6 +138,10 @@ TARGETS = [("inputs", name, command) for name, command in INGEST.items()] + [
     argv=None,
     data=Scripted(("channels", 0, "samples", 0), "huge", 1e308),
 )
+# a float where the store keeps an integer size
+@example(target=("store", "meta.json", "query"), argv=None, data=Scripted(("embedding_dim",), "type", 256.0))
+# a stored PAA value that overflows the DTW sums of a query
+@example(target=("store", "evd.jsonl", "query"), argv=None, data=Scripted(0, ("values", 0), "huge", 1e308))
 def test_every_command_exits_0_or_2(built_store, target, argv, data):
     with tempfile.TemporaryDirectory() as tmp:
         inputs, store = Path(tmp) / "inputs", Path(tmp) / "store"

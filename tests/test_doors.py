@@ -8,8 +8,9 @@ The writers are ``add_entity`` (a merge included), ``add_hyperedge``,
 ``add_record``, ``augment_pseudo_cases`` and ``insert_recording``.
 
 Each input record (``Document``, ``EntitySpec``, ``Fact``, ``QaExample``,
-``EegRecording`` and ``PatientRecord.from_raw``) is likewise its own door:
-built by a reader or a library caller, it is valid or it is not built.
+``EegRecording`` and ``PatientRecord.from_raw``) and each ``PaaEmbedding`` is
+likewise its own door: built by a reader or a library caller, it is valid or
+it is not built.
 """
 
 import math
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eegrag.cases import CaseStore, PatientRecord, augment_pseudo_cases
-from eegrag.eeg import Channel, EegRecording, EegVectorDatabase
+from eegrag.eeg import Channel, EegRecording, EegVectorDatabase, PaaEmbedding
 from eegrag.embedding import HashedTokenEmbedder
 from eegrag.errors import PreconditionError
 from eegrag.evaluation import QaExample
@@ -110,16 +111,20 @@ MISTYPED_EDGE = {
     "description": NOT_STR | SURROGATE,
     "members": st.one_of(st.none(), st.integers(), st.lists(NOT_INT, min_size=1, max_size=2)),
     "layer": NOT_STR,
-    # the vector is converted to float64 (a string that spells a number
-    # passes, any other string is numpy's ValueError) and must be finite;
-    # one of the wrong shape is a DimensionMismatchError
-    "embedding": st.lists(st.one_of(FINITE, st.none()), min_size=DIM, max_size=DIM).filter(lambda v: None in v),
+    # a vector holding a value that is not a finite float64: null, text that
+    # spells no number, or an integer too large for a float; one of the
+    # wrong shape is a DimensionMismatchError
+    "embedding": st.lists(
+        st.one_of(FINITE, st.sampled_from([None, "x", 10**400])), min_size=DIM, max_size=DIM
+    ).filter(lambda v: not all(isinstance(x, float) for x in v)),
 }
 
 
 @PROPERTY
 @given(mistyped=one_mistyped(MISTYPED_EDGE))
 @example(mistyped=("description", "fact \ud800"))
+@example(mistyped=("embedding", ["x"] * DIM))
+@example(mistyped=("embedding", [10**400] * DIM))
 def test_add_hyperedge_refuses_a_mistyped_field(mistyped):
     store = BipartiteStore(DIM)
     eid = store.add_entity("epilepsy")
@@ -250,7 +255,12 @@ def test_evd_rows_from_every_writer_load_back_equal(names, recordings):
 MISTYPED_RECORDING = {
     "id": NOT_STR | st.just("") | SURROGATE,
     "sample_rate": st.one_of(
-        st.none(), st.booleans(), TEXT, st.lists(FINITE, max_size=1), st.floats(max_value=0.0), st.just(math.nan)
+        st.none(),
+        st.booleans(),
+        TEXT,
+        st.lists(FINITE, max_size=1),
+        st.floats(max_value=0.0),
+        st.sampled_from([math.nan, 10**400]),
     ),
     "patient_hash": st.one_of(st.booleans(), st.integers(), FINITE, st.lists(TEXT, max_size=2), SURROGATE),
     "channel name": NOT_STR | SURROGATE,
@@ -294,6 +304,7 @@ MISTYPED_INPUT = {
     "qa-eeg-ref": lambda: QaExample("q", "", "", "question", "g", eeg_ref=5),
     "recording-id": lambda: EegRecording(5, 256.0, fp1()),
     "recording-sample-rate": lambda: EegRecording("r", "fast", fp1()),
+    "recording-sample-rate-huge": lambda: EegRecording("r", 10**400, fp1()),
     "recording-patient-hash": lambda: EegRecording("r", 256.0, fp1(), patient_hash=7),
     "recording-channels": lambda: EegRecording("r", 256.0, "Fp1"),
     "recording-channel": lambda: EegRecording("r", 256.0, ["Fp1"]),
@@ -301,6 +312,8 @@ MISTYPED_INPUT = {
     "channel-samples-text": lambda: EegRecording("r", 256.0, fp1(["x"])),
     "channel-samples-2d": lambda: EegRecording("r", 256.0, [Channel("Fp1", [[1.0, 2.0]])]),
     "patient-record-empty": lambda: PatientRecord.from_raw({}),
+    "paa-values-text": lambda: PaaEmbedding(2, ["x", "y"], ["c"]),
+    "paa-values-huge": lambda: PaaEmbedding(2, [10**400, 1.0], ["c"]),
 }
 
 

@@ -215,6 +215,15 @@ class TestEegEmbed:
         ).values
         np.testing.assert_allclose(rec, scaled, atol=1e-9)
 
+    def test_every_channel_is_within_the_stored_mean_square_bound(self):
+        # the bound EegVectorDatabase.load holds every stored row to
+        rng = np.random.default_rng(35)
+        for _ in range(2000):
+            t, n = rng.integers(1, 300), rng.integers(1, 60)
+            samples = rng.standard_normal(t) * 10.0 ** rng.integers(-3, 6) + rng.integers(-1000, 1000)
+            values = eeg_embed(make_recording([samples]), n).values
+            assert np.mean(np.square(values)) <= eeg_module._MAX_MEAN_SQUARE, (t, n)
+
 
 class TestRecordingValidation:
     def test_ragged_channels_rejected(self):
@@ -519,6 +528,9 @@ class TestVectorDatabase:
         [
             ("normalized", [True]), ("values", "abc"), ("n_segments", 4), ("normalized", False),
             ("values", [0.0] * 5 + [math.nan]), ("values", [math.inf] * 6), ("channel_order", []),
+            ("n_segments", 3.0),
+            # not the PAA of z-scored channels: a mean square of 9, and one whose square overflows
+            ("values", [3.0] * 3 + [0.0] * 3), ("values", [0.0] * 5 + [-1e200]),
         ],
     )
     def test_load_rejects_malformed_row_naming_its_line(self, tmp_path, field, value):

@@ -96,7 +96,7 @@ class TestAddHyperedge:
     def test_embedding_is_required(self):
         store = BipartiteStore(embedding_dim=2)
         a = store.add_entity("a")
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(PreconditionError, match="embedding values have shape"):
             store.add_hyperedge("fact", {a}, None)
         assert len(store.hyperedges) == 0
 
@@ -425,7 +425,7 @@ class TestLifecycleAndPersistence:
             ("layer", "bogus", PreconditionError),
             ("embedding", [1.0, 2.0], DimensionMismatchError),
             ("embedding", [1.0, math.nan, 1.0, 1.0], PreconditionError),
-            ("embedding", None, DimensionMismatchError),
+            ("embedding", None, PreconditionError),
         ],
     )
     def test_load_rejects_malformed_hyperedge_rows(self, tmp_path, field, value, error):
