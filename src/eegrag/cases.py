@@ -22,7 +22,7 @@ import numpy as np
 from .embedding import Embedder
 from .errors import PreconditionError, StoreSealedError
 from .hashing import collapse_whitespace, fnv1a64_text
-from .jsonl import read_jsonl, str_field, str_list, write_jsonl
+from .jsonl import read_jsonl, shown, str_field, str_list, write_jsonl
 
 SYNTHETIC_SUFFIX = "-s"
 
@@ -132,9 +132,9 @@ class CaseStore:
         of the attribute tuple (marked when synthetic), and a case already
         stored under it is left as it is, sealed store or not."""
         if not isinstance(case.synthetic, bool):
-            raise PreconditionError(f"synthetic is {case.synthetic!r}, not true or false")
+            raise PreconditionError(f"synthetic is {shown(case.synthetic)}, not true or false")
         if not isinstance(case.attributes, dict):
-            raise PreconditionError(f"attributes are {case.attributes!r}, not an object")
+            raise PreconditionError(f"attributes are {shown(case.attributes)}, not an object")
         attrs = case.attributes.items()
         case.attributes = {str_field(k, "attribute name"): str_list(v, f"attribute {k!r}") for k, v in attrs}
         case.eeg_refs = str_list(case.eeg_refs, "eeg_refs")

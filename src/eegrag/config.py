@@ -12,6 +12,7 @@ from pathlib import Path
 from .errors import PreconditionError
 from .fusion import AblationFlags
 from .hypergraph import LAYERS
+from .jsonl import shown
 
 
 @dataclass
@@ -59,11 +60,11 @@ class PipelineConfig:
             raise PreconditionError("dtw_band must be >= 0")
         if self.retrieval_layer not in (None, *LAYERS):
             raise PreconditionError(
-                f"unknown retrieval_layer {self.retrieval_layer!r}; "
+                f"unknown retrieval_layer {shown(self.retrieval_layer)}; "
                 f"expected one of {', '.join(LAYERS)} or none"
             )
         if self.client not in ("mock", "remote"):
-            raise PreconditionError(f"unknown client {self.client!r}")
+            raise PreconditionError(f"unknown client {shown(self.client)}")
         if not 0.0 < self.remote_timeout < float("inf"):
             raise PreconditionError("remote_timeout must be > 0 and finite")
 

@@ -31,7 +31,7 @@ from .errors import (
     PreconditionError,
     StoreSealedError,
 )
-from .jsonl import float_array, int_field, read_json, read_jsonl, str_field, str_list, write_jsonl
+from .jsonl import float_array, int_field, read_json, read_jsonl, shown, str_field, str_list, write_jsonl
 
 
 # -- recordings ---------------------------------------------------------------
@@ -52,7 +52,7 @@ def _recording_fields(rec_id, sample_rate, patient_hash) -> float:
     if isinstance(sample_rate, (int, float)) and not isinstance(sample_rate, bool):
         if 0 < sample_rate <= sys.float_info.max:
             return float(sample_rate)
-    raise PreconditionError(f"sample_rate is {sample_rate!r}, not a finite number > 0")
+    raise PreconditionError(f"sample_rate is {shown(sample_rate)}, not a finite number > 0")
 
 
 @dataclass
@@ -344,7 +344,10 @@ class EegVectorDatabase:
         return rec.id
 
     def _check_layout(self, emb: PaaEmbedding) -> None:
-        """Raise ``ComparabilityError`` unless ``emb`` has the stored layout."""
+        """Raise ``ComparabilityError`` unless ``emb`` has the stored layout,
+        and ``PreconditionError`` unless each channel's values have a mean
+        square of at most ``_MAX_MEAN_SQUARE``, as the PAA of a z-scored
+        channel has; every stored row and every query passes here."""
         first = next(iter(self.entries.values()), None)
         channels = emb.channel_order if first is None else first.embedding.channel_order
         if (emb.n_channels, emb.segments_per_channel) != (len(channels), self.n_segments):
@@ -356,11 +359,20 @@ class EegVectorDatabase:
             raise ComparabilityError(
                 f"channels {emb.channel_order}; the EEG database holds {channels}"
             )
+        with np.errstate(over="ignore"):  # a square past the largest float is inf, and refused
+            sum_sq = np.square(emb.values.reshape(-1, self.n_segments)).sum(axis=1)
+        worst = int(sum_sq.argmax())
+        if sum_sq[worst] > self.n_segments * _MAX_MEAN_SQUARE:
+            raise PreconditionError(
+                f"channel {channels[worst]!r} values have mean square "
+                f"{sum_sq[worst] / self.n_segments:.6g} > 1, so they are not the PAA of a z-scored channel"
+            )
 
     def _add(self, entry: EvdEntry) -> None:
         """The one writer of ``entries``: into an unsealed database, a new
         non-empty string id, a string or null ``patient_hash``, a finite
-        ``sample_rate`` > 0 (made a float) and the stored layout."""
+        ``sample_rate`` > 0 (made a float), and an embedding that
+        ``_check_layout`` passes."""
         if self._sealed:
             raise StoreSealedError("EEG database is sealed")
         entry.sample_rate = _recording_fields(entry.id, entry.sample_rate, entry.patient_hash)
@@ -373,7 +385,7 @@ class EegVectorDatabase:
         try:
             return self.entries[recording_id]
         except KeyError:
-            raise NotFoundError(f"unknown recording id {recording_id!r}") from None
+            raise NotFoundError(f"unknown recording id {shown(recording_id)}") from None
 
     def seal(self) -> None:
         """Freeze the database and stack its embeddings into one read-only matrix.
@@ -454,8 +466,9 @@ class EegVectorDatabase:
         """The embeddings saved under ``directory`` with ``n_segments``; none without ``FILE``.
 
         A row embedded under other settings, whose embedding is invalid (see
-        ``PaaEmbedding``) or is not the PAA of z-scored channels, or that
-        ``_add`` refuses is rejected, naming its line.
+        ``PaaEmbedding``), or that ``_add`` refuses (a layout other than the
+        stored one, or values that are not the PAA of z-scored channels) is
+        rejected, naming its line.
         """
 
         def entry(row: dict) -> EvdEntry:
@@ -466,14 +479,6 @@ class EegVectorDatabase:
                     f"EEG database n_segments {row['n_segments']} != configured {n_segments}"
                 )
             emb = PaaEmbedding(n_segments, row["values"], row["channel_order"])
-            with np.errstate(over="ignore"):  # a square past the largest float is inf, and refused
-                sum_sq = np.square(emb.values.reshape(-1, n_segments)).sum(axis=1)
-            worst = int(sum_sq.argmax())
-            if sum_sq[worst] > n_segments * _MAX_MEAN_SQUARE:
-                raise PreconditionError(
-                    f"channel {emb.channel_order[worst]!r} values have mean square "
-                    f"{sum_sq[worst] / n_segments:.6g} > 1, so they are not the PAA of a z-scored channel"
-                )
             return EvdEntry(row["id"], row["patient_hash"], row["sample_rate"], emb)
 
         path = Path(directory) / cls.FILE

@@ -13,8 +13,8 @@ ingest and load alike: the door checks the row and keeps ``incidence``, the
 ``NameIndex`` and ``case_members`` current. A hyperedge row passes the
 door's field rules, ``_check_edge``, before ``_put_edge``; ingest adds
 hyperedges in batches (``add_hyperedges``), which check every row first
-and hash all their ids at once. Sealing builds only the vector matrix
-(``HyperedgeIndex``); queries only read.
+and hash all their ids at once. Sealing builds only the vector matrix and
+its column postings (``HyperedgeIndex``); queries only read.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .jsonl import (
     json_str,
     read_json,
     read_jsonl,
+    shown,
     str_field,
     write_json,
     write_jsonl,
@@ -103,6 +104,10 @@ class HyperedgeIndex:
     one contiguous block and the whole matrix serves ``layer=None``. Every
     edge's ``embedding`` becomes a view of its row, so each vector is held
     once. ``inv_norms`` holds 1/||row||, and 0.0 for a zero row.
+
+    Its column postings hold the matrix's nonzero entries by column: column
+    j's are ``posting_rows[indptr[j]:indptr[j + 1]]`` (row positions,
+    ascending) and the same slice of ``posting_values``.
     """
 
     def __init__(self, hyperedges: dict[int, Hyperedge], dim: int):
@@ -121,6 +126,28 @@ class HyperedgeIndex:
         self.blocks: dict[str | None, slice] = {None: slice(0, len(order))}
         for rank, layer in enumerate(LAYERS):
             self.blocks[layer] = slice(bisect_left(ranks, rank), bisect_right(ranks, rank))
+        flat = np.flatnonzero(matrix)
+        rows, cols = np.divmod(flat, dim)
+        # stable, so rows stay ascending within a column; on the narrowest
+        # integer type that holds a column, numpy sorts by radix
+        by_col = np.argsort(cols.astype(np.min_scalar_type(dim)), kind="stable")
+        self.posting_rows = rows[by_col].astype(np.int32)
+        self.posting_values = matrix.ravel()[flat[by_col]]
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=dim))))
+
+    def dots(self, q: np.ndarray, block: slice) -> np.ndarray:
+        """``matrix[block] @ q``, summed from the column postings: each
+        nonzero of ``q`` meets only its column's nonzero entries, gathered
+        and summed per row by one ``bincount``, so a row that shares no
+        dimension with ``q`` gets exactly 0.0."""
+        dims = np.flatnonzero(q)
+        starts = self.indptr[dims]
+        lengths = self.indptr[dims + 1] - starts
+        # the positions of each dimension's postings, laid end to end
+        picks = np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        weights = self.posting_values[picks] * np.repeat(q[dims], lengths)
+        sums = np.bincount(self.posting_rows[picks], weights=weights, minlength=len(self.matrix))
+        return sums[block]
 
 
 class NameIndex:
@@ -186,7 +213,7 @@ class BipartiteStore:
 
     def _check_new_id(self, node_id: int, kind: str) -> None:
         if not 0 <= int_field(node_id, "id") < 1 << 64:
-            raise PreconditionError(f"{kind} id {node_id} is not in [0, 2**64)")
+            raise PreconditionError(f"{kind} id {shown(node_id)} is not in [0, 2**64)")
         if is_hyperedge_id(node_id) != (kind == "hyperedge"):
             tag = "lacks" if kind == "hyperedge" else "carries"
             raise PreconditionError(f"{kind} id {node_id} {tag} the hyperedge tag bit (1 << 63)")
@@ -223,15 +250,15 @@ class BipartiteStore:
         if not str_field(edge.description, "description").strip():
             raise PreconditionError("hyperedge description must be non-blank")
         if not isinstance(edge.members, Iterable):
-            raise PreconditionError(f"members is {edge.members!r}, not a list of integers")
+            raise PreconditionError(f"members is {shown(edge.members)}, not a list of integers")
         edge.members = frozenset(int_field(m, "member") for m in edge.members)
         if not edge.members:
             raise PreconditionError("hyperedge members must be non-empty")
         if edge.layer not in LAYERS:
-            raise PreconditionError(f"unknown layer {edge.layer!r}; expected one of {LAYERS}")
+            raise PreconditionError(f"unknown layer {shown(edge.layer)}; expected one of {LAYERS}")
         unknown = [m for m in edge.members if m not in self.entities]
         if unknown:
-            raise ReferentialError(f"hyperedge references unknown entity ids: {sorted(unknown)}")
+            raise ReferentialError(f"hyperedge references unknown entity ids: {shown(sorted(unknown))}")
         vec = edge.embedding = float_array(edge.embedding, "embedding values")
         if vec.shape != (self.embedding_dim,):
             raise DimensionMismatchError(

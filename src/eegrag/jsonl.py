@@ -8,10 +8,11 @@ or a store's door checks each field it holds with ``str_field``,
 ``str_list``, ``int_field`` or ``float_array``: its JSON type, for a string
 that UTF-8 can encode it, and for a number list that every value is finite,
 so a lone surrogate escape such as ``"\\ud800"`` is refused in a field that
-is read and ignored in one that is not. Writing goes to a
-sibling temporary file that replaces the target only once it is complete,
-so an exception or a process crash mid-write leaves the previous file as it
-was. Nothing is fsynced: the guarantee does not cover a power loss.
+is read and ignored in one that is not. A refusal message shows the value
+with ``shown``. Writing goes to a sibling temporary file that replaces the
+target only once it is complete, so an exception or a process crash
+mid-write leaves the previous file as it was. Nothing is fsynced: the
+guarantee does not cover a power loss.
 
 ``write_jsonl`` writes each row with ``json.dumps(row, ensure_ascii=False,
 sort_keys=True)``. A store whose rows hold long, mostly-zero float vectors
@@ -50,6 +51,18 @@ def _located(exc: Exception, where: str) -> Exception:
     return (type(exc) if typed else PreconditionError)(f"{where}: {exc}")
 
 
+def shown(value) -> str:
+    """``repr(value)``, for a refusal message; a value that holds an integer
+    too long for ``repr`` (more than ``sys.get_int_max_str_digits()``
+    digits) is named by its type, and an integer by its size in bits."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<an integer of {value.bit_length()} bits>"
+        return f"<a {type(value).__name__} holding an integer too long to show>"
+
+
 def str_field(value, what: str, optional: bool = False) -> str | None:
     """``value``, if it is a JSON string that UTF-8 can encode (or null, when
     ``optional``). A lone surrogate cannot be encoded; a ``\\u`` escape or
@@ -66,14 +79,14 @@ def str_field(value, what: str, optional: bool = False) -> str | None:
         return value
     if optional and value is None:
         return None
-    raise PreconditionError(f"{what} is {value!r}, not a string{' or null' if optional else ''}")
+    raise PreconditionError(f"{what} is {shown(value)}, not a string{' or null' if optional else ''}")
 
 
 def str_list(value, what: str) -> list[str]:
     """``value`` as a new list, if it is a JSON list of strings that
     ``str_field`` passes (checked one by one only when not all ASCII)."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise PreconditionError(f"{what} is {value!r}, not a list of strings")
+        raise PreconditionError(f"{what} is {shown(value)}, not a list of strings")
     if not "".join(value).isascii():
         for v in value:
             str_field(v, what)
@@ -84,7 +97,7 @@ def int_field(value, what: str) -> int:
     """``value``, if it is a JSON integer (``true`` and ``false`` are not)."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise PreconditionError(f"{what} is {value!r}, not an integer")
+    raise PreconditionError(f"{what} is {shown(value)}, not an integer")
 
 
 def float_array(value, what: str) -> np.ndarray:

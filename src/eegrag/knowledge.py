@@ -17,7 +17,7 @@ from typing import Protocol, runtime_checkable
 from .embedding import Embedder
 from .errors import PreconditionError
 from .hypergraph import KNOWLEDGE_LAYER, BipartiteStore
-from .jsonl import read_jsonl, str_field
+from .jsonl import read_jsonl, shown, str_field
 
 logger = logging.getLogger(__name__)
 
@@ -61,7 +61,7 @@ class Fact:
     def __post_init__(self):
         str_field(self.description, "description")
         if not isinstance(self.entities, list) or not all(isinstance(e, EntitySpec) for e in self.entities):
-            raise PreconditionError(f"fact entities are {self.entities!r}, not a list of EntitySpec")
+            raise PreconditionError(f"fact entities are {shown(self.entities)}, not a list of EntitySpec")
 
 
 @runtime_checkable

@@ -16,7 +16,7 @@ import numpy as np
 from .embedding import Embedder
 from .errors import DimensionMismatchError, PreconditionError
 from .hypergraph import LAYERS, BipartiteStore, word_tokens
-from .jsonl import str_field
+from .jsonl import float_array, shown, str_field
 
 logger = logging.getLogger(__name__)
 
@@ -80,11 +80,13 @@ def retrieve_hyperedges(
     layers; an unknown layer is a ``PreconditionError``). Ties break by
     ascending hyperedge id.
 
-    One matrix-vector product over the store's ``HyperedgeIndex`` only
-    filters: it keeps the rows whose approximate cosine is within twice the
+    The store's ``HyperedgeIndex`` only filters: its dot products with the
+    unit query, summed from its column postings and scaled by the inverse
+    row norms, keep the rows whose approximate cosine is within twice the
     rounding bound of the k-th best. Those rows are scored again with
     ``cosine()``, so scores, top-k and tie order are exactly those of a
-    ``cosine()`` per edge.
+    ``cosine()`` per edge. A query embedding that is not a finite vector is
+    a ``PreconditionError``.
     """
     if not store.sealed:
         raise PreconditionError("retrieval requires a sealed store")
@@ -92,9 +94,9 @@ def retrieve_hyperedges(
         raise PreconditionError("k must be >= 1")
     if layer not in (None, *LAYERS):
         raise PreconditionError(
-            f"unknown layer {layer!r}; expected one of {', '.join(LAYERS)} or none"
+            f"unknown layer {shown(layer)}; expected one of {', '.join(LAYERS)} or none"
         )
-    query_vec = np.asarray(embedder.embed(mq.text), dtype=np.float64)
+    query_vec = float_array(embedder.embed(mq.text), "query embedding values")
     index = store.edge_index
     block = index.blocks[layer]
     rows = index.matrix[block]
@@ -105,7 +107,7 @@ def retrieve_hyperedges(
             f"query embedding has shape {query_vec.shape}, store expects ({store.embedding_dim},)"
         )
     q_norm = float(np.linalg.norm(query_vec))
-    approx = (rows @ (query_vec / q_norm if q_norm > 0.0 else query_vec)) * index.inv_norms[block]
+    approx = index.dots(query_vec / q_norm if q_norm > 0.0 else query_vec, block) * index.inv_norms[block]
     if k < len(approx):
         kth = np.partition(approx, len(approx) - k)[len(approx) - k]
         # ``~(x < t)`` also keeps NaN scores, which then sort as cosine() has them

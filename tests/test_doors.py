@@ -22,9 +22,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eegrag.cases import CaseStore, PatientRecord, augment_pseudo_cases
+from eegrag.config import PipelineConfig
 from eegrag.eeg import Channel, EegRecording, EegVectorDatabase, PaaEmbedding
 from eegrag.embedding import HashedTokenEmbedder
-from eegrag.errors import PreconditionError
+from eegrag.errors import NotFoundError, PreconditionError, ReferentialError
 from eegrag.evaluation import QaExample
 from eegrag.hypergraph import LAYERS, BipartiteStore
 from eegrag.knowledge import Document, EntitySpec, Fact
@@ -133,6 +134,30 @@ def test_add_hyperedge_refuses_a_mistyped_field(mistyped):
     with pytest.raises(PreconditionError):
         store.add_hyperedge(**args)
     assert store.hyperedges == {} and store.incidence[eid] == set()
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ({"members": {10**5000}}, ReferentialError, r"unknown entity ids: <a list holding "),
+        ({"members": 10**5000}, PreconditionError, r"^members is <an integer of 16610 bits>, not a list"),
+        ({"layer": 10**5000}, PreconditionError, r"^unknown layer <an integer of 16610 bits>;"),
+    ],
+    ids=["member", "members", "layer"],
+)
+def test_add_hyperedge_names_an_integer_past_repr_by_its_size(args, error, message):
+    # 10**5000 has more digits than Python will format, so the refusal
+    # names its size instead of raising ValueError while formatting it
+    store = BipartiteStore(DIM)
+    eid = store.add_entity("epilepsy")
+    with pytest.raises(error, match=message):
+        store.add_hyperedge(**{"description": "d", "members": {eid}, "embedding": np.ones(DIM), **args})
+    assert store.hyperedges == {}
+
+
+def test_get_names_an_unknown_recording_id_past_repr_by_its_size():
+    with pytest.raises(NotFoundError, match=r"^unknown recording id <an integer of 16610 bits>$"):
+        EegVectorDatabase(n_segments=4).get(10**5000)
 
 
 @pytest.mark.parametrize("name", ["", " ", "\t\n"])
@@ -305,6 +330,7 @@ MISTYPED_INPUT = {
     "recording-id": lambda: EegRecording(5, 256.0, fp1()),
     "recording-sample-rate": lambda: EegRecording("r", "fast", fp1()),
     "recording-sample-rate-huge": lambda: EegRecording("r", 10**400, fp1()),
+    "recording-sample-rate-past-repr": lambda: EegRecording("r", 10**5000, fp1()),
     "recording-patient-hash": lambda: EegRecording("r", 256.0, fp1(), patient_hash=7),
     "recording-channels": lambda: EegRecording("r", 256.0, "Fp1"),
     "recording-channel": lambda: EegRecording("r", 256.0, ["Fp1"]),
@@ -314,6 +340,8 @@ MISTYPED_INPUT = {
     "patient-record-empty": lambda: PatientRecord.from_raw({}),
     "paa-values-text": lambda: PaaEmbedding(2, ["x", "y"], ["c"]),
     "paa-values-huge": lambda: PaaEmbedding(2, [10**400, 1.0], ["c"]),
+    "config-layer-past-repr": lambda: PipelineConfig(retrieval_layer=10**5000),
+    "config-client-past-repr": lambda: PipelineConfig(client=10**5000),
 }
 
 

@@ -472,6 +472,21 @@ class TestVectorDatabase:
             db.retrieve_by_embedding(query, 1)
         assert db.retrieve_by_embedding(db.get("r1").embedding, 1)[0].distance == 0.0
 
+    @pytest.mark.parametrize(
+        "values, mean_square",
+        [([1e308, -1e308, 1e308, -1e308], "inf"), ([2.0, 0.0, 0.0, 1e-3], "1"), ([0.0, 3.0, 0.0, 0.0], "2.25")],
+    )
+    def test_query_values_past_the_paa_bound_rejected(self, values, mean_square):
+        # a library caller's embedding is held to the bound every stored row
+        # meets: no channel's mean square above 1 (a row at 1 passes), so
+        # DTW cannot overflow
+        db = EegVectorDatabase(n_segments=4)
+        db.insert_recording(make_recording([[1, 2, 3, 4, 5, 6]], rec_id="r1"))
+        db.seal()
+        with pytest.raises(PreconditionError, match=f"channel 'ch0' values have mean square {mean_square} > 1"):
+            db.retrieve_by_embedding(PaaEmbedding(4, values, ["ch0"]), 2)
+        assert db.retrieve_by_embedding(PaaEmbedding(4, [-2.0, 0.0, 0.0, 0.0], ["ch0"]), 1)[0].recording_id == "r1"
+
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(53)
         db_rng = np.random.default_rng(54)

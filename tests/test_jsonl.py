@@ -15,6 +15,7 @@ from eegrag.jsonl import (
     int_field,
     read_json,
     read_jsonl,
+    shown,
     str_field,
     str_list,
     write_json,
@@ -73,6 +74,15 @@ class TestRead:
         assert int_field(-3, "id") == -3
         with pytest.raises(PreconditionError, match=r"^id is .*, not an integer$"):
             int_field(value, "id")
+
+    def test_shown_names_an_integer_too_long_to_format_by_its_size(self):
+        assert shown("a") == "'a'" and shown(-(10**40)) == repr(-(10**40))
+        assert shown(10**5000) == "<an integer of 16610 bits>"
+        assert shown([1, 10**5000]) == "<a list holding an integer too long to show>"
+        with pytest.raises(PreconditionError, match=r"^id is <an integer of 16610 bits>, not a string$"):
+            str_field(10**5000, "id")
+        with pytest.raises(PreconditionError, match=r"^ids is <a list holding .*>, not a list of strings$"):
+            str_list([10**5000], "ids")
 
     def test_malformed_json_document_names_path(self, tmp_path):
         path = tmp_path / "meta.json"

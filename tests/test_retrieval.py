@@ -324,6 +324,100 @@ class TestHyperedgeIndexOracle:
         with pytest.raises(DimensionMismatchError):
             retrieve_hyperedges(MetadataQuery("q"), FixedEmbedder(np.ones(3)), store, k=1, layer=None)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_refused(self, bad):
+        # a NaN reaches only the rows that share its dimension, so the
+        # filter would drop rows that cosine() scores NaN too
+        store, _ = tie_store(np.random.default_rng(75), 8)
+        store.seal()
+        q = np.ones(8)
+        q[0] = bad
+        for layer in (None, "knowledge"):
+            with pytest.raises(PreconditionError, match="^query embedding values must be finite$"):
+                retrieve_hyperedges(MetadataQuery("q"), FixedEmbedder(q), store, k=2, layer=layer)
+
+
+def sparse_vector(rng, dim: int, used: int | None = None) -> np.ndarray:
+    """A ``dim``-vector of 6 to 20 random normal values in random dimensions
+    of ``range(used)`` (default: all ``dim``)."""
+    vec = np.zeros(dim)
+    picks = rng.choice(used or dim, size=int(rng.integers(6, 21)), replace=False)
+    vec[picks] = rng.normal(size=len(picks))
+    return vec
+
+
+# no row of a sparse store holds a nonzero in its last UNUSED dimensions, so
+# their posting lists are empty
+UNUSED = 8
+
+
+def sparse_store(rng, dim: int = 256) -> BipartiteStore:
+    """Random two-layer store whose rows hold 6 to 20 nonzeros of ``dim``,
+    or none, or repeat an earlier row, exactly or scaled (ties)."""
+    store = BipartiteStore(embedding_dim=dim)
+    entities = [store.add_entity(f"e{i}") for i in range(4)]
+    rows = [sparse_vector(rng, dim, dim - UNUSED)]
+    for _ in range(int(rng.integers(10, 60))):
+        kind = int(rng.integers(0, 6))
+        if kind == 0:
+            rows.append(rows[int(rng.integers(len(rows)))].copy())
+        elif kind == 1:
+            rows.append(rows[int(rng.integers(len(rows)))] * rng.choice([2.0, 3.0, 1e-3, 7e5]))
+        elif kind == 2:
+            rows.append(np.zeros(dim))
+        else:
+            rows.append(sparse_vector(rng, dim, dim - UNUSED))
+    for j, vec in enumerate(rows):
+        layer = "case" if rng.random() < 0.3 else "knowledge"
+        store.add_hyperedge(f"edge {j}", {entities[int(rng.integers(4))]}, vec, layer)
+    return store
+
+
+class TestColumnPostings:
+    """The filter from column postings against one cosine() per edge, compared exactly."""
+
+    def test_equals_per_edge_scan_on_sparse_stores(self):
+        rng = np.random.default_rng(76)
+        for _ in range(40):
+            store = sparse_store(rng)
+            stored = [e.embedding for e in store.hyperedges.values()]
+            unused_only = np.zeros(256)
+            unused_only[-UNUSED:] = rng.normal(size=UNUSED)
+            queries = [
+                sparse_vector(rng, 256),  # meets the empty posting lists too
+                stored[int(rng.integers(len(stored)))],  # ties with its copies
+                stored[int(rng.integers(len(stored)))] * 1e3,
+                np.zeros(256),
+                unused_only,  # shares no dimension with any row
+            ]
+            cases = [
+                (q, k, layer)
+                for q in queries
+                for k in (1, 3, 10, 100)  # 100 is above every block's size
+                for layer in ("knowledge", "case", None)
+            ]
+            want = [scan_oracle(store, q, k, layer) for q, k, layer in cases]
+            store.seal()
+            for (q, k, layer), expected in zip(cases, want):
+                hits = retrieve_hyperedges(MetadataQuery("q"), FixedEmbedder(q), store, k=k, layer=layer)
+                assert [(h.hyperedge_id, h.score) for h in hits] == expected
+                assert [h.rank for h in hits] == list(range(1, len(hits) + 1))
+
+    def test_a_row_that_shares_no_dimension_scores_exactly_zero(self):
+        rng = np.random.default_rng(77)
+        for _ in range(20):
+            store = sparse_store(rng)
+            store.seal()
+            index = store.edge_index
+            q = sparse_vector(rng, 256)
+            for block in index.blocks.values():
+                dots = index.dots(q, block)
+                shares = (index.matrix[block] != 0.0) & (q != 0.0)
+                disjoint = ~shares.any(axis=1)
+                assert dots.shape == (block.stop - block.start,)
+                assert (dots[disjoint] == 0.0).all() and not np.signbit(dots[disjoint]).any()
+                assert np.allclose(dots, index.matrix[block] @ q, rtol=1e-12, atol=1e-12 * np.abs(q).max())
+
 
 WORDS = ["spike", "wave", "Alpha", "rhythm", "beta", "3", "hz", "delta", "slow"]
 FILLER = ["and", "the", "alphabet", "waves", "of"]
