@@ -399,6 +399,7 @@ class EegVectorDatabase:
         self._matrix.flags.writeable = False
         for emb, row in zip(embeddings, self._matrix):
             emb.values = row
+        self._top_k: dict[tuple[str, int], tuple[EegMatch, ...]] = {}
         self._sealed = True
 
     def retrieve_by_embedding(self, query: PaaEmbedding, k: int) -> list[EegMatch]:
@@ -429,6 +430,23 @@ class EegVectorDatabase:
             EegMatch(self._ids[row], self.entries[self._ids[row]].patient_hash, float(distances[row]), rank)
             for rank, row in enumerate(top, start=1)
         ]
+
+    def retrieve_by_id(self, recording_id: str, k: int) -> list[EegMatch]:
+        """``retrieve_by_embedding`` of stored recording ``recording_id``'s embedding.
+
+        That top-k depends only on the sealed matrix, ``band`` and
+        ``channel_blocked``, so the first question about a recording keeps
+        it, keyed by ``(recording_id, k)``, and a repeat skips DTW. The memo
+        is the one write after ``seal()``; a single dict get or set needs no
+        lock, and a race only computes equal matches twice.
+        """
+        if not self._sealed:
+            raise PreconditionError("seal the database before retrieval")
+        top = self._top_k.get((recording_id, k))
+        if top is None:
+            top = tuple(self.retrieve_by_embedding(self.get(recording_id).embedding, k))
+            self._top_k[recording_id, k] = top
+        return list(top)
 
     def retrieve(self, query: EegRecording, k: int) -> list[EegMatch]:
         """Top-K stored recordings by ascending DTW distance (ties by id)."""

@@ -171,8 +171,7 @@ class Pipeline:
                 logger.warning("EEG input supplied but the EEG channel is disabled; ignoring it")
             return []
         if recording_id is not None:
-            entry = self.evd.get(recording_id)  # NotFoundError propagates
-            return self.evd.retrieve_by_embedding(entry.embedding, self.config.eeg_top_k)
+            return self.evd.retrieve_by_id(recording_id, self.config.eeg_top_k)  # NotFoundError propagates
         if recording is not None:
             return self.evd.retrieve(recording, self.config.eeg_top_k)
         return []

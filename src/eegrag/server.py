@@ -15,7 +15,11 @@ GET  /healthz -> store statistics
 Any other error inside a query is answered with 500 and logged once, and
 a client that disconnects is logged at debug level; neither prints a
 traceback. Requests are independent and the stores are sealed, so the
-threading server needs no locking. Ingestion stays offline by design.
+threading server needs no locking. The one write after seal is the EEG
+database's stored-recording memo (``EegVectorDatabase.retrieve_by_id``):
+a request does one dict get and at most one dict set, each atomic under
+the GIL, and two requests that race store equal matches. Ingestion stays
+offline by design.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import shutil
 
 import pytest
 
+import eegrag.eeg as eeg_module
 from eegrag.cases import CaseStore, embed_case, serialize_case
 from eegrag.cli import main
 from eegrag.config import PipelineConfig
@@ -489,6 +490,21 @@ class TestQuery:
         main(QUERY_ARGS + ["--store", str(built_store)])
         second = capsys.readouterr().out
         assert first.encode() == second.encode()
+
+    def test_repeated_stored_id_runs_dtw_once(self, built_store, monkeypatch):
+        pipeline = Pipeline.from_directory(built_store, PipelineConfig())
+        calls = []
+        kernel = eeg_module._dtw_rows
+        monkeypatch.setattr(eeg_module, "_dtw_rows", lambda *args: calls.append(1) or kernel(*args))
+        question = QUERY_ARGS[1]
+        stored = [pipeline.run_query(question, "doctor", eeg_recording_id="rec-001").to_json() for _ in range(2)]
+        assert stored[0].encode() == stored[1].encode()
+        scan = len(calls)
+        assert scan > 0
+        recording = load_recording(FIXTURES / "eeg" / "rec-003.json")
+        fresh = [pipeline.run_query(question, eeg_recording=recording).to_json() for _ in range(2)]
+        assert fresh[0] == fresh[1]
+        assert len(calls) == 3 * scan
 
     def test_eeg_ignored_when_channel_disabled(self, built_store, capsys):
         args = QUERY_ARGS + ["--store", str(built_store), "--set", "el=false"]

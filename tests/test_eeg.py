@@ -19,7 +19,7 @@ from eegrag.eeg import (
     recording_from_dict,
     zscore,
 )
-from eegrag.errors import ComparabilityError, PreconditionError, StoreSealedError
+from eegrag.errors import ComparabilityError, NotFoundError, PreconditionError, StoreSealedError
 
 from conftest import dtw_python, eeg_topk_oracle, rewrite_row
 
@@ -632,6 +632,60 @@ class TestAbandoningScan:
             expected = eeg_topk_oracle(db, query, k)
             assert [(m.distance, m.recording_id) for m in got] == expected
             assert [m.rank for m in got] == list(range(1, len(expected) + 1))
+
+
+class TestStoredIdMemo:
+    """``retrieve_by_id`` scans a stored recording once per k, then answers from its memo."""
+
+    @pytest.mark.parametrize(
+        "band, blocked", [(None, False), (None, True), (2, False)], ids=["plain", "blocked", "band2"]
+    )
+    @pytest.mark.parametrize("k", [1, 3, 24, 26])
+    def test_equals_retrieve_by_embedding_for_every_stored_id(self, band, blocked, k):
+        db, _ = paired_db(band, blocked)
+        for rid in sorted(db.entries):
+            query = db.get(rid).embedding
+            expected = db.retrieve_by_embedding(query, k)
+            assert [(m.distance, m.recording_id) for m in expected] == eeg_topk_oracle(db, query, k)
+            assert db.retrieve_by_id(rid, k) == expected
+            assert db.retrieve_by_id(rid, k) == expected  # from the memo
+        assert len(db._top_k) == len(db)
+
+    def test_a_repeat_runs_no_dtw(self, monkeypatch):
+        db, _ = paired_db(None, False)
+        calls = []
+        kernel, check = eeg_module._dtw_rows, EegVectorDatabase._check_layout
+        monkeypatch.setattr(eeg_module, "_dtw_rows", lambda *args: calls.append("dtw") or kernel(*args))
+        monkeypatch.setattr(EegVectorDatabase, "_check_layout", lambda *args: calls.append("check") or check(*args))
+        first = db.retrieve_by_id("r005", 3)
+        assert calls == ["check", "dtw"]
+        assert db.retrieve_by_id("r005", 3) == first
+        assert calls == ["check", "dtw"]
+        db.retrieve_by_id("r005", 4)  # another k is another entry
+        assert calls == ["check", "dtw"] * 2
+
+    def test_a_returned_list_is_the_callers_own(self):
+        db, _ = paired_db(None, True)
+        first = db.retrieve_by_id("r000", 3)
+        expected = list(first)
+        first.reverse()
+        first.append(first[0])
+        assert db.retrieve_by_id("r000", 3) == expected
+
+    def test_refused_questions_store_nothing(self):
+        db, _ = paired_db(None, False)
+        with pytest.raises(NotFoundError, match="^unknown recording id 'r999'$"):
+            db.retrieve_by_id("r999", 3)
+        with pytest.raises(PreconditionError, match="k must be >= 1"):
+            db.retrieve_by_id("r000", 0)
+        assert db._top_k == {}
+
+    def test_unsealed_database_refused(self):
+        db = fill_db([make_recording([[1, 2, 3]], rec_id="r1")])
+        with pytest.raises(PreconditionError, match="seal the database before retrieval"):
+            db.retrieve_by_id("r1", 1)
+        db.seal()
+        assert [m.recording_id for m in db.retrieve_by_id("r1", 1)] == ["r1"]
 
 
 class TestBatchedScan:

@@ -1,6 +1,7 @@
 import http.client
 import json
 import logging
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -120,6 +121,41 @@ class TestQueryEndpoint:
         status, body = post(f"{url}/query", {"question": "q", "eeg_recording_id": "rec-x"})
         assert status == 404
         assert "rec-x" in body["error"]
+
+    def test_concurrent_repeats_of_a_stored_id_agree(self, endpoint):
+        # four threads race on a cold pipeline's stored-recording memo, the one
+        # write after seal; each must get the answer a cold pipeline gives
+        _, store = endpoint
+        query = {"question": self.QUESTION, "role": "doctor", "eeg_recording_id": "rec-001"}
+        cold = json.loads(Pipeline.from_directory(store, PipelineConfig()).run_query(**query).to_json())
+        server = PipelineServer(Pipeline.from_directory(store, PipelineConfig()), "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        url = f"http://127.0.0.1:{server.server_address[1]}/query"
+        start = threading.Barrier(4)
+        answers = []
+
+        def ask():
+            start.wait(timeout=10)
+            answers.append(post(url, query))
+
+        clients = [threading.Thread(target=ask) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=30)
+            unknown = post(url, {"question": "q", "eeg_recording_id": "rec-x"})
+        finally:
+            sys.setswitchinterval(interval)
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not any(client.is_alive() for client in clients)
+        assert answers == [(200, cold)] * 4
+        assert unknown == (404, {"error": "unknown recording id 'rec-x'"})
 
     def test_malformed_body_is_400(self, endpoint):
         url, _ = endpoint
