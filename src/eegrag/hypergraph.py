@@ -13,8 +13,9 @@ ingest and load alike: the door checks the row and keeps ``incidence``, the
 ``NameIndex`` and ``case_members`` current. A hyperedge row passes the
 door's field rules, ``_check_edge``, before ``_put_edge``; ingest adds
 hyperedges in batches (``add_hyperedges``), which check every row first
-and hash all their ids at once. Sealing builds only the vector matrix and
-its column postings (``HyperedgeIndex``); queries only read.
+and hash all their ids at once. Sealing marks each hyperedge's vector
+read-only and builds only their column postings (``HyperedgeIndex``), so
+each vector is held once, on its edge; queries only read.
 """
 
 from __future__ import annotations
@@ -98,16 +99,17 @@ class Neighborhood:
 
 
 class HyperedgeIndex:
-    """The hyperedges' embeddings as one read-only matrix.
+    """Column postings of the hyperedges' embeddings, the retrieval filter's
+    only structure; each vector is held once, as its edge's ``embedding``.
 
     Rows are grouped by layer, ascending id within a layer, so each layer is
-    one contiguous block and the whole matrix serves ``layer=None``. Every
-    edge's ``embedding`` becomes a view of its row, so each vector is held
-    once. ``inv_norms`` holds 1/||row||, and 0.0 for a zero row.
+    one contiguous block of ``ids`` and all rows serve ``layer=None``.
+    ``inv_norms`` holds 1/||row||, and 0.0 for a zero row.
 
-    Its column postings hold the matrix's nonzero entries by column: column
+    The column postings hold the rows' nonzero entries by column: column
     j's are ``posting_rows[indptr[j]:indptr[j + 1]]`` (row positions,
-    ascending) and the same slice of ``posting_values``.
+    ascending) and the same slice of ``posting_values``. The rows are
+    stacked into a matrix only while these are cut from it.
     """
 
     def __init__(self, hyperedges: dict[int, Hyperedge], dim: int):
@@ -116,10 +118,6 @@ class HyperedgeIndex:
         matrix = np.empty((len(order), dim))
         for row, hid in enumerate(self.ids):
             matrix[row] = hyperedges[hid].embedding
-        matrix.flags.writeable = False
-        for row, hid in enumerate(self.ids):
-            hyperedges[hid].embedding = matrix[row]
-        self.matrix = matrix
         norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
         self.inv_norms = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
         ranks = [rank for rank, _ in order]
@@ -136,17 +134,17 @@ class HyperedgeIndex:
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=dim))))
 
     def dots(self, q: np.ndarray, block: slice) -> np.ndarray:
-        """``matrix[block] @ q``, summed from the column postings: each
-        nonzero of ``q`` meets only its column's nonzero entries, gathered
-        and summed per row by one ``bincount``, so a row that shares no
-        dimension with ``q`` gets exactly 0.0."""
+        """Each row of ``block`` dotted with ``q``, summed from the column
+        postings: each nonzero of ``q`` meets only its column's nonzero
+        entries, gathered and summed per row by one ``bincount``, so a row
+        that shares no dimension with ``q`` gets exactly 0.0."""
         dims = np.flatnonzero(q)
         starts = self.indptr[dims]
         lengths = self.indptr[dims + 1] - starts
         # the positions of each dimension's postings, laid end to end
         picks = np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
         weights = self.posting_values[picks] * np.repeat(q[dims], lengths)
-        sums = np.bincount(self.posting_rows[picks], weights=weights, minlength=len(self.matrix))
+        sums = np.bincount(self.posting_rows[picks], weights=weights, minlength=len(self.ids))
         return sums[block]
 
 
@@ -198,11 +196,14 @@ class BipartiteStore:
         return self._sealed
 
     def seal(self) -> None:
-        """Freeze the store and stack its hyperedge vectors into one matrix;
-        subsequent mutations raise ``StoreSealedError``."""
+        """Freeze the store: cut the hyperedge vectors' column postings and
+        mark each vector read-only; subsequent mutations raise
+        ``StoreSealedError``."""
         if self._sealed:
             return
         self.edge_index = HyperedgeIndex(self.hyperedges, self.embedding_dim)
+        for edge in self.hyperedges.values():
+            edge.embedding.flags.writeable = False
         self._sealed = True
 
     def _require_unsealed(self) -> None:

@@ -84,9 +84,11 @@ def retrieve_hyperedges(
     unit query, summed from its column postings and scaled by the inverse
     row norms, keep the rows whose approximate cosine is within twice the
     rounding bound of the k-th best. Those rows are scored again with
-    ``cosine()``, so scores, top-k and tie order are exactly those of a
-    ``cosine()`` per edge. A query embedding that is not a finite vector is
-    a ``PreconditionError``.
+    ``cosine()`` of the edge's own ``embedding``, so scores, top-k and tie
+    order are exactly those of a ``cosine()`` per edge. A zero query
+    embedding (a question with no word token) has ``cosine()`` 0.0 with
+    every edge, so it gets the k smallest ids, none scored. A query
+    embedding that is not a finite vector is a ``PreconditionError``.
     """
     if not store.sealed:
         raise PreconditionError("retrieval requires a sealed store")
@@ -99,22 +101,27 @@ def retrieve_hyperedges(
     query_vec = float_array(embedder.embed(mq.text), "query embedding values")
     index = store.edge_index
     block = index.blocks[layer]
-    rows = index.matrix[block]
-    if not len(rows):
+    if block.start == block.stop:
         return []
     if query_vec.shape != (store.embedding_dim,):
         raise DimensionMismatchError(
             f"query embedding has shape {query_vec.shape}, store expects ({store.embedding_dim},)"
         )
     q_norm = float(np.linalg.norm(query_vec))
-    approx = index.dots(query_vec / q_norm if q_norm > 0.0 else query_vec, block) * index.inv_norms[block]
+    if q_norm == 0.0:
+        # cosine() scores every row 0.0, so ids alone order them; they
+        # ascend within each layer's block, so sorted() merges two runs
+        top = sorted(index.ids[block])[:k]
+        return [ScoredHyperedge(hid, 0.0, rank) for rank, hid in enumerate(top, start=1)]
+    approx = index.dots(query_vec / q_norm, block) * index.inv_norms[block]
     if k < len(approx):
         kth = np.partition(approx, len(approx) - k)[len(approx) - k]
         # ``~(x < t)`` also keeps NaN scores, which then sort as cosine() has them
         keep = np.flatnonzero(~(approx < kth - 2.0 * _rounding_bound(store.embedding_dim)))
     else:
         keep = range(len(approx))
-    scored = sorted((-cosine(query_vec, rows[r]), index.ids[block.start + r]) for r in keep)
+    hids = (index.ids[block.start + r] for r in keep)
+    scored = sorted((-cosine(query_vec, store.hyperedges[hid].embedding), hid) for hid in hids)
     return [
         ScoredHyperedge(hid, -neg, rank)
         for rank, (neg, hid) in enumerate(scored[:k], start=1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eegrag import retrieval
 from eegrag.embedding import HashedTokenEmbedder
 from eegrag.errors import DimensionMismatchError, PreconditionError
 from eegrag.hypergraph import BipartiteStore
@@ -288,7 +289,6 @@ class TestHyperedgeIndexOracle:
                 for k in (1, 2, 5, 50)
                 for layer in ("knowledge", "case", None)
             ]
-            # the oracle reads the vectors as they were before seal() moved them
             want = [scan_oracle(store, q, k, layer) for q, k, layer in cases]
             store.seal()
             for (q, k, layer), expected in zip(cases, want):
@@ -307,16 +307,18 @@ class TestHyperedgeIndexOracle:
                 hits = retrieve_hyperedges(MetadataQuery(text), embedder, store, k=k, layer=None)
                 assert [(h.hyperedge_id, h.score) for h in hits] == expected
 
-    def test_embeddings_are_views_of_the_index(self, tmp_path):
+    def test_seal_keeps_each_vector_once_and_read_only(self, tmp_path):
         store, _ = tie_store(np.random.default_rng(73), 8)
         store.save(tmp_path)
         for sealed in (store, BipartiteStore.load(tmp_path, 8)):
+            before = {hid: edge.embedding for hid, edge in sealed.hyperedges.items()}
             sealed.seal()
-            matrix = sealed.edge_index.matrix
-            assert not matrix.flags.writeable
-            assert matrix.shape == (len(sealed.hyperedges), 8)
-            for edge in sealed.hyperedges.values():
-                assert np.shares_memory(edge.embedding, matrix)
+            for hid, edge in sealed.hyperedges.items():
+                assert edge.embedding is before[hid]
+                with pytest.raises(ValueError, match="read-only"):
+                    edge.embedding[0] = 1.0
+            kept = vars(sealed.edge_index).values()
+            assert not [a for a in kept if isinstance(a, np.ndarray) and a.ndim == 2]
 
     def test_query_dimension_mismatch(self):
         store, _ = tie_store(np.random.default_rng(74), 8)
@@ -409,14 +411,39 @@ class TestColumnPostings:
             store = sparse_store(rng)
             store.seal()
             index = store.edge_index
+            dense = np.array([store.hyperedges[hid].embedding for hid in index.ids])
             q = sparse_vector(rng, 256)
             for block in index.blocks.values():
                 dots = index.dots(q, block)
-                shares = (index.matrix[block] != 0.0) & (q != 0.0)
+                shares = (dense[block] != 0.0) & (q != 0.0)
                 disjoint = ~shares.any(axis=1)
                 assert dots.shape == (block.stop - block.start,)
                 assert (dots[disjoint] == 0.0).all() and not np.signbit(dots[disjoint]).any()
-                assert np.allclose(dots, index.matrix[block] @ q, rtol=1e-12, atol=1e-12 * np.abs(q).max())
+                assert np.allclose(dots, dense[block] @ q, rtol=1e-12, atol=1e-12 * np.abs(q).max())
+
+    def test_a_question_with_no_word_token_scores_no_row(self, monkeypatch):
+        # it embeds to zeros, whose cosine() with every row is 0.0, so ids
+        # alone order the rows
+        rng = np.random.default_rng(78)
+        embedder = HashedTokenEmbedder(256)
+        calls = []
+        real_cosine = retrieval.cosine
+        monkeypatch.setattr(retrieval, "cosine", lambda u, v: calls.append(1) or real_cosine(u, v))
+        interleaved = False
+        for _ in range(10):
+            store = sparse_store(rng)
+            cases = [(k, layer) for k in (1, 3, 100) for layer in ("knowledge", "case", None)]
+            want = [scan_oracle(store, np.zeros(256), k, layer) for k, layer in cases]
+            store.seal()
+            for question in ("癫痫的脑电图特征是什么？", "???"):
+                for (k, layer), expected in zip(cases, want):
+                    calls.clear()
+                    hits = retrieve_hyperedges(MetadataQuery(question), embedder, store, k=k, layer=layer)
+                    assert [(h.hyperedge_id, h.score) for h in hits] == expected
+                    assert [h.rank for h in hits] == list(range(1, len(hits) + 1))
+                    assert len(calls) <= k
+                    interleaved |= layer is None and [hid for hid, _ in expected] != store.edge_index.ids[:k]
+        assert interleaved  # layer=None merged the two blocks' ids at least once
 
 
 WORDS = ["spike", "wave", "Alpha", "rhythm", "beta", "3", "hz", "delta", "slow"]
