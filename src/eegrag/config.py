@@ -6,7 +6,7 @@ environment variable instead (``remote_auth_env``), read at call time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import PreconditionError
@@ -76,23 +76,28 @@ class PipelineConfig:
         return config
 
     def apply(self, mapping: dict[str, str]) -> None:
+        """Set each key of ``mapping`` from its string. The whole result is
+        checked first, so a refused mapping leaves the config unchanged."""
         own = {f.name: f.type for f in fields(self) if f.name != "ablation"}
+        changes, flags = {}, {}
         for key, raw in mapping.items():
             key = key.strip().lower()
             if key in ("cl", "il", "el"):
-                setattr(self.ablation, key, _parse_bool(key, raw))
+                flags[key] = _parse_bool(key, raw)
             elif key in own:
-                setattr(self, key, _coerce_field(key, raw, own[key]))
+                changes[key] = _coerce_field(key, raw, own[key])
             else:
                 raise PreconditionError(f"unknown config key {key!r}")
-        self.__post_init__()
+        checked = replace(self, ablation=replace(self.ablation, **flags), **changes)  # runs __post_init__
+        vars(self).update(vars(checked))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         """Parse a ``key = value`` file; blank lines and ``#`` comments ignored."""
         mapping: dict[str, str] = {}
         try:
-            with open(path, encoding="utf-8") as fh:
+            # utf-8-sig drops a leading byte order mark
+            with open(path, encoding="utf-8-sig") as fh:
                 lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise PreconditionError(f"{path}: not UTF-8 text: {exc}") from exc

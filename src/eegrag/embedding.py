@@ -17,7 +17,9 @@ import numpy as np
 from .errors import PreconditionError
 from .hashing import fnv1a64_text
 
-_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+# a word: a maximal run of ASCII letters and digits, read from the original
+# text and lowercased. The embedder and the entity linker share this rule.
+_WORD = re.compile(r"[0-9A-Za-z]+")
 
 # distinct (token, dim) pairs whose slot is kept; a full cache is ~4 MiB
 _TOKEN_SLOTS = 1 << 14
@@ -48,11 +50,13 @@ class Embedder(Protocol):
 class HashedTokenEmbedder:
     """Deterministic bag-of-tokens embedder used in tests and offline runs.
 
-    Tokenizes on non-alphanumeric characters after lowercasing, hashes each
-    token with FNV-1a into one of ``dim`` buckets (sign taken from the hash
-    parity), accumulates, and L2-normalizes. Shared tokens between two texts
-    produce shared vector mass, so token overlap translates into cosine
-    similarity.
+    Its tokens are the words the entity linker reads: each maximal run of
+    ASCII letters and digits in the original text, lowercased (``_WORD``).
+    It hashes each token with FNV-1a into one of ``dim`` buckets (sign taken
+    from the hash parity), accumulates, and L2-normalizes. Shared tokens
+    between two texts produce shared vector mass, so token overlap
+    translates into cosine similarity. A text with no word, such as
+    ``'???'`` or the Kelvin sign ``'\u212a'``, embeds to the zero vector.
     """
 
     def __init__(self, dim: int = 256):
@@ -66,10 +70,8 @@ class HashedTokenEmbedder:
 
     def embed(self, text: str) -> np.ndarray:
         vec = np.zeros(self._dim, dtype=np.float64)
-        for token in _TOKEN_SPLIT.split(text.lower()):
-            if not token:
-                continue
-            bucket, sign = _token_slot(token, self._dim)
+        for word in _WORD.findall(text):
+            bucket, sign = _token_slot(word.lower(), self._dim)
             vec[bucket] += sign
         norm = float(np.linalg.norm(vec))
         if norm > 0.0:

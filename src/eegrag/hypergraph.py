@@ -20,7 +20,6 @@ each vector is held once, on its edge; queries only read.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -28,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .embedding import _WORD
 from .errors import (
     DimensionMismatchError,
     NotFoundError,
@@ -57,11 +57,10 @@ KNOWLEDGE_LAYER = "knowledge"
 CASE_LAYER = "case"
 LAYERS = (KNOWLEDGE_LAYER, CASE_LAYER)
 
-_WORD = re.compile(r"[0-9A-Za-z]+")
-
 
 def word_tokens(text: str) -> list[tuple[str, int, int]]:
-    """Lowercased alphanumeric word tokens of ``text`` with their character spans."""
+    """The lowercased words of ``text`` (``embedding._WORD``, the one word
+    rule) with their character spans."""
     return [(m.group(0).lower(), m.start(), m.end()) for m in _WORD.finditer(text)]
 
 

@@ -491,6 +491,12 @@ class TestQuery:
         second = capsys.readouterr().out
         assert first.encode() == second.encode()
 
+    def test_config_file_with_a_byte_order_mark(self, built_store, tmp_path, capsys):
+        path = tmp_path / "bom.conf"
+        path.write_bytes("\ufeffeeg_top_k = 3\n".encode("utf-8"))
+        assert main(QUERY_ARGS + ["--store", str(built_store), "--config", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["traces"]["eeg"]) == 3
+
     def test_repeated_stored_id_runs_dtw_once(self, built_store, monkeypatch):
         pipeline = Pipeline.from_directory(built_store, PipelineConfig())
         calls = []
@@ -809,6 +815,10 @@ class TestBadInput:
     def test_none_for_a_setting_that_must_not_be_none(self, built_store, capsys):
         err = self.run(capsys, *QUERY_ARGS, "--store", str(built_store), "--set", "seed=none")
         assert "'seed' must not be none" in err
+
+    def test_set_without_equals(self, built_store, capsys):
+        err = self.run(capsys, *QUERY_ARGS, "--store", str(built_store), "--set", "eeg_top_k")
+        assert "--set expects key=value, got 'eeg_top_k'" in err
 
     def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.conf"

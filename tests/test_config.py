@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from eegrag.config import PipelineConfig
@@ -28,6 +30,8 @@ class TestValidation:
             PipelineConfig(hyperedge_top_k=0)
         with pytest.raises(PreconditionError):
             PipelineConfig(closure_radius=-1)
+        with pytest.raises(PreconditionError, match="dtw_band must be >= 0"):
+            PipelineConfig(dtw_band=-1)
 
     def test_tau_range(self):
         with pytest.raises(PreconditionError):
@@ -124,6 +128,11 @@ class TestFileParsing:
         with pytest.raises(PreconditionError, match="line 1"):
             PipelineConfig.from_file(path)
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        path = tmp_path / "bom.conf"
+        path.write_bytes("\ufeffeeg_top_k = 3\n".encode("utf-8"))
+        assert PipelineConfig.from_file(path).eeg_top_k == 3
+
     def test_apply_overrides_after_file(self, tmp_path):
         path = tmp_path / "c.conf"
         path.write_text("seed = 1\n")
@@ -152,3 +161,31 @@ class TestNoneValues:
         config.apply(dict.fromkeys(optional, "none"))
         cleared = (config.dtw_band, config.retrieval_layer, config.remote_auth_env)
         assert cleared == (None, None, None)
+
+
+class TestRefusedApply:
+    """A refused mapping leaves every setting, the ablation flags too, as it was."""
+
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [
+            ({"eeg_top_k": "0"}, "eeg_top_k must be >= 1"),
+            ({"el": "false", "warp_speed": "9"}, "unknown config key 'warp_speed'"),
+            ({"cl": "false", "hyperedge_top_k": "3", "paa_segments": "many"}, "'paa_segments'"),
+            ({"hyperedge_top_k": "3", "pseudo_tau": "2"}, "pseudo_tau must be in"),
+        ],
+        ids=["refused-value", "unknown-key", "malformed-after-valid", "refused-after-valid"],
+    )
+    def test_config_is_unchanged(self, mapping, message):
+        config = PipelineConfig.from_mapping({"seed": "3", "il": "false"})
+        before = copy.deepcopy(config)
+        with pytest.raises(PreconditionError, match=message):
+            config.apply(mapping)
+        assert config == before
+
+    def test_a_later_apply_reports_only_its_own_fault(self):
+        config = PipelineConfig()
+        with pytest.raises(PreconditionError, match="eeg_top_k"):
+            config.apply({"eeg_top_k": "0"})
+        config.apply({"hyperedge_top_k": "3", "pseudo_tau": "0.5"})
+        assert (config.eeg_top_k, config.hyperedge_top_k, config.pseudo_tau) == (5, 3, 0.5)

@@ -134,6 +134,8 @@ class TestPaa:
             paa([], 2)
         with pytest.raises(PreconditionError):
             paa([1.0], 0)
+        with pytest.raises(PreconditionError, match="paa expects a 1-D series"):
+            paa([[1.0, 2.0]], 1)
 
 
 class TestPaaPlan:
@@ -400,6 +402,11 @@ class TestVectorDatabase:
         db = fill_db([rec])
         with pytest.raises(PreconditionError):
             db.insert_recording(make_recording([[4, 5, 6]], rec_id="r1"))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_segments_below_one_refused(self, n):
+        with pytest.raises(PreconditionError, match="n_segments must be >= 1"):
+            EegVectorDatabase(n_segments=n)
 
     def test_sealed_rejects_insert(self):
         db = fill_db([make_recording([[1, 2, 3]], rec_id="r1")])

@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from eegrag.embedding import HashedTokenEmbedder
 from eegrag.errors import PreconditionError
+from eegrag.hypergraph import word_tokens
+
+# str.lower() turns each of these into ASCII letters, yet neither is a word
+KELVIN, DOTTED_CAPITAL_I = "\u212a", "\u0130"
+
+
+def linker_words(text: str) -> str:
+    """The words the entity linker reads in ``text``, joined by spaces."""
+    return " ".join(word for word, _, _ in word_tokens(text))
 
 
 def test_deterministic():
@@ -35,6 +46,25 @@ def test_no_tokens_degenerates_to_zero_vector():
     emb = HashedTokenEmbedder(32)
     assert np.all(emb.embed("") == 0.0)
     assert np.all(emb.embed("  ... !!") == 0.0)
+
+
+def test_a_text_with_no_linker_word_embeds_to_zeros():
+    assert word_tokens(KELVIN) == []
+    assert np.all(HashedTokenEmbedder(32).embed(KELVIN) == 0.0)
+
+
+@pytest.mark.parametrize("text", [f"{DOTTED_CAPITAL_I}ctal spikes", f"seizure {KELVIN}alium"])
+def test_embeds_exactly_the_linker_words(text):
+    emb = HashedTokenEmbedder(64)
+    np.testing.assert_array_equal(emb.embed(text), emb.embed(linker_words(text)))
+
+
+@given(st.text())
+@example(f"{DOTTED_CAPITAL_I}ctal spikes")
+@example(f"seizure {KELVIN}alium")
+def test_embedding_of_any_text_is_that_of_its_linker_words(text):
+    emb = HashedTokenEmbedder(64)
+    np.testing.assert_array_equal(emb.embed(text), emb.embed(linker_words(text)))
 
 
 def test_tokenization_is_case_and_punctuation_insensitive():

@@ -209,6 +209,11 @@ class TestLoadQa:
         with pytest.raises(PreconditionError, match="line 2"):
             load_qa(path)
 
+    @pytest.mark.parametrize("question", ["", " \t\n"])
+    def test_blank_question_rejected(self, question):
+        with pytest.raises(PreconditionError, match="example '1' has an empty question"):
+            QaExample(id="1", domain="d", role="r", question=question, gold="g")
+
     def test_empty_gold_rejected(self):
         with pytest.raises(PreconditionError):
             QaExample(id="1", domain="d", role="r", question="q", gold="  ")

@@ -7,6 +7,7 @@ import pytest
 
 import eegrag.cli as cli_module
 import eegrag.fusion as fusion_module
+import eegrag.pipeline as pipeline_module
 from eegrag.cases import CaseStore, PatientRecord
 from eegrag.cli import link_case_layer
 from eegrag.config import PipelineConfig
@@ -422,6 +423,27 @@ def stub_server():
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
     server.server_close()
+
+
+class TestMakeClient:
+    REMOTE = {"client": "remote", "remote_endpoint": "http://127.0.0.1:9/v1", "remote_model": "m"}
+
+    @pytest.mark.parametrize("missing", ["remote_endpoint", "remote_model"])
+    def test_remote_client_needs_an_endpoint_and_a_model(self, missing):
+        config = PipelineConfig.from_mapping({k: v for k, v in self.REMOTE.items() if k != missing})
+        with pytest.raises(PreconditionError, match="requires remote_endpoint and remote_model"):
+            pipeline_module.make_client(config)
+
+    def test_remote_client_gets_the_call_policy(self, monkeypatch):
+        made = {}
+        monkeypatch.setattr(pipeline_module, "HttpChatClient", lambda **kwargs: made.update(kwargs) or "client")
+        policy = {"remote_timeout": "2.5", "remote_retries": "5", "remote_max_inflight": "3"}
+        config = PipelineConfig.from_mapping({**self.REMOTE, **policy, "remote_auth_env": "TOKEN"})
+        assert pipeline_module.make_client(config) == "client"
+        assert made == {
+            "endpoint": "http://127.0.0.1:9/v1", "model": "m", "auth_env": "TOKEN",
+            "timeout": 2.5, "retries": 5, "max_inflight": 3,
+        }
 
 
 class TestHttpChatClient:

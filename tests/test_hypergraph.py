@@ -362,6 +362,18 @@ class TestLifecycleAndPersistence:
         # reads still work
         assert store.incident_hyperedges(a) == set()
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_embedding_dim_below_one_refused(self, dim):
+        with pytest.raises(PreconditionError, match="embedding_dim must be >= 1"):
+            BipartiteStore(embedding_dim=dim)
+
+    def test_a_second_seal_keeps_the_index(self):
+        store, _ = make_path_store()
+        store.seal()
+        index = store.edge_index
+        store.seal()
+        assert store.sealed and store.edge_index is index
+
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
         store = random_store(rng)

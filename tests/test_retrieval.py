@@ -140,6 +140,19 @@ class TestRetrieveHyperedges:
         with pytest.raises(PreconditionError):
             retrieve_hyperedges(MetadataQuery("x"), EMB, store, k=1)
 
+    def test_k_below_one_rejected(self):
+        store = knowledge_store("fact")
+        with pytest.raises(PreconditionError, match="k must be >= 1"):
+            retrieve_hyperedges(MetadataQuery("fact"), EMB, store, k=0)
+
+    def test_linking_and_expansion_need_a_sealed_store(self):
+        store = BipartiteStore(embedding_dim=4)
+        store.add_entity("spike-wave")
+        with pytest.raises(PreconditionError, match="entity extraction requires a sealed store"):
+            extract_query_entities(MetadataQuery("spike-wave"), store)
+        with pytest.raises(PreconditionError, match="expansion requires a sealed store"):
+            expand_entities([], store)
+
     def test_empty_query_text_rejected(self):
         with pytest.raises(PreconditionError):
             MetadataQuery("  ")
@@ -423,7 +436,7 @@ class TestColumnPostings:
 
     def test_a_question_with_no_word_token_scores_no_row(self, monkeypatch):
         # it embeds to zeros, whose cosine() with every row is 0.0, so ids
-        # alone order the rows
+        # alone order the rows and no row is scored
         rng = np.random.default_rng(78)
         embedder = HashedTokenEmbedder(256)
         calls = []
@@ -435,13 +448,14 @@ class TestColumnPostings:
             cases = [(k, layer) for k in (1, 3, 100) for layer in ("knowledge", "case", None)]
             want = [scan_oracle(store, np.zeros(256), k, layer) for k, layer in cases]
             store.seal()
-            for question in ("癫痫的脑电图特征是什么？", "???"):
+            # the Kelvin sign lowercases to an ASCII 'k', yet is no word
+            for question in ("癫痫的脑电图特征是什么？", "???", "\u212a"):
                 for (k, layer), expected in zip(cases, want):
                     calls.clear()
                     hits = retrieve_hyperedges(MetadataQuery(question), embedder, store, k=k, layer=layer)
                     assert [(h.hyperedge_id, h.score) for h in hits] == expected
                     assert [h.rank for h in hits] == list(range(1, len(hits) + 1))
-                    assert len(calls) <= k
+                    assert not calls
                     interleaved |= layer is None and [hid for hid, _ in expected] != store.edge_index.ids[:k]
         assert interleaved  # layer=None merged the two blocks' ids at least once
 
