@@ -22,6 +22,8 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
+import numpy as np
+
 from .cases import CaseStore, PatientCase
 from .eeg import EegMatch
 from .errors import PreconditionError, ReferentialError, TransportError
@@ -173,7 +175,7 @@ def fuse(
         for h in bundle.hyperedge_hits
         if h.hyperedge_id not in store.hyperedges
     ]
-    bad_edges += [h for h in bundle.expansion_edges if h not in store.hyperedges]
+    bad_edges += bundle.expansion_edges.difference(store.hyperedges)
     bad_entities = [
         m.entity_id for m in bundle.entity_matches if m.entity_id not in store.entities
     ]
@@ -251,30 +253,32 @@ def _candidates(
     a seed, with their connectivity, and whether there are more than ``budget``.
 
     Only the seed hyperedges (the retrieved, scored ones) and the hyperedges
-    holding a seed entity connect a seed. Any of the latter that connects
-    two or more seeds holds two seed entities, so it turns up in two seed
-    incidence sets; those and the seed hyperedges are counted one by one.
+    holding a seed entity connect a seed. The latter are the seed entities'
+    spans of the sealed ``incident_edges``; one ``np.unique`` over those
+    spans counts each such edge once per seed entity it holds, which is the
+    number of seeds it connects. The seed hyperedges are counted one by one.
     Every other edge is unscored and connects one seed if it holds a seed
     entity, none if it lies further out, so each group ranks by ascending
-    id and only its first ``budget`` edges can be kept. Only that outer
-    group needs the walked closure.
+    id and only its first ``budget`` edges can be kept. A seed hyperedge
+    among the first ``budget`` edges of count 1 takes its own count; being
+    scored, it outranks all of them and so takes the place of the one it
+    pushes out. Only the outer group needs the walked closure.
     """
-    reached: set[int] = set()
-    shared = set(seed_edges)
-    for eid in seed_entities if radius else ():
-        edges = store.incidence.get(eid, set())
-        shared |= reached & edges
-        reached |= edges
-    candidates = {
-        hid: len(store.hyperedges[hid].members & seed_entities) + (1 if hid in seed_edges else 0)
-        for hid in shared
-    }
-    single = sorted(reached - shared)
-    candidates.update(dict.fromkeys(single[:budget], 1))
-    n_closure = len(shared) + len(single)
+    flat = store.incident_edges
+    spans = [flat[slice(*store.incident_spans[eid])] for eid in seed_entities] if radius else []
+    # flat[:0] keeps concatenate's input non-empty when no span is walked
+    reached, counts = np.unique(np.concatenate([flat[:0], *spans]), return_counts=True)
+    many = counts > 1
+    candidates = dict.fromkeys(reached[~many][:budget].tolist(), 1)
+    candidates.update(zip(reached[many].tolist(), counts[many].tolist()))
+    n_closure = len(reached)
+    for hid in seed_edges:
+        linked = len(store.hyperedges[hid].members & seed_entities)
+        candidates[hid] = linked + 1
+        n_closure += not (radius and linked)  # reached if it holds a seed entity
     if radius > 1:
         hood = store.neighborhood(seed_entities | seed_edges, radius)
-        outer = sorted(hood.hyperedge_ids - shared - reached)
+        outer = sorted(hood.hyperedge_ids.difference(reached.tolist(), seed_edges))
         candidates.update(dict.fromkeys(outer[:budget], 0))
         n_closure += len(outer)
     return candidates, n_closure > budget

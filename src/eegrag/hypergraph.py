@@ -14,8 +14,10 @@ ingest and load alike: the door checks the row and keeps ``incidence``, the
 door's field rules, ``_check_edge``, before ``_put_edge``; ingest adds
 hyperedges in batches (``add_hyperedges``), which check every row first
 and hash all their ids at once. Sealing marks each hyperedge's vector
-read-only and builds only their column postings (``HyperedgeIndex``), so
-each vector is held once, on its edge; queries only read.
+read-only and builds two derived structures: the vectors' column postings
+(``HyperedgeIndex``), so each vector is held once, on its edge, and the
+incidence sets laid end to end as one sorted array (``incident_edges``,
+sliced by ``incident_spans``), which fusion counts; queries only read.
 """
 
 from __future__ import annotations
@@ -161,6 +163,11 @@ class NameIndex:
         self.width = 0
 
     def add(self, entity: Entity) -> None:
+        """Index ``entity`` under its name's words, unless they miss one of
+        its letters or digits (``'癫痫'``, ``'Ｅpilepsy'``, ``'α rhythm'``):
+        such a name is left unindexed, so no fragment of it is linked."""
+        if any(ch.isalnum() for ch in _WORD.sub("", entity.name)):
+            return
         seq = tuple(word for word, _, _ in word_tokens(entity.name))
         if seq and self.by_seq.get(seq, entity.id) >= entity.id:
             self.by_seq[seq] = entity.id
@@ -174,6 +181,8 @@ class BipartiteStore:
     ``e in incidence[v]  <=>  v in members(e)`` for every reachable state.
     ``case_members`` maps each case-layer edge's description (a case's
     attribute tuple) to its members, the entities the case mentions.
+    From ``seal()`` on, entity ``v``'s incident hyperedge ids, ascending, are
+    also ``incident_edges[slice(*incident_spans[v])]``.
     """
 
     def __init__(self, embedding_dim: int = 256):
@@ -184,6 +193,8 @@ class BipartiteStore:
         self.hyperedges: dict[int, Hyperedge] = {}
         self.incidence: dict[int, set[int]] = {}
         self.edge_index: HyperedgeIndex | None = None
+        self.incident_edges = np.empty(0, dtype=np.uint64)
+        self.incident_spans: dict[int, tuple[int, int]] = {}
         self.names = NameIndex()
         self.case_members: dict[str, frozenset[int]] = {}
         self._sealed = False
@@ -195,12 +206,20 @@ class BipartiteStore:
         return self._sealed
 
     def seal(self) -> None:
-        """Freeze the store: cut the hyperedge vectors' column postings and
-        mark each vector read-only; subsequent mutations raise
-        ``StoreSealedError``."""
+        """Freeze the store: cut the hyperedge vectors' column postings, lay
+        each entity's incident hyperedge ids end to end in ascending order
+        (``incident_edges``, ``uint64``, whose order is that of the ids) with
+        its ``(start, stop)`` in ``incident_spans``, and mark each vector
+        read-only; subsequent mutations raise ``StoreSealedError``."""
         if self._sealed:
             return
         self.edge_index = HyperedgeIndex(self.hyperedges, self.embedding_dim)
+        flat: list[int] = []
+        for eid, edges in self.incidence.items():
+            start = len(flat)
+            flat += sorted(edges)
+            self.incident_spans[eid] = (start, len(flat))
+        self.incident_edges = np.array(flat, dtype=np.uint64)
         for edge in self.hyperedges.values():
             edge.embedding.flags.writeable = False
         self._sealed = True

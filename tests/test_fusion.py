@@ -149,38 +149,51 @@ class TestFuse:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("radius", range(4))
     def test_fused_edges_equal_ranking_the_walked_closure(self, radius, seed):
-        """Fusion picks its candidates by set operations, walking only for
-        the edges beyond one hop; at every radius the kept edges, their
-        order and the truncation flag must equal ranking every edge of the
-        walked closure. Skewed membership makes hubs, shared edges and ties
-        in connectivity and score."""
+        """Fusion counts its candidates over the sealed incidence array,
+        walking only for the edges beyond one hop; at every radius the kept
+        edges, their order and the truncation flag must equal ranking every
+        edge of the walked closure. Skewed membership makes hubs, shared
+        edges and ties in connectivity and score. EEG matches seed the
+        members of their cases' edges; every third bundle seeds no entity;
+        a retrieved edge often holds a seed entity; and each bundle is also
+        fused with budgets one below, equal to and one above the closure."""
         rng = np.random.default_rng(seed)
         store = BipartiteStore(embedding_dim=32)
         ents = [store.add_entity(f"node{i}") for i in range(30)]
         weights = 1.0 / (np.arange(30) + 2.0)
+        weights /= weights.sum()
         for j in range(150):
-            size = int(rng.integers(1, 5))
-            members = rng.choice(30, size=size, replace=False, p=weights / weights.sum())
-            layer = "case" if j % 10 == 0 else "knowledge"
-            add_edge(store, f"fact {j}", {ents[m] for m in members}, layer=layer)
-        store.seal()
+            members = rng.choice(30, size=int(rng.integers(1, 5)), replace=False, p=weights)
+            add_edge(store, f"fact {j}", {ents[m] for m in members})
+        cases = CaseStore()
+        for c in range(12):
+            named = rng.choice(30, size=int(rng.integers(0, 4)), replace=False, p=weights)
+            diagnosis = " ".join(f"node{n}" for n in named) or "unnamed"
+            cases.add_record(PatientRecord.from_raw({"diagnosis": diagnosis, "age": str(20 + c)}))
+        seal_with_case_layer(store, cases)
+        hashes = sorted(cases.cases) + ["no-such-case"]
         edge_ids = sorted(store.hyperedges)
-        for _ in range(20):
+        for trial in range(30):
             hit_ids = rng.choice(len(edge_ids), size=int(rng.integers(0, 4)), replace=False)
             hits = [
                 ScoredHyperedge(edge_ids[h], float(rng.choice([0.2, 0.5, 0.5])), rank)
                 for rank, h in enumerate(hit_ids, start=1)
             ]
-            picked = rng.choice(30, size=int(rng.integers(0, 9)), replace=False)
-            matches = [EntityMatch(ents[e], 0, 1, "e", "exact-name") for e in picked]
-            seeds = {h.hyperedge_id for h in hits} | {m.entity_id for m in matches}
-            budget = int(rng.integers(1, 40))
-            ctx = fuse(
-                RetrievalBundle(hyperedge_hits=hits, entity_matches=matches),
-                store,
-                radius=radius,
-                budget=budget,
+            picked, matched = set(), []
+            if trial % 3:
+                picked = {ents[e] for e in rng.choice(30, size=int(rng.integers(0, 9)), replace=False)}
+                matched = list(rng.choice(hashes, size=int(rng.integers(0, 4)), replace=False))
+                if hits and trial % 2:
+                    picked.add(min(store.hyperedges[hits[0].hyperedge_id].members))
+            bundle = RetrievalBundle(
+                eeg_matches=[EegMatch(f"rec-{i}", h, 0.1 * i, i) for i, h in enumerate(matched)],
+                hyperedge_hits=hits,
+                entity_matches=[EntityMatch(e, 0, 1, "e", "exact-name") for e in sorted(picked)],
             )
+            seeds = {h.hyperedge_id for h in hits} | picked
+            for h in matched:
+                if h in cases.cases:
+                    seeds |= store.case_members.get(cases.cases[h].canonical, frozenset())
             scores = {h.hyperedge_id: h.score for h in hits}
             ranked = sorted(
                 (
@@ -190,12 +203,29 @@ class TestFuse:
                 )
                 for hid in store.neighborhood(seeds, radius).hyperedge_ids
             )
-            got = [
-                (-e.connectivity, -(-2.0 if e.score is None else e.score), e.hyperedge_id)
-                for e in ctx.hyperedges
-            ]
-            assert got == ranked[:budget]
-            assert ctx.truncated == (len(ranked) > budget)
+            for budget in (int(rng.integers(1, 40)), *{max(1, len(ranked) + d) for d in (-1, 0, 1)}):
+                ctx = fuse(bundle, store, cases, radius=radius, budget=budget)
+                got = [
+                    (-e.connectivity, -(-2.0 if e.score is None else e.score), e.hyperedge_id)
+                    for e in ctx.hyperedges
+                ]
+                assert got == ranked[:budget]
+                assert ctx.truncated == (len(ranked) > budget)
+
+    def test_sealed_incidence_spans_list_each_entitys_edges_ascending(self):
+        from conftest import random_store
+
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            store = random_store(rng, max_entities=20, max_edges=40, cases=True)
+            store.seal()
+            assert store.incident_edges.dtype == np.uint64
+            assert store.incident_spans.keys() == store.entities.keys()
+            assert len(store.incident_edges) == sum(map(len, store.incidence.values()))
+            for eid, edges in store.incidence.items():
+                got = store.incident_edges[slice(*store.incident_spans[eid])].tolist()
+                assert got == sorted(edges)
+                assert all(hid >= 1 << 63 for hid in got)
 
     def test_directly_retrieved_edge_survives_or_truncates(self):
         store, seeds, (a, b, x, y, bridge, side_a, side_b) = bridging_fixture()

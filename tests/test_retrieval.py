@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -507,3 +509,24 @@ class TestEntityLinkerOracle:
         assert got == expected
         assert {m[0] for m in got} == {min(spaced, hyphen)}
         assert store.names.width == 2
+
+    def test_a_name_whose_words_miss_a_letter_is_not_indexed(self):
+        store = BipartiteStore(embedding_dim=4)
+        unindexed = [store.add_entity(name) for name in ("Ｅpilepsy", "癫痫", "α rhythm")]
+        hyphen = store.add_entity("spike-wave")
+        store.seal()
+        assert all(eid in store.entities for eid in unindexed)
+        assert store.names.by_seq == {("spike", "wave"): hyphen}
+        assert find_entity_mentions("Ｅpilepsy seen with a rhythm, 癫痫", store) == []
+        (match,) = find_entity_mentions("a spike wave burst", store)
+        assert (match.entity_id, match.surface) == (hyphen, "spike wave")
+        rng = np.random.default_rng(17)
+        alphabet = [*"aZ9 -_", "α", "Ｅ", "癫", "²", "é", "İ", "\u212a"]
+        for _ in range(300):
+            store = BipartiteStore(embedding_dim=4)
+            name = "".join(rng.choice(alphabet, size=int(rng.integers(1, 7)))).strip() or "_"
+            eid = store.add_entity(name)
+            name = store.entities[eid].name
+            words = re.findall("[0-9A-Za-z]+", name)
+            covered = sum(map(len, words)) == sum(ch.isalnum() for ch in name)
+            assert (eid in store.names.by_seq.values()) == (covered and bool(words)), name
