@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -32,20 +32,20 @@ class PatientRecord:
     """Raw attribute mapping; each attribute carries one or more text values."""
 
     attributes: dict[str, list[str]]
-    eeg_refs: list[str] = field(default_factory=list)
 
     @classmethod
     def from_raw(cls, obj: dict) -> "PatientRecord":
         """Build from a free-form JSON object with at least one attribute;
-        ``eeg_refs`` is reserved (a list of strings). Names and values are
-        whitespace-collapsed here, once, so a case's hash and stored attributes
-        agree; names that collapse alike are rejected. A value that is not a string
-        is written with ``str``; a name or string value UTF-8 cannot encode is refused."""
+        ``eeg_refs`` is reserved: it must be a list of strings, and is then
+        dropped, since a recording names its case by ``patient_hash``. Names
+        and values are whitespace-collapsed here, once, so a case's hash and
+        stored attributes agree; names that collapse alike are rejected. A
+        value that is not a string is written with ``str``; a name or string
+        value UTF-8 cannot encode is refused."""
         attrs: dict[str, list[str]] = {}
-        refs: list[str] = []
         for key, value in obj.items():
             if key == "eeg_refs":
-                refs = str_list(value, "eeg_refs")
+                str_list(value, "eeg_refs")
                 continue
             name = collapse_whitespace(str_field(key, "attribute name"))
             if name in attrs:
@@ -54,7 +54,7 @@ class PatientRecord:
             attrs[name] = str_list([collapse_whitespace(str(v)) for v in values], f"attribute {key!r}")
         if not attrs:
             raise PreconditionError("record has no attributes")
-        return cls(attributes=attrs, eeg_refs=refs)
+        return cls(attrs)
 
 
 def serialize_case(record: PatientRecord | dict[str, list[str]]) -> str:
@@ -88,7 +88,6 @@ class PatientCase:
     h: str
     attributes: dict[str, list[str]]
     synthetic: bool = False
-    eeg_refs: list[str] = field(default_factory=list)
 
     @cached_property
     def canonical(self) -> str:
@@ -115,10 +114,6 @@ class CaseStore:
         self.cases: dict[str, PatientCase] = {}
         self._sealed = False
 
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
-
     def seal(self) -> None:
         self._sealed = True
 
@@ -137,7 +132,6 @@ class CaseStore:
             raise PreconditionError(f"attributes are {shown(case.attributes)}, not an object")
         attrs = case.attributes.items()
         case.attributes = {str_field(k, "attribute name"): str_list(v, f"attribute {k!r}") for k, v in attrs}
-        case.eeg_refs = str_list(case.eeg_refs, "eeg_refs")
         if not case.attributes:
             raise PreconditionError("case has no attributes")
         suffix = SYNTHETIC_SUFFIX if case.synthetic else ""
@@ -158,7 +152,7 @@ class CaseStore:
     def add_record(self, record: PatientRecord) -> str:
         """Serialize, hash, and store a real case (idempotent by content: a
         record already stored is not written again, sealed or not)."""
-        case = PatientCase("", record.attributes, eeg_refs=record.eeg_refs)
+        case = PatientCase("", record.attributes)
         self._put(case, content_hash=True)
         return case.h
 
@@ -175,7 +169,6 @@ class CaseStore:
                     "h": case.h,
                     "e": {k: case.attributes[k] for k in sorted(case.attributes)},
                     "synthetic": case.synthetic,
-                    "eeg_refs": case.eeg_refs,
                 }
                 for _, case in sorted(self.cases.items())
             ),
@@ -186,10 +179,12 @@ class CaseStore:
         """The cases saved under ``directory``, none when it has no ``FILE``.
         Every row enters through ``_put``, so a row it refuses is rejected,
         naming its line. ``h`` is checked in form only, not re-derived from
-        the attributes: that would cost twice the rest of loading."""
+        the attributes: that would cost twice the rest of loading. A row's
+        other fields, such as an older version's case-to-recording links,
+        are ignored."""
 
         def case(row: dict) -> None:
-            store._put(PatientCase(row["h"], row["e"], row["synthetic"], row["eeg_refs"]))
+            store._put(PatientCase(row["h"], row["e"], row["synthetic"]))
 
         path = Path(directory) / cls.FILE
         store = cls()
@@ -248,7 +243,7 @@ def augment_pseudo_cases(
         if not fillable:
             continue
         new_attrs = {**case.attributes, **{a: donor.attributes[a] for a in fillable}}
-        pseudo = PatientCase("", new_attrs, synthetic=True, eeg_refs=case.eeg_refs)
+        pseudo = PatientCase("", new_attrs, synthetic=True)
         if store._put(pseudo, content_hash=True):
             fills.append(FillRecord(case.h, donor.h, fillable, best[0], pseudo.h))
     return fills

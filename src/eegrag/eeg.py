@@ -331,10 +331,6 @@ class EegVectorDatabase:
             raise PreconditionError("n_segments must be >= 1")
         self._sealed = False
 
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -17,9 +17,10 @@ import numpy as np
 from .errors import PreconditionError
 from .hashing import fnv1a64_text
 
-# a word: a maximal run of ASCII letters and digits, read from the original
+# a word: a run of ASCII letters and digits with no letter or digit of any
+# script (``str.isalnum``, ``[^\W_]``) on either side, read from the original
 # text and lowercased. The embedder and the entity linker share this rule.
-_WORD = re.compile(r"[0-9A-Za-z]+")
+_WORD = re.compile(r"(?<![^\W_])[0-9A-Za-z]+(?![^\W_])")
 
 # distinct (token, dim) pairs whose slot is kept; a full cache is ~4 MiB
 _TOKEN_SLOTS = 1 << 14
@@ -50,8 +51,9 @@ class Embedder(Protocol):
 class HashedTokenEmbedder:
     """Deterministic bag-of-tokens embedder used in tests and offline runs.
 
-    Its tokens are the words the entity linker reads: each maximal run of
-    ASCII letters and digits in the original text, lowercased (``_WORD``).
+    Its tokens are the words the entity linker reads: each run of ASCII
+    letters and digits in the original text with no letter or digit on
+    either side, lowercased (``_WORD``).
     It hashes each token with FNV-1a into one of ``dim`` buckets (sign taken
     from the hash parity), accumulates, and L2-normalizes. Shared tokens
     between two texts produce shared vector mass, so token overlap

@@ -185,16 +185,14 @@ def fuse(
             f"entities={sorted(bad_entities)}"
         )
 
-    seed_set: set[int] = {h.hyperedge_id for h in bundle.hyperedge_hits}
-    seed_set.update(m.entity_id for m in bundle.entity_matches)
-
+    seed_entities = {m.entity_id for m in bundle.entity_matches}
     # each matched case once, in the order its first match ranks
     cases: dict[str, PatientCase] = {}
     for match in bundle.eeg_matches:
         ph = match.patient_hash
         if ph and case_store is not None and ph in case_store.cases and ph not in cases:
             cases[ph] = case_store.cases[ph]
-            seed_set.update(store.case_members.get(cases[ph].canonical, ()))
+            seed_entities.update(store.case_members.get(cases[ph].canonical, ()))
 
     ctx = FusedContext(
         cases=list(cases.values()),
@@ -202,16 +200,14 @@ def fuse(
         radius=radius,
         budget=budget,
     )
-    if not seed_set:
-        return ctx
-
     direct_scores: dict[int, float] = {}
     for hit in bundle.hyperedge_hits:
         prev = direct_scores.get(hit.hyperedge_id)
         if prev is None or hit.score > prev:
             direct_scores[hit.hyperedge_id] = hit.score
+    if not (seed_entities or direct_scores):
+        return ctx
 
-    seed_entities = {s for s in seed_set if s in store.entities}
     candidates, ctx.truncated = _candidates(
         store, seed_entities, set(direct_scores), radius, budget
     )

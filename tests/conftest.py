@@ -159,16 +159,26 @@ def scan_oracle(store: BipartiteStore, query_vec, k: int, layer: str | None) -> 
     return [(hid, -neg) for neg, hid in scored[:k]]
 
 
+def oracle_words(text: str) -> list[tuple[str, int, int]]:
+    """(lowercased word, start, end) of each maximal ASCII letter-and-digit
+    run of ``text`` whose neighbours are not ``str.isalnum()`` (the word
+    rule's oracle)."""
+    return [
+        (m.group(0).lower(), m.start(), m.end())
+        for m in re.finditer("[0-9A-Za-z]+", text)
+        if not (text[m.start() - 1 : m.start()].isalnum() or text[m.end() : m.end() + 1].isalnum())
+    ]
+
+
 def link_oracle(text: str, store: BipartiteStore) -> list[tuple[int, int, int, str, str]]:
     """(id, start, end, surface, kind) of each entity mention: every entity
     name tried at every token position, longest match first, then leftmost,
     in text order (test oracle; needs no seal)."""
-    word = re.compile(r"[0-9A-Za-z]+")
-    tokens = [(m.group(0).lower(), m.start(), m.end()) for m in word.finditer(text)]
+    tokens = oracle_words(text)
     words = [t[0] for t in tokens]
     first_id: dict[tuple[str, ...], int] = {}
     for eid in sorted(store.entities):
-        seq = tuple(w.lower() for w in word.findall(store.entities[eid].name))
+        seq = tuple(w for w, _, _ in oracle_words(store.entities[eid].name))
         if seq:
             first_id.setdefault(seq, eid)
     candidates = []

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -143,16 +144,16 @@ class TestCaseStore:
         (tmp_path / "again").mkdir()
         loaded.save(tmp_path / "again")
         assert (tmp_path / "cases.jsonl").read_bytes() == (tmp_path / "again" / "cases.jsonl").read_bytes()
-        (case,) = loaded.cases.values()
-        assert case.eeg_refs == ["rec-1"]
+        # an input record's eeg_refs is checked, then dropped: a recording
+        # names its case by patient_hash
+        (line,) = (tmp_path / "cases.jsonl").read_text(encoding="utf-8").splitlines()
+        assert json.loads(line) == {"h": case_id("age=34;sex=F"), "e": {"age": ["34"], "sex": ["F"]}, "synthetic": False}
 
     @pytest.mark.parametrize(
         "field, value, message",
         [
             ("e", {"age": "34", "sex": ["F"]}, "attribute 'age' is '34', not a list of strings"),
             ("e", {"age": [34], "sex": ["F"]}, "attribute 'age' is [34], not a list of strings"),
-            ("eeg_refs", "rec-1", "eeg_refs is 'rec-1', not a list of strings"),
-            ("eeg_refs", [1], "eeg_refs is [1], not a list of strings"),
             ("synthetic", 0, "synthetic is 0, not true or false"),
             ("synthetic", "false", "synthetic is 'false', not true or false"),
             ("h", 5, "h is 5, not a string"),
@@ -296,5 +297,4 @@ class TestLoadRecords:
         path = tmp_path / "cases.jsonl"
         path.write_text('{"age": "34", "eeg_refs": ["rec-1", "rec-2"]}\n')
         (rec,) = load_records(path)
-        assert rec.eeg_refs == ["rec-1", "rec-2"]
-        assert "eeg_refs" not in rec.attributes
+        assert rec == PatientRecord({"age": ["34"]})

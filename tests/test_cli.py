@@ -183,9 +183,10 @@ class TestIngest:
         "raw, message",
         [
             ('{"age": "35", "eeg_refs": "rec-001"}', "eeg_refs is 'rec-001', not a list of strings"),
+            ('{"age": "35", "eeg_refs": ["rec-001", 2]}', "eeg_refs is ['rec-001', 2], not a list of strings"),
             ('{"age": "35", "age ": "36"}', "attribute 'age ' repeats the name 'age'"),
         ],
-        ids=["eeg-refs-string", "names-collapse-alike"],
+        ids=["eeg-refs-string", "eeg-refs-non-string", "names-collapse-alike"],
     )
     def test_bad_case_record_exits_2_naming_its_line(self, tmp_path, capsys, raw, message):
         path = tmp_path / "cases.jsonl"
@@ -484,6 +485,16 @@ class TestQuery:
         golden = (GOLDEN / "query_transcript.json").read_text(encoding="utf-8")
         assert out == golden
 
+    def test_case_rows_that_still_hold_eeg_refs_answer_the_same(self, built_store, tmp_path, capsys):
+        # stores written before cases dropped eeg_refs hold it on every row
+        store = tmp_path / "store"
+        shutil.copytree(built_store, store)
+        path = store / "cases.jsonl"
+        for line in range(1, len(path.read_text(encoding="utf-8").splitlines()) + 1):
+            rewrite_row(path, line, "eeg_refs", ["rec-001"])
+        assert main(QUERY_ARGS + ["--store", str(store)]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "query_transcript.json").read_text(encoding="utf-8")
+
     def test_repeat_runs_byte_identical(self, built_store, capsys):
         main(QUERY_ARGS + ["--store", str(built_store)])
         first = capsys.readouterr().out
@@ -650,7 +661,6 @@ class TestQuery:
             ("entities.jsonl", "name"),
             ("hyperedges.jsonl", "members"),
             ("cases.jsonl", "e"),
-            ("cases.jsonl", "eeg_refs"),
             ("evd.jsonl", "values"),
         ],
     )

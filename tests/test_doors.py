@@ -183,16 +183,16 @@ ATTRIBUTES = st.dictionaries(
 
 
 def case_rows(store: CaseStore):
-    return {h: (c.attributes, c.synthetic, c.eeg_refs) for h, c in store.cases.items()}
+    return {h: (c.attributes, c.synthetic) for h, c in store.cases.items()}
 
 
 @PROPERTY
-@given(records=st.lists(st.tuples(ATTRIBUTES, st.lists(TEXT, max_size=2)), max_size=6))
-@example(records=[({"age": ["30"], "sex": ["F"], "medication": ["x"]}, []), ({"age": ["31"], "sex": ["F"]}, ["r"])])
+@given(records=st.lists(ATTRIBUTES, max_size=6))
+@example(records=[{"age": ["30"], "sex": ["F"], "medication": ["x"]}, {"age": ["31"], "sex": ["F"]}])
 def test_case_rows_from_every_writer_load_back_equal(records):
     store = CaseStore()
-    for attributes, refs in records:
-        store.add_record(PatientRecord(attributes, refs))
+    for attributes in records:
+        store.add_record(PatientRecord(attributes))
     augment_pseudo_cases(store, HashedTokenEmbedder(64), tau=0.1)
     assert case_rows(saved_and_loaded(store, CaseStore.load)) == case_rows(store)
 
@@ -200,8 +200,8 @@ def test_case_rows_from_every_writer_load_back_equal(records):
 def test_the_pseudo_case_example_makes_a_pseudo_case():
     # the explicit example above exercises augment_pseudo_cases's writes
     store = CaseStore()
-    store.add_record(PatientRecord({"age": ["30"], "sex": ["F"], "medication": ["x"]}, []))
-    store.add_record(PatientRecord({"age": ["31"], "sex": ["F"]}, ["r"]))
+    store.add_record(PatientRecord({"age": ["30"], "sex": ["F"], "medication": ["x"]}))
+    store.add_record(PatientRecord({"age": ["31"], "sex": ["F"]}))
     assert len(augment_pseudo_cases(store, HashedTokenEmbedder(64), tau=0.1)) == 1
 
 
@@ -213,7 +213,6 @@ MISTYPED_RECORD = {
         st.dictionaries(SURROGATE, st.lists(TEXT, max_size=1), min_size=1, max_size=1),
         st.dictionaries(TEXT, st.lists(SURROGATE, min_size=1, max_size=2), min_size=1, max_size=1),
     ),
-    "eeg_refs": NOT_STR_LIST | st.lists(SURROGATE, min_size=1, max_size=2),
 }
 
 
@@ -221,10 +220,9 @@ MISTYPED_RECORD = {
 @given(mistyped=one_mistyped(MISTYPED_RECORD))
 @example(mistyped=("attributes", {"age\ud800": ["30"]}))
 @example(mistyped=("attributes", {"age": ["3\ud800"]}))
-@example(mistyped=("eeg_refs", ["rec-\udcff"]))
 def test_add_record_refuses_a_mistyped_field(mistyped):
     store = CaseStore()
-    record = PatientRecord({"age": ["30"]}, ["rec-1"])
+    record = PatientRecord({"age": ["30"]})
     setattr(record, *mistyped)
     with pytest.raises(PreconditionError):
         store.add_record(record)
@@ -233,11 +231,10 @@ def test_add_record_refuses_a_mistyped_field(mistyped):
 
 def test_add_record_copies_the_record_lists():
     store = CaseStore()
-    record = PatientRecord({"age": ["30"]}, ["rec-1"])
+    record = PatientRecord({"age": ["30"]})
     case = store.cases[store.add_record(record)]
     record.attributes["age"].append("31")
-    record.eeg_refs.append("rec-2")
-    assert (case.attributes, case.eeg_refs) == ({"age": ["30"]}, ["rec-1"])
+    assert case.attributes == {"age": ["30"]}
 
 
 # -- the EEG vector database ------------------------------------------------------

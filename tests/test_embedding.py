@@ -67,6 +67,13 @@ def test_embedding_of_any_text_is_that_of_its_linker_words(text):
     np.testing.assert_array_equal(emb.embed(text), emb.embed(linker_words(text)))
 
 
+@pytest.mark.parametrize("text, words", [("Ｓspike seen", "seen"), ("αwave burst", "burst")])
+def test_a_run_that_touches_a_non_ascii_letter_is_not_a_word(text, words):
+    emb = HashedTokenEmbedder(64)
+    assert linker_words(text) == words
+    np.testing.assert_array_equal(emb.embed(text), emb.embed(words))
+
+
 def test_tokenization_is_case_and_punctuation_insensitive():
     emb = HashedTokenEmbedder(128)
     np.testing.assert_array_equal(

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from eegrag.errors import (
 )
 from eegrag.hypergraph import BipartiteStore
 
-from conftest import add_edge, hyperedges_jsonl_oracle, random_store, reference_bfs, rewrite_row
+from conftest import add_edge, hyperedges_jsonl_oracle, oracle_words, random_store, reference_bfs, rewrite_row
 
 
 def make_path_store():
@@ -389,7 +388,6 @@ class TestLifecycleAndPersistence:
         assert not loaded.sealed
 
     def test_load_rebuilds_every_index_that_ingest_kept(self, tmp_path):
-        word = re.compile(r"[0-9A-Za-z]+")
         rng = np.random.default_rng(16)
         for trial in range(30):
             store = random_store(rng, cases=True)
@@ -406,7 +404,7 @@ class TestLifecycleAndPersistence:
             assert loaded.incidence == store.incidence
             lowest_id = {}
             for eid in sorted(store.entities):
-                lowest_id.setdefault(tuple(word.findall(store.entities[eid].name.lower())), eid)
+                lowest_id.setdefault(tuple(w for w, _, _ in oracle_words(store.entities[eid].name)), eid)
             assert loaded.names.by_seq == store.names.by_seq == lowest_id
             assert loaded.names.width == store.names.width == max(map(len, lowest_id))
             case_edges = [e for e in store.hyperedges.values() if e.layer == "case"]

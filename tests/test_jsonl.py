@@ -242,7 +242,7 @@ class TestWrite:
         store.save(tmp_path)
         before = path.read_bytes()
         # sorts after the saved rows, so the save fails part-way through
-        store.cases["c"] = PatientCase("c", {"age": ["31"]}, eeg_refs=[object()])
+        store.cases["c"] = PatientCase("c", {"age": [object()]})
         with pytest.raises(TypeError):
             store.save(tmp_path)
         assert path.read_bytes() == before

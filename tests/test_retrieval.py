@@ -510,6 +510,14 @@ class TestEntityLinkerOracle:
         assert {m[0] for m in got} == {min(spaced, hyphen)}
         assert store.names.width == 2
 
+    def test_a_word_that_touches_a_non_ascii_letter_links_nothing(self):
+        store = BipartiteStore(embedding_dim=4)
+        spike, wave = store.add_entity("spike"), store.add_entity("wave")
+        store.seal()
+        assert find_entity_mentions("Ｓspike seen", store) == []
+        assert find_entity_mentions("αwave burst", store) == []
+        assert [m.entity_id for m in find_entity_mentions("spike, wave²; wave", store)] == [spike, wave]
+
     def test_a_name_whose_words_miss_a_letter_is_not_indexed(self):
         store = BipartiteStore(embedding_dim=4)
         unindexed = [store.add_entity(name) for name in ("Ｅpilepsy", "癫痫", "α rhythm")]
