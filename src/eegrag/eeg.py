@@ -387,8 +387,11 @@ class EegVectorDatabase:
         """Freeze the database and stack its embeddings into one read-only matrix.
 
         Rows are in ascending id order, and every entry's ``values`` becomes
-        a view of its row, so each vector is held once.
+        a view of its row, so each vector is held once. Sealing a sealed
+        database keeps its matrix and its ``retrieve_by_id`` memo.
         """
+        if self._sealed:
+            return
         self._ids = sorted(self.entries)
         embeddings = [self.entries[rid].embedding for rid in self._ids]
         self._matrix = np.vstack([e.values for e in embeddings]) if embeddings else np.empty((0, 0))

@@ -1,8 +1,9 @@
 """Retrieval fusion into a grounded context subgraph, plus guided generation.
 
 The three retrieval channels (EEG matches, hyperedge hits, linked entities)
-are fused by seeding a bounded BFS closure over the bipartite store, then
-ranking the closure's hyperedges by how many distinct seeds they connect.
+are fused by ranking the hyperedges within a bounded number of bipartite
+hops of the seeds by how many distinct seeds they connect, counted in one
+array pass over the store's sealed incidence array.
 The fused context renders deterministically and feeds a pluggable
 generation client; the bundled mock client is a pure function of its
 inputs so end-to-end runs are byte-reproducible.
@@ -157,8 +158,9 @@ def fuse(
     patient hashes (the signal-to-symbol bridge; ``store.case_members``).
     All hyperedges within ``radius`` bipartite hops of a seed are
     candidates, ranked by (number of distinct seed nodes they connect,
-    retrieval score, id) and capped at ``budget``; members of every kept
-    edge are always included so the context is self-contained.
+    retrieval score, ascending id) and capped at ``budget``
+    (``_rank_closure``); members of every kept edge are always included so
+    the context is self-contained.
 
     EEG matches whose patient hash has no case record contribute no seeds
     (a recording may legitimately lack a linked case).
@@ -208,76 +210,59 @@ def fuse(
     if not (seed_entities or direct_scores):
         return ctx
 
-    candidates, ctx.truncated = _candidates(
-        store, seed_entities, set(direct_scores), radius, budget
+    kept, ctx.connectivity, ctx.truncated = _rank_closure(
+        store, seed_entities, direct_scores, radius, budget
     )
-    ranked = []
-    for hid, connectivity in candidates.items():
-        score = direct_scores.get(hid)
-        sort_score = _UNSCORED if score is None else score
-        ranked.append((-connectivity, -sort_score, hid, score, connectivity))
-    ranked.sort()
-
-    kept = ranked[:budget]
-    entity_ids = set(seed_entities)
-    for _, _, hid, score, connectivity in kept:
-        edge = store.hyperedges[hid]
-        if hid in direct_scores:
-            reason = "retrieved"
-        elif hid in bundle.expansion_edges:
-            reason = "expansion"
-        else:
-            reason = "closure"
-        ctx.edges.append(edge)
-        ctx.reasons.append(reason)
-        ctx.connectivity.append(connectivity)
-        ctx.scores.append(score)
-        entity_ids |= edge.members
-
+    ctx.edges = [store.hyperedges[hid] for hid in kept]
+    ctx.reasons = [
+        "retrieved" if hid in direct_scores
+        else "expansion" if hid in bundle.expansion_edges
+        else "closure"
+        for hid in kept
+    ]
+    ctx.scores = [direct_scores.get(hid) for hid in kept]
+    entity_ids = seed_entities.union(*(edge.members for edge in ctx.edges))
     ctx.entities = [store.entities[eid] for eid in sorted(entity_ids)]
     return ctx
 
 
-def _candidates(
+def _rank_closure(
     store: BipartiteStore,
     seed_entities: set[int],
-    seed_edges: set[int],
+    direct_scores: dict[int, float],
     radius: int,
     budget: int,
-) -> tuple[dict[int, int], bool]:
-    """A superset of the ``budget`` best hyperedges within ``radius`` hops of
-    a seed, with their connectivity, and whether there are more than ``budget``.
+) -> tuple[list[int], list[int], bool]:
+    """The ``budget`` best hyperedges within ``radius`` hops of a seed, best
+    first, their connectivity, and whether the closure holds more.
 
-    Only the seed hyperedges (the retrieved, scored ones) and the hyperedges
-    holding a seed entity connect a seed. The latter are the seed entities'
-    spans of the sealed ``incident_edges``; one ``np.unique`` over those
-    spans counts each such edge once per seed entity it holds, which is the
-    number of seeds it connects. The seed hyperedges are counted one by one.
-    Every other edge is unscored and connects one seed if it holds a seed
-    entity, none if it lies further out, so each group ranks by ascending
-    id and only its first ``budget`` edges can be kept. A seed hyperedge
-    among the first ``budget`` edges of count 1 takes its own count; being
-    scored, it outranks all of them and so takes the place of the one it
-    pushes out. Only the outer group needs the walked closure.
+    An edge connects a seed only if it is a retrieved (seed) edge or holds a
+    seed entity, that is, lies in a seed entity's span of the sealed
+    ``incident_edges``. One ``np.unique`` over the seed edges and those
+    spans counts each such edge once for itself if it is a seed and once
+    per seed entity it holds: its connectivity. At radius 0 only the seed
+    edges are in the closure. Edges further out (radius 2 and up, from
+    ``neighborhood``) connect no seed and are unscored, so they rank last,
+    by ascending id.
     """
+    seed_edges = np.array(list(direct_scores), dtype=np.uint64)
     flat = store.incident_edges
-    spans = [flat[slice(*store.incident_spans[eid])] for eid in seed_entities] if radius else []
-    # flat[:0] keeps concatenate's input non-empty when no span is walked
-    reached, counts = np.unique(np.concatenate([flat[:0], *spans]), return_counts=True)
-    many = counts > 1
-    candidates = dict.fromkeys(reached[~many][:budget].tolist(), 1)
-    candidates.update(zip(reached[many].tolist(), counts[many].tolist()))
-    n_closure = len(reached)
-    for hid in seed_edges:
-        linked = len(store.hyperedges[hid].members & seed_entities)
-        candidates[hid] = linked + 1
-        n_closure += not (radius and linked)  # reached if it holds a seed entity
+    spans = [flat[slice(*store.incident_spans[eid])] for eid in seed_entities]
+    ids, counts = np.unique(np.concatenate([seed_edges, *spans]), return_counts=True)
+    if not radius:
+        keep = np.isin(ids, seed_edges)
+        ids, counts = ids[keep], counts[keep]
+    scores = np.full(len(ids), _UNSCORED)
+    scores[np.searchsorted(ids, seed_edges)] = list(direct_scores.values())
+    # ids are ascending and lexsort is stable, so ties fall by ascending id
+    order = np.lexsort((-scores, -counts))[:budget]
+    kept, connectivity = ids[order].tolist(), counts[order].tolist()
+    outer: list[int] = []
     if radius > 1:
-        hood = store.neighborhood(seed_entities | seed_edges, radius)
-        outer = sorted(hood.hyperedge_ids.difference(reached.tolist(), seed_edges))
-        candidates.update(dict.fromkeys(outer[:budget], 0))
-        n_closure += len(outer)
-    return candidates, n_closure > budget
+        hood = store.neighborhood(seed_entities.union(direct_scores), radius)
+        outer = sorted(hood.hyperedge_ids.difference(ids.tolist()))
+    fill = outer[: budget - len(kept)]
+    return kept + fill, connectivity + [0] * len(fill), len(ids) + len(outer) > budget
 
 
 def render_context(ctx: FusedContext) -> str:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import eegrag.eeg as eeg_module
+from eegrag.cases import CaseStore
+from eegrag.config import PipelineConfig
 from eegrag.eeg import (
     _dtw_rows,
     _paa_plan,
@@ -20,6 +22,8 @@ from eegrag.eeg import (
     zscore,
 )
 from eegrag.errors import ComparabilityError, NotFoundError, PreconditionError, StoreSealedError
+from eegrag.hypergraph import BipartiteStore
+from eegrag.pipeline import Pipeline
 
 from conftest import dtw_python, eeg_topk_oracle, rewrite_row
 
@@ -686,6 +690,16 @@ class TestStoredIdMemo:
         with pytest.raises(PreconditionError, match="k must be >= 1"):
             db.retrieve_by_id("r000", 0)
         assert db._top_k == {}
+
+    def test_a_second_seal_keeps_the_matrix_and_the_memo(self):
+        db, _ = paired_db(None, False)
+        first = db.retrieve_by_id("r000", 3)
+        matrix, memo = db._matrix, dict(db._top_k)
+        db.seal()
+        config = PipelineConfig.from_mapping({})
+        Pipeline(BipartiteStore(config.embedding_dim), CaseStore(), db, config)
+        assert db._matrix is matrix and db._top_k == memo and len(memo) == 1
+        assert db.retrieve_by_id("r000", 3) == first
 
     def test_unsealed_database_refused(self):
         db = fill_db([make_recording([[1, 2, 3]], rec_id="r1")])

@@ -1,4 +1,5 @@
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -226,6 +227,43 @@ class TestFuse:
                 got = store.incident_edges[slice(*store.incident_spans[eid])].tolist()
                 assert got == sorted(edges)
                 assert all(hid >= 1 << 63 for hid in got)
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_retrieved_edges_scored_zero_and_minus_zero_rank_by_id(self, first):
+        store = BipartiteStore(embedding_dim=32)
+        low, high = sorted(add_edge(store, f"fact {i}", {store.add_entity(f"n{i}")}) for i in range(2))
+        store.seal()
+        hits = [ScoredHyperedge(low, first, 1), ScoredHyperedge(high, -first, 2)]
+        for order in (hits, hits[::-1]):
+            ctx = fuse(RetrievalBundle(hyperedge_hits=order), store, radius=1)
+            assert [e.hyperedge_id for e in ctx.hyperedges] == [low, high]
+            sign = math.copysign(1, first)
+            assert [math.copysign(1, s) for s in ctx.scores] == [sign, -sign]
+
+    def test_a_repeated_retrieved_edge_keeps_its_highest_score(self):
+        store = BipartiteStore(embedding_dim=32)
+        low, high = sorted(add_edge(store, f"fact {i}", {store.add_entity(f"n{i}")}) for i in range(2))
+        store.seal()
+        hits = [ScoredHyperedge(low, 0.2, 1), ScoredHyperedge(high, 0.5, 2), ScoredHyperedge(low, 0.9, 3)]
+        for order in (hits, hits[::-1]):
+            ctx = fuse(RetrievalBundle(hyperedge_hits=order), store, radius=0)
+            assert [(e.hyperedge_id, e.score) for e in ctx.hyperedges] == [(low, 0.9), (high, 0.5)]
+
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_a_retrieved_edge_holding_k_seed_entities_connects_k_plus_one(self, k, radius):
+        store = BipartiteStore(embedding_dim=32)
+        ents = [store.add_entity(f"node{i}") for i in range(4)]
+        edge = add_edge(store, "fact", set(ents))
+        store.seal()
+        bundle = RetrievalBundle(
+            hyperedge_hits=[ScoredHyperedge(edge, 0.5, 1)],
+            entity_matches=[EntityMatch(e, 0, 1, "e", "exact-name") for e in ents[:k]],
+        )
+        ctx = fuse(bundle, store, radius=radius)
+        assert [(e.hyperedge_id, e.connectivity, e.reason) for e in ctx.hyperedges] == [
+            (edge, k + 1, "retrieved")
+        ]
 
     def test_directly_retrieved_edge_survives_or_truncates(self):
         store, seeds, (a, b, x, y, bridge, side_a, side_b) = bridging_fixture()
