@@ -214,9 +214,12 @@ def eeg_embed(rec: EegRecording, n: int) -> PaaEmbedding:
 # -- dynamic time warping ------------------------------------------------------
 
 
-# rows of the stored matrix one wavefront scores at once; bounds its buffers
-# to (n + 1) x _SCAN_ROWS x C floats each
-_SCAN_ROWS = 256
+# bytes of buffers one ``_dtw_rows`` call may hold: a row of C blocks costs
+# (n + 1) C floats in each of prev2, prev1 and cur, and about n C in each of
+# rev, the tiled query and cost, so ~6 (n + 1) C floats in all. A budget of
+# ~2 MiB keeps a chunk's buffers in cache and still scans a 200-row store of
+# L=80 (the `eeg_scan` benchmark) or an 8-row one in one call
+_SCAN_BYTES = 2 << 20
 
 
 def _dtw_rows(query: np.ndarray, rows: np.ndarray, band: int | None) -> np.ndarray:
@@ -230,41 +233,50 @@ def _dtw_rows(query: np.ndarray, rows: np.ndarray, band: int | None) -> np.ndarr
     The recurrence runs one anti-diagonal s = i + j at a time over every
     row and block: cell (i, j) reads (i-1, j-1) from diagonal s-2 and
     (i-1, j), (i, j-1) from s-1, and the band is the index range
-    ceil((s-w)/2) <= i <= floor((s+w)/2). Each cell is |a_i - b_j| +
-    min(diag, up, left), as in the row-by-row recurrence; its inputs are
-    non-negative and finite or inf, so the min does not depend on the order
-    it compares them in, and every distance is that recurrence's to the bit.
+    ceil((s-w)/2) <= i <= floor((s+w)/2). A diagonal is one flat buffer
+    laid out as an ``(n + 1, R*C)`` matrix: cell i of row r's block c sits
+    at i*R*C + r*C + c, so cells lo..hi of every row and block are one
+    contiguous slice. The query is tiled once to the same layout, so each
+    step is a 1-D operation on contiguous operands of one shape (a 2-D or
+    broadcast operand costs numpy more per call). Each cell is
+    min(diag, up, left) + |a_i - b_j|, the row-by-row recurrence's sum
+    (IEEE addition commutes); the min's inputs are non-negative and finite
+    or inf, so it does not depend on the order it compares them in, and
+    every distance is that recurrence's to the bit.
     """
     c, n = query.shape
     r, _, m = rows.shape
     w = max(n, m) if band is None else max(band, abs(n - m))
-    q = np.ascontiguousarray(query.T)[:, None, :]  # (n, 1, C)
-    rev = np.ascontiguousarray(rows[:, :, ::-1].transpose(2, 0, 1))  # rev[m-j] is b_j, (m, R, C)
+    rc = r * c
+    q = np.tile(query.T, (1, r)).ravel()  # q[(i-1)rc : i rc] is a_i for every row
+    rev = rows[:, :, ::-1].transpose(2, 0, 1).ravel()  # rev[(m-j)rc : (m-j+1)rc] is b_j
     # diagonals indexed by i; entries outside a diagonal's band stay inf
-    prev2 = np.full((n + 1, r, c), math.inf)
-    prev2[0] = 0.0  # diagonal 0: D(0, 0)
-    prev1 = np.full((n + 1, r, c), math.inf)
-    cur = np.full((n + 1, r, c), math.inf)
-    best = np.empty((n, r, c))
-    cost = np.empty((n, r, c))
+    prev2 = np.full((n + 1) * rc, math.inf)
+    prev2[:rc] = 0.0  # diagonal 0: D(0, 0)
+    prev1 = np.full((n + 1) * rc, math.inf)
+    cur = np.full((n + 1) * rc, math.inf)
+    cost = np.empty(n * rc)
     for s in range(2, n + m + 1):
         lo = max(1, s - m, (s - w + 1) // 2)
         hi = min(n, s - 1, (s + w) // 2)
         # the next two diagonals read this one from lo-1 up; lo and hi never
         # decrease with s, so this buffer's cells above hi were never written
-        # and only cur[lo-1] can hold a finite value from three diagonals back
-        cur[lo - 1] = math.inf
+        # and only cell lo-1 can hold a finite value from three diagonals back
+        cur[(lo - 1) * rc : lo * rc] = math.inf
         if lo <= hi:
-            k = hi - lo + 1
-            np.minimum(prev2[lo - 1 : hi], prev1[lo - 1 : hi], out=best[:k])
-            np.minimum(best[:k], prev1[lo : hi + 1], out=best[:k])
-            np.subtract(q[lo - 1 : hi], rev[m - s + lo : m - s + hi + 1], out=cost[:k])
-            np.abs(cost[:k], out=cost[:k])
-            np.add(cost[:k], best[:k], out=cur[lo : hi + 1])
+            start, stop = lo * rc, (hi + 1) * rc  # cells lo..hi
+            shift = (m - s) * rc  # cell i's b_j, j = s - i, is at rev[shift + i rc]
+            cell, step = cur[start:stop], cost[: stop - start]
+            np.minimum(prev2[start - rc : stop - rc], prev1[start - rc : stop - rc], out=cell)
+            np.minimum(cell, prev1[start:stop], out=cell)
+            np.subtract(q[start - rc : stop - rc], rev[shift + start : shift + stop], out=step)
+            np.abs(step, out=step)
+            np.add(cell, step, out=cell)
         prev2, prev1, cur = prev1, cur, prev2
+    last = prev1[n * rc :].reshape(r, c)
     total = np.zeros(r)
     for block in range(c):
-        total += prev1[n, :, block]
+        total += last[:, block]
     return total
 
 
@@ -274,14 +286,21 @@ def dtw(a, b, band: int | None = None) -> float:
     Allowed steps are (i-1,j), (i,j-1), (i-1,j-1) (Sakoe & Chiba, 1978).
     ``band`` restricts the warping path to |i - j| <= band; it is widened to
     |len(a) - len(b)| when narrower, since no path exists below that.
+    ``a`` and ``b`` must be non-empty lists of finite numbers and ``band``
+    an integer >= 0 or ``None``; a distance that overflows a float is
+    refused too, each with ``PreconditionError``.
     """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
+    a = float_array(a, "dtw's first series")
+    b = float_array(b, "dtw's second series")
     if a.size == 0 or b.size == 0:
         raise PreconditionError("dtw inputs must be non-empty")
-    if band is not None and band < 0:
+    if band is not None and int_field(band, "band") < 0:
         raise PreconditionError("band width must be >= 0")
-    return float(_dtw_rows(a[None, :], b[None, None, :], band)[0])
+    try:
+        with np.errstate(over="raise"):
+            return float(_dtw_rows(a[None, :], b[None, None, :], band)[0])
+    except FloatingPointError as exc:
+        raise PreconditionError(f"dtw distance overflows a float: {exc}") from None
 
 
 # -- the vector database -------------------------------------------------------
@@ -404,9 +423,10 @@ class EegVectorDatabase:
     def retrieve_by_embedding(self, query: PaaEmbedding, k: int) -> list[EegMatch]:
         """The k smallest ``(distance, id)`` over every entry, ties by ascending id.
 
-        Every in-band cell of every entry is computed, ``_SCAN_ROWS`` rows
-        of the sealed matrix per wavefront; rows are in id order, so a
-        stable sort of the distances breaks ties by id.
+        Every in-band cell of every entry is computed, as many rows of the
+        sealed matrix per wavefront as ``_SCAN_BYTES`` holds (at least one);
+        rows are in id order, so a stable sort of the distances breaks ties
+        by id.
         """
         if not self._sealed:
             raise PreconditionError("seal the database before retrieval")
@@ -418,11 +438,9 @@ class EegVectorDatabase:
         blocks = query.n_channels if self.channel_blocked else 1
         q = query.values.reshape(blocks, -1)
         rows = self._matrix.reshape(len(self._ids), blocks, -1)
+        chunk = max(1, _SCAN_BYTES // (6 * (q.shape[1] + 1) * blocks * 8))
         distances = np.concatenate(
-            [
-                _dtw_rows(q, rows[start : start + _SCAN_ROWS], self.band)
-                for start in range(0, len(rows), _SCAN_ROWS)
-            ]
+            [_dtw_rows(q, rows[start : start + chunk], self.band) for start in range(0, len(rows), chunk)]
         )
         top = np.argsort(distances, kind="stable")[:k].tolist()
         return [

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -341,6 +342,35 @@ class TestDtw:
         with pytest.raises(PreconditionError):
             dtw([1.0], [1.0], band=-1)
 
+    @pytest.mark.parametrize(
+        "a, b, band, message",
+        [
+            ([[1.0, 2.0], [3.0, 4.0]], [1.0], None, "first series have shape (2, 2)"),
+            ([1.0], [[1.0]], None, "second series have shape (1, 1)"),
+            ([math.nan], [1.0], None, "first series must be finite"),
+            ([1.0], [1.0, math.inf], None, "second series must be finite"),
+            (["a"], [1.0], None, "first series are not numbers"),
+            ([1.0], [1.0], 1.5, "band is 1.5, not an integer"),
+            ([1.0], [1.0], "2", "band is '2', not an integer"),
+            ([1.0], [1.0], True, "band is True, not an integer"),
+        ],
+        ids=["2-d", "2-d-second", "nan", "inf", "not-a-number", "float-band", "string-band", "bool-band"],
+    )
+    def test_malformed_input_raises_a_typed_error(self, a, b, band, message):
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            dtw(a, b, band=band)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [([1e308, -1e308], [-1e308, 1e308]), ([1e308, 1e308], [0.0, 0.0])],
+        ids=["cell-cost", "path-sum"],
+    )
+    def test_an_overflowing_distance_is_refused_without_a_warning(self, a, b):
+        # a RuntimeWarning fails the test (pyproject filterwarnings)
+        with pytest.raises(PreconditionError, match="dtw distance overflows a float"):
+            dtw(a, b)
+        assert dtw(a[:1], a[:1]) == 0.0
+
     def test_kernel_equals_the_recurrence_on_float64_scalars(self):
         # the recurrence on numpy float64 scalars, cell by cell, must give
         # the kernel's IEEE results, with and without a band
@@ -384,6 +414,23 @@ class TestBatchedKernel:
             for a, b in zip(query, row):
                 expected += dtw(a, b, band=band)
             assert _dtw_rows(query, row[None], band).tolist() == [expected]
+
+    @pytest.mark.parametrize("band", [None, 0, 3], ids=["unbanded", "band0", "band3"])
+    def test_equals_the_scalar_oracle_at_north_star_block_counts(self, band):
+        # several rows of up to 19 channel blocks, n != m: a row's block c
+        # must meet the query's block c (a query repeated, not tiled, pairs
+        # them wrongly) and the 8 or more block distances must be summed in
+        # channel order (numpy's pairwise sum rounds differently); values
+        # span magnitudes so that a change of summation order changes bits
+        rng = np.random.default_rng(49)
+        for _ in range(12):
+            c, r = int(rng.integers(8, 20)), int(rng.integers(2, 6))
+            n, m = (int(x) for x in rng.choice(np.arange(4, 24), size=2, replace=False))
+            scale = 10.0 ** rng.uniform(-6.0, 6.0, size=(c, 1))
+            query = rng.normal(size=(c, n)) * scale
+            rows = rng.normal(size=(r, c, m)) * scale
+            expected = [dtw_python(query.tolist(), row.tolist(), band) for row in rows]
+            assert _dtw_rows(query, rows, band).tolist() == expected
 
 
 def fill_db(recordings, n=4) -> EegVectorDatabase:
@@ -709,20 +756,50 @@ class TestStoredIdMemo:
         assert [m.recording_id for m in db.retrieve_by_id("r1", 1)] == ["r1"]
 
 
+def spy_on_chunks(monkeypatch) -> list[int]:
+    """The row count of every later ``_dtw_rows`` call, which still runs."""
+    chunks, kernel = [], eeg_module._dtw_rows
+    monkeypatch.setattr(eeg_module, "_dtw_rows", lambda *args: chunks.append(len(args[1])) or kernel(*args))
+    return chunks
+
+
 class TestBatchedScan:
     @pytest.mark.parametrize("blocked", [False, True], ids=["plain", "blocked"])
     @pytest.mark.parametrize("scan_rows", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 3, 24, 26])
     def test_chunks_merge_to_the_oracle_top_k(self, monkeypatch, blocked, scan_rows, k):
         # every distance is tied with a twin under a shuffled id, so chunks of
-        # 1 to 3 rows split tied pairs, at the k-th distance too
-        monkeypatch.setattr(eeg_module, "_SCAN_ROWS", scan_rows)
+        # 1 to 3 rows split tied pairs, at the k-th distance too; the budget
+        # holds scan_rows rows of C blocks of n segments, 6 (n + 1) C floats each
         db, rng = paired_db(None, blocked)
+        blocks, n = (2, 5) if blocked else (1, 10)
+        monkeypatch.setattr(eeg_module, "_SCAN_BYTES", scan_rows * 6 * (n + 1) * blocks * 8)
+        chunks = spy_on_chunks(monkeypatch)
         queries = [db.get(rid).embedding for rid in sorted(db.entries)[::7]]
         queries += [eeg_embed(make_recording(rng.normal(size=(2, 25)), "q"), 5) for _ in range(2)]
         for query in queries:
             got = db.retrieve_by_embedding(query, k)
             assert [(m.distance, m.recording_id) for m in got] == eeg_topk_oracle(db, query, k)
+        assert set(chunks) == {scan_rows}
+
+    def test_a_budget_below_one_row_still_scans_one_row_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(eeg_module, "_SCAN_BYTES", 1)
+        db, _ = paired_db(None, False)
+        chunks = spy_on_chunks(monkeypatch)
+        db.retrieve_by_embedding(db.get("r000").embedding, 5)
+        assert chunks == [1] * 24
+
+    @pytest.mark.parametrize("blocked", [False, True], ids=["plain", "blocked"])
+    def test_the_default_budget_scans_200_rows_of_4_by_20_in_one_call(self, monkeypatch, blocked):
+        # the eeg_scan benchmark's store: 200 recordings, 4 channels x 20 segments
+        rng = np.random.default_rng(61)
+        db = EegVectorDatabase(n_segments=20, channel_blocked=blocked)
+        for i in range(200):
+            db.insert_recording(make_recording(rng.normal(size=(4, 40)), rec_id=f"r{i:03d}"))
+        db.seal()
+        chunks = spy_on_chunks(monkeypatch)
+        db.retrieve_by_embedding(db.get("r000").embedding, 3)
+        assert chunks == [200]
 
     def test_entries_view_one_read_only_matrix(self):
         rng = np.random.default_rng(60)
