@@ -140,12 +140,14 @@ class HyperedgeIndex:
         entries, gathered and summed per row by one ``bincount``, so a row
         that shares no dimension with ``q`` gets exactly 0.0."""
         dims = np.flatnonzero(q)
-        starts = self.indptr[dims]
-        lengths = self.indptr[dims + 1] - starts
-        # the positions of each dimension's postings, laid end to end
-        picks = np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        weights = self.posting_values[picks] * np.repeat(q[dims], lengths)
-        sums = np.bincount(self.posting_rows[picks], weights=weights, minlength=len(self.ids))
+        starts, ends = self.indptr[dims], self.indptr[dims + 1]
+        cols = [slice(i, j) for i, j in zip(starts.tolist(), ends.tolist())]
+        # each dimension's postings, laid end to end after an empty head, so
+        # that a zero q concatenates to no postings
+        rows = np.concatenate([self.posting_rows[:0], *(self.posting_rows[c] for c in cols)])
+        values = np.concatenate([self.posting_values[:0], *(self.posting_values[c] for c in cols)])
+        weights = values * np.repeat(q[dims], ends - starts)
+        sums = np.bincount(rows, weights=weights, minlength=len(self.ids))
         return sums[block]
 
 
@@ -154,13 +156,15 @@ class NameIndex:
 
     ``by_seq`` maps each name's word-token sequence to its entity id; when
     names share a sequence, the lowest id wins, in whatever order they were
-    added. ``width`` is the longest sequence, so linking a text needs at
-    most ``width`` lookups per token.
+    added. ``starts`` maps each sequence's first word to the longest
+    sequence that starts with it, so linking a text looks up, at each
+    token, only the widths up to that token's entry (none for a word that
+    starts no name).
     """
 
     def __init__(self):
         self.by_seq: dict[tuple[str, ...], int] = {}
-        self.width = 0
+        self.starts: dict[str, int] = {}
 
     def add(self, entity: Entity) -> None:
         """Index ``entity`` under its name's words, unless they miss one of
@@ -171,7 +175,7 @@ class NameIndex:
         seq = tuple(word for word, _, _ in word_tokens(entity.name))
         if seq and self.by_seq.get(seq, entity.id) >= entity.id:
             self.by_seq[seq] = entity.id
-            self.width = max(self.width, len(seq))
+            self.starts[seq[0]] = max(self.starts.get(seq[0], 0), len(seq))
 
 
 class BipartiteStore:
@@ -414,15 +418,16 @@ class BipartiteStore:
                 for _, ent in sorted(self.entities.items())
             ),
         )
-        # each line is json.dumps(row, ensure_ascii=False, sort_keys=True),
-        # formatted row by row so that no vector's zeros become Python floats
+        # each line is the row as write_jsonl writes it, with each +0.0 of
+        # the vector as 0, formatted row by row so that no vector's zeros
+        # become Python floats
         vector = VectorEncoder()
         write_lines(
             directory / "hyperedges.jsonl",
             (
-                f'{{"description": {json_str(edge.description)}, "embedding": {vector(edge.embedding)}, '
-                f'"id": {edge.id}, "layer": {json_str(edge.layer)}, '
-                f'"members": [{", ".join(map(str, sorted(edge.members)))}]}}'
+                f'{{"description":{json_str(edge.description)},"embedding":{vector(edge.embedding)},'
+                f'"id":{edge.id},"layer":{json_str(edge.layer)},'
+                f'"members":[{",".join(map(str, sorted(edge.members)))}]}}'
                 for _, edge in sorted(self.hyperedges.items())
             ),
         )

@@ -14,12 +14,16 @@ target only once it is complete, so an exception or a process crash
 mid-write leaves the previous file as it was. Nothing is fsynced: the
 guarantee does not cover a power loss.
 
-``write_jsonl`` writes each row with ``json.dumps(row, ensure_ascii=False,
-sort_keys=True)``. A store whose rows hold long, mostly-zero float vectors
-(``hyperedges.jsonl``) formats its lines itself, with ``json_str`` for
-strings and a ``VectorEncoder`` for the vector, and passes them to
-``write_lines``; the bytes are those ``write_jsonl`` would write, while only
-the vector's nonzero entries are turned into Python floats and formatted.
+``write_jsonl`` writes each row as compact JSON: ``json.dumps(row,
+ensure_ascii=False, sort_keys=True, separators=(",", ":"))``. A store whose
+rows hold long, mostly-zero float vectors (``hyperedges.jsonl``) formats its
+lines itself, with ``json_str`` for strings and a ``VectorEncoder`` for the
+vector, and passes them to ``write_lines``; the bytes are those
+``write_jsonl`` would write, except that each ``+0.0`` of the vector is
+written ``0``, and only the vector's other entries are turned into Python
+floats and formatted. ``json`` reads ``0`` and ``0.0``, and compact and
+spaced separators, to the same values, so the readers take rows written
+either way.
 """
 
 from __future__ import annotations
@@ -159,14 +163,16 @@ REPR_MEMO_SIZE = 4096
 
 
 class VectorEncoder:
-    """``json.dumps(v.tolist())``, byte for byte, for a finite 1-D float64 ``v``.
+    """A finite 1-D float64 ``v`` as a compact JSON list: ``0`` for each
+    ``+0.0``, and ``float.__repr__`` for every other entry (``-0.0`` among
+    them), as ``json`` formats a finite float; ``json.loads`` gives back
+    ``v``'s float64 bits.
 
-    Every slot starts as ``0.0``; only entries whose bit pattern is nonzero
-    (``-0.0`` among them) are formatted, with ``float.__repr__`` as ``json``
-    formats a finite float. Reprs are memoised by bit pattern for the
-    encoder's life, and the memo is emptied when it reaches
-    ``REPR_MEMO_SIZE`` entries. Non-finite values are not checked: ``json``
-    would write ``NaN``, which no store holds.
+    Every slot starts as ``0``; only entries whose bit pattern is nonzero
+    are formatted. Reprs are memoised by bit pattern for the encoder's
+    life, and the memo is emptied when it reaches ``REPR_MEMO_SIZE``
+    entries. Non-finite values are not checked: ``json`` would write
+    ``NaN``, which no store holds.
     """
 
     def __init__(self):
@@ -175,7 +181,7 @@ class VectorEncoder:
     def __call__(self, v: np.ndarray) -> str:
         bits = v.view(np.uint64)
         nonzero = np.flatnonzero(bits)
-        parts = ["0.0"] * len(v)
+        parts = ["0"] * len(v)
         for i, b in zip(nonzero.tolist(), bits[nonzero].tolist()):
             text = self._reprs.get(b)
             if text is None:
@@ -183,7 +189,7 @@ class VectorEncoder:
                     self._reprs.clear()
                 text = self._reprs[b] = float.__repr__(float(v[i]))
             parts[i] = text
-        return "[" + ", ".join(parts) + "]"
+        return "[" + ",".join(parts) + "]"
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
@@ -193,9 +199,14 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
             fh.write(line + "\n")
 
 
+# a row as one compact, sorted-key JSON line
+_row = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    """One sorted-key JSON object per line, replacing ``path`` when complete."""
-    write_lines(path, (json.dumps(row, ensure_ascii=False, sort_keys=True) for row in rows))
+    """One compact, sorted-key JSON object per line, replacing ``path`` when
+    complete."""
+    write_lines(path, map(_row, rows))
 
 
 def write_json(path: str | Path, obj: dict) -> None:

@@ -162,8 +162,8 @@ def find_entity_mentions(text: str, store: BipartiteStore) -> list[EntityMatch]:
     tokens = word_tokens(text)
     words = [t[0] for t in tokens]
     candidates = []
-    for i in range(len(words)):
-        for width in range(1, min(names.width, len(words) - i) + 1):
+    for i, word in enumerate(words):
+        for width in range(1, min(names.starts.get(word, 0), len(words) - i) + 1):
             eid = names.by_seq.get(tuple(words[i : i + width]))
             if eid is not None:
                 start = tokens[i][1]

@@ -105,21 +105,29 @@ def random_store(
     return store
 
 
+def vector_oracle(v: np.ndarray) -> list:
+    """``v.tolist()`` with each ``+0.0`` as the integer ``0``, the list whose
+    compact ``json.dumps`` is a stored hyperedge vector."""
+    return [0 if x == 0.0 and math.copysign(1.0, x) > 0 else x for x in v.tolist()]
+
+
 def hyperedges_jsonl_oracle(store: BipartiteStore) -> bytes:
     """``hyperedges.jsonl`` as ``BipartiteStore.save`` writes it, built the
-    plain way: one dict per row through ``json.dumps`` (the row and vector
-    encoders' oracle)."""
+    plain way: one dict per row through a compact ``json.dumps``, each
+    ``+0.0`` of the vector as ``0`` (the row and vector encoders' oracle)."""
     rows = (
         {
             "id": edge.id,
             "description": edge.description,
             "members": sorted(edge.members),
             "layer": edge.layer,
-            "embedding": edge.embedding.tolist(),
+            "embedding": vector_oracle(edge.embedding),
         }
         for _, edge in sorted(store.hyperedges.items())
     )
-    return "".join(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n" for row in rows).encode("utf-8")
+    return "".join(
+        json.dumps(row, ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n" for row in rows
+    ).encode("utf-8")
 
 
 def add_edge(store: BipartiteStore, description: str, members: set, layer: str = "knowledge"):

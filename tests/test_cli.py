@@ -495,6 +495,38 @@ class TestQuery:
         assert main(QUERY_ARGS + ["--store", str(store)]) == 0
         assert capsys.readouterr().out == (GOLDEN / "query_transcript.json").read_text(encoding="utf-8")
 
+    def test_a_store_written_with_spaced_rows_loads_and_answers_the_same(self, built_store, tmp_path, capsys):
+        # stores written before rows became compact separate with ", " and
+        # ": " and write each +0.0 of a hyperedge vector as 0.0
+        store = tmp_path / "store"
+        shutil.copytree(built_store, store)
+        for path in store.glob("*.jsonl"):
+            rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+            for row in rows:
+                if "embedding" in row:
+                    row["embedding"] = [float(x) for x in row["embedding"]]
+            lines = (json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n" for row in rows)
+            path.write_text("".join(lines), encoding="utf-8")
+        names = sorted(p.name for p in store.glob("*.jsonl"))
+        assert names == ["cases.jsonl", "entities.jsonl", "evd.jsonl", "hyperedges.jsonl"]
+        assert b'"embedding": [0.0, ' in (store / "hyperedges.jsonl").read_bytes()
+        old, new = (Pipeline.from_directory(d, PipelineConfig()) for d in (store, built_store))
+        assert old.store.entities == new.store.entities
+        assert old.store.hyperedges.keys() == new.store.hyperedges.keys()
+        for hid, edge in new.store.hyperedges.items():
+            got = old.store.hyperedges[hid]
+            assert (got.description, got.members, got.layer) == (edge.description, edge.members, edge.layer)
+            assert got.embedding.tobytes() == edge.embedding.tobytes()
+        assert old.case_store.cases == new.case_store.cases
+        assert old.evd.entries.keys() == new.evd.entries.keys()
+        for rid, entry in new.evd.entries.items():
+            got = old.evd.entries[rid]
+            assert (got.patient_hash, got.sample_rate) == (entry.patient_hash, entry.sample_rate)
+            assert got.embedding.channel_order == entry.embedding.channel_order
+            assert got.embedding.values.tobytes() == entry.embedding.values.tobytes()
+        assert main(QUERY_ARGS + ["--store", str(store)]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "query_transcript.json").read_text(encoding="utf-8")
+
     def test_repeat_runs_byte_identical(self, built_store, capsys):
         main(QUERY_ARGS + ["--store", str(built_store)])
         first = capsys.readouterr().out

@@ -373,6 +373,14 @@ class TestLifecycleAndPersistence:
         store.seal()
         assert store.sealed and store.edge_index is index
 
+    def test_a_zero_query_dots_every_row_to_zero(self):
+        store = random_store(np.random.default_rng(19), cases=True)
+        store.seal()
+        index = store.edge_index
+        for block in index.blocks.values():
+            dots = index.dots(np.zeros(store.embedding_dim), block)
+            assert dots.tolist() == [0.0] * (block.stop - block.start)
+
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(15)
         store = random_store(rng)
@@ -406,7 +414,10 @@ class TestLifecycleAndPersistence:
             for eid in sorted(store.entities):
                 lowest_id.setdefault(tuple(w for w, _, _ in oracle_words(store.entities[eid].name)), eid)
             assert loaded.names.by_seq == store.names.by_seq == lowest_id
-            assert loaded.names.width == store.names.width == max(map(len, lowest_id))
+            longest = {}
+            for seq in lowest_id:
+                longest[seq[0]] = max(longest.get(seq[0], 0), len(seq))
+            assert loaded.names.starts == store.names.starts == longest
             case_edges = [e for e in store.hyperedges.values() if e.layer == "case"]
             assert loaded.case_members == store.case_members == {e.description: e.members for e in case_edges}
 

@@ -464,6 +464,12 @@ class TestColumnPostings:
 
 WORDS = ["spike", "wave", "Alpha", "rhythm", "beta", "3", "hz", "delta", "slow"]
 FILLER = ["and", "the", "alphabet", "waves", "of"]
+# "spike" starts names of widths 1, 3 and 4 but none of width 2; "wave"
+# starts two names and is a later word of three others
+SHARED_STARTS = [
+    "spike", "spike wave discharge", "spike and slow wave", "wave", "wave burst", "slow wave", "3 hz spike"
+]
+SHARED_WORDS = ["spike", "wave", "discharge", "and", "slow", "burst", "3", "hz", "the"]
 
 
 def random_phrase(rng, words, n) -> str:
@@ -480,12 +486,20 @@ class TestEntityLinkerOracle:
     """The compiled linker against every name tried at every position, compared exactly."""
 
     def test_equals_exhaustive_scan_on_random_stores(self):
+        # random names, then names drawn from SHARED_STARTS
+        assert entity_store(*SHARED_STARTS).names.starts == {"spike": 4, "wave": 2, "slow": 2, "3": 3}
         rng = np.random.default_rng(81)
-        for _ in range(60):
+        for trial in range(120):
             store = BipartiteStore(embedding_dim=4)
-            for _ in range(int(rng.integers(1, 15))):
-                store.add_entity(random_phrase(rng, WORDS, int(rng.integers(1, 4))))
-            texts = [random_phrase(rng, WORDS + FILLER, int(rng.integers(1, 25))) for _ in range(5)]
+            if trial < 60:
+                for _ in range(int(rng.integers(1, 15))):
+                    store.add_entity(random_phrase(rng, WORDS, int(rng.integers(1, 4))))
+                words = WORDS + FILLER
+            else:
+                for name in rng.permutation(SHARED_STARTS)[: int(rng.integers(1, len(SHARED_STARTS) + 1))]:
+                    store.add_entity(str(name))
+                words = SHARED_WORDS
+            texts = [random_phrase(rng, words, int(rng.integers(1, 25))) for _ in range(5)]
             want = [link_oracle(text, store) for text in texts]
             unsealed = [find_entity_mentions(text, store) for text in texts]
             store.seal()
@@ -508,7 +522,7 @@ class TestEntityLinkerOracle:
         got = [(m.entity_id, m.start, m.end, m.surface, m.kind) for m in find_entity_mentions(text, store)]
         assert got == expected
         assert {m[0] for m in got} == {min(spaced, hyphen)}
-        assert store.names.width == 2
+        assert store.names.starts == {"spike": 2, "wave": 1}
 
     def test_a_word_that_touches_a_non_ascii_letter_links_nothing(self):
         store = BipartiteStore(embedding_dim=4)
