@@ -84,7 +84,9 @@ def cmd_ingest_docs(args: argparse.Namespace) -> int:
 
 def cmd_ingest_cases(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    store = BipartiteStore.load(args.store, config.embedding_dim)
+    # the case layer is rebuilt from the entities alone: the knowledge
+    # layer's file is neither read nor rewritten
+    store = BipartiteStore.load(args.store, config.embedding_dim, layers=(CASE_LAYER,))
     case_store = CaseStore.load(args.store)
     embedder = HashedTokenEmbedder(config.embedding_dim)
     records = load_records(args.input)

@@ -18,6 +18,12 @@ read-only and builds two derived structures: the vectors' column postings
 (``HyperedgeIndex``), so each vector is held once, on its edge, and the
 incidence sets laid end to end as one sorted array (``incident_edges``,
 sliced by ``incident_spans``), which fusion counts; queries only read.
+
+On disk each hyperedge layer has its own file (``LAYER_FILES``), next to
+``entities.jsonl`` and ``meta.json``. An ingest that changes one layer
+loads the entities and that layer only (``load(..., layers=...)``) and
+saves back only those files, so the other layers' files stay as they were;
+such a partial store is never sealed.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -52,12 +59,14 @@ from .jsonl import (
     write_lines,
 )
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 META_FILE = "meta.json"
 
 KNOWLEDGE_LAYER = "knowledge"
 CASE_LAYER = "case"
 LAYERS = (KNOWLEDGE_LAYER, CASE_LAYER)
+# the file that holds each layer's hyperedge rows
+LAYER_FILES = {KNOWLEDGE_LAYER: "hyperedges.jsonl", CASE_LAYER: "case_edges.jsonl"}
 
 
 def word_tokens(text: str) -> list[tuple[str, int, int]]:
@@ -187,12 +196,21 @@ class BipartiteStore:
     attribute tuple) to its members, the entities the case mentions.
     From ``seal()`` on, entity ``v``'s incident hyperedge ids, ascending, are
     also ``incident_edges[slice(*incident_spans[v])]``.
+
+    ``layers`` names the hyperedge layers the store holds, in ``LAYERS``
+    order: every layer unless it was loaded with fewer. A store that holds
+    fewer takes no edge of another layer, saves only its layers' files and
+    cannot be sealed.
     """
 
-    def __init__(self, embedding_dim: int = 256):
+    def __init__(self, embedding_dim: int = 256, layers: Iterable[str] = LAYERS):
         if embedding_dim < 1:
             raise PreconditionError("embedding_dim must be >= 1")
+        layers = set(layers)
+        if not layers <= set(LAYERS):
+            raise PreconditionError(f"unknown layers {sorted(layers - set(LAYERS))}; expected some of {LAYERS}")
         self.embedding_dim = embedding_dim
+        self.layers = tuple(layer for layer in LAYERS if layer in layers)
         self.entities: dict[int, Entity] = {}
         self.hyperedges: dict[int, Hyperedge] = {}
         self.incidence: dict[int, set[int]] = {}
@@ -214,9 +232,14 @@ class BipartiteStore:
         each entity's incident hyperedge ids end to end in ascending order
         (``incident_edges``, ``uint64``, whose order is that of the ids) with
         its ``(start, stop)`` in ``incident_spans``, and mark each vector
-        read-only; subsequent mutations raise ``StoreSealedError``."""
+        read-only; subsequent mutations raise ``StoreSealedError``. A store
+        that holds fewer than every layer is refused: queries need them all."""
         if self._sealed:
             return
+        if self.layers != LAYERS:
+            raise PreconditionError(
+                f"a store that holds only the {self.layers} layers cannot be sealed; load every layer"
+            )
         self.edge_index = HyperedgeIndex(self.hyperedges, self.embedding_dim)
         flat: list[int] = []
         for eid, edges in self.incidence.items():
@@ -279,6 +302,8 @@ class BipartiteStore:
             raise PreconditionError("hyperedge members must be non-empty")
         if edge.layer not in LAYERS:
             raise PreconditionError(f"unknown layer {shown(edge.layer)}; expected one of {LAYERS}")
+        if edge.layer not in self.layers:
+            raise PreconditionError(f"layer {edge.layer!r} is not loaded; this store holds {self.layers}")
         unknown = [m for m in edge.members if m not in self.entities]
         if unknown:
             raise ReferentialError(f"hyperedge references unknown entity ids: {shown(sorted(unknown))}")
@@ -397,7 +422,9 @@ class BipartiteStore:
     # -- persistence ---------------------------------------------------------
 
     def save(self, directory: str | Path) -> None:
-        """Write ``entities.jsonl``, ``hyperedges.jsonl``, and ``meta.json``.
+        """Write ``entities.jsonl``, then each held layer's ``LAYER_FILES``
+        file, then ``meta.json``; a layer the store does not hold keeps its
+        file as it is.
 
         Rows are sorted by id and sets are serialized sorted, so identical
         stores serialize byte-identically. Each file is replaced whole, in
@@ -418,35 +445,41 @@ class BipartiteStore:
                 for _, ent in sorted(self.entities.items())
             ),
         )
+        by_layer: dict[str, list[Hyperedge]] = {layer: [] for layer in self.layers}
+        for _, edge in sorted(self.hyperedges.items()):
+            by_layer[edge.layer].append(edge)
         # each line is the row as write_jsonl writes it, with each +0.0 of
         # the vector as 0, formatted row by row so that no vector's zeros
         # become Python floats
         vector = VectorEncoder()
-        write_lines(
-            directory / "hyperedges.jsonl",
-            (
-                f'{{"description":{json_str(edge.description)},"embedding":{vector(edge.embedding)},'
-                f'"id":{edge.id},"layer":{json_str(edge.layer)},'
-                f'"members":[{",".join(map(str, sorted(edge.members)))}]}}'
-                for _, edge in sorted(self.hyperedges.items())
-            ),
-        )
+        for layer, edges in by_layer.items():
+            write_lines(
+                directory / LAYER_FILES[layer],
+                (
+                    f'{{"description":{json_str(edge.description)},"embedding":{vector(edge.embedding)},'
+                    f'"id":{edge.id},"layer":{json_str(edge.layer)},'
+                    f'"members":[{",".join(map(str, sorted(edge.members)))}]}}'
+                    for edge in edges
+                ),
+            )
         write_json(
             directory / META_FILE,
             {
                 "format_version": FORMAT_VERSION,
                 "embedding_dim": self.embedding_dim,
                 "entity_count": len(self.entities),
-                "hyperedge_count": len(self.hyperedges),
             },
         )
 
     @classmethod
-    def load(cls, directory: str | Path, embedding_dim: int) -> "BipartiteStore":
-        """The store saved under ``directory`` (empty without ``META_FILE``),
-        unsealed; one saved under another ``embedding_dim`` is rejected.
-        Each row enters through the door that ingest uses, so a row that
-        ingest would refuse is refused here, naming its line."""
+    def load(cls, directory: str | Path, embedding_dim: int, layers: Iterable[str] = LAYERS) -> "BipartiteStore":
+        """The store saved under ``directory``, unsealed, holding the named
+        ``layers``: it reads ``entities.jsonl`` and those layers'
+        ``LAYER_FILES`` only. Without ``META_FILE`` it is an empty store that
+        holds every layer. One saved under another ``embedding_dim`` or
+        format version is rejected. Each row enters through the door that
+        ingest uses, so a row that ingest would refuse is refused here, as is
+        a row of another layer than its file's, naming its line."""
         directory = Path(directory)
         if not (directory / META_FILE).exists():
             return cls(embedding_dim)
@@ -457,12 +490,14 @@ class BipartiteStore:
                     f"unsupported store format version {meta.get('format_version')!r}; "
                     "re-run the ingest commands into an empty store directory"
                 )
-            return cls(embedding_dim=int_field(meta["embedding_dim"], "embedding_dim"))
+            return cls(int_field(meta["embedding_dim"], "embedding_dim"), layers)
 
         def entity(row: dict) -> None:
             store._put_entity(Entity(row["id"], row["name"], row["etype"], row["definition"]))
 
-        def hyperedge(row: dict) -> None:
+        def hyperedge(layer: str, row: dict) -> None:
+            if row["layer"] != layer:
+                raise PreconditionError(f"layer {shown(row['layer'])} is not this file's layer {layer!r}")
             fields = row["id"], row["description"], row["members"], row["layer"], row["embedding"]
             edge = Hyperedge(*fields)
             store._check_edge(edge)
@@ -474,5 +509,6 @@ class BipartiteStore:
                 f"store embedding_dim {store.embedding_dim} != configured {embedding_dim}"
             )
         read_jsonl(directory / "entities.jsonl", entity)
-        read_jsonl(directory / "hyperedges.jsonl", hyperedge)
+        for layer in store.layers:
+            read_jsonl(directory / LAYER_FILES[layer], partial(hyperedge, layer))
         return store

@@ -16,7 +16,7 @@ guarantee does not cover a power loss.
 
 ``write_jsonl`` writes each row as compact JSON: ``json.dumps(row,
 ensure_ascii=False, sort_keys=True, separators=(",", ":"))``. A store whose
-rows hold long, mostly-zero float vectors (``hyperedges.jsonl``) formats its
+rows hold long, mostly-zero float vectors (the hypergraph) formats its
 lines itself, with ``json_str`` for strings and a ``VectorEncoder`` for the
 vector, and passes them to ``write_lines``; the bytes are those
 ``write_jsonl`` would write, except that each ``+0.0`` of the vector is

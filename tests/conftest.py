@@ -111,10 +111,11 @@ def vector_oracle(v: np.ndarray) -> list:
     return [0 if x == 0.0 and math.copysign(1.0, x) > 0 else x for x in v.tolist()]
 
 
-def hyperedges_jsonl_oracle(store: BipartiteStore) -> bytes:
-    """``hyperedges.jsonl`` as ``BipartiteStore.save`` writes it, built the
-    plain way: one dict per row through a compact ``json.dumps``, each
-    ``+0.0`` of the vector as ``0`` (the row and vector encoders' oracle)."""
+def layer_file_oracle(store: BipartiteStore, layer: str) -> bytes:
+    """``layer``'s file (``hyperedges.jsonl`` or ``case_edges.jsonl``) as
+    ``BipartiteStore.save`` writes it, built the plain way: one dict per row
+    of the layer through a compact ``json.dumps``, each ``+0.0`` of the
+    vector as ``0`` (the row and vector encoders' oracle)."""
     rows = (
         {
             "id": edge.id,
@@ -124,6 +125,7 @@ def hyperedges_jsonl_oracle(store: BipartiteStore) -> bytes:
             "embedding": vector_oracle(edge.embedding),
         }
         for _, edge in sorted(store.hyperedges.items())
+        if edge.layer == layer
     )
     return "".join(
         json.dumps(row, ensure_ascii=False, sort_keys=True, separators=(",", ":")) + "\n" for row in rows

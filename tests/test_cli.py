@@ -251,6 +251,84 @@ class TestIngest:
             assert (stores[0] / name).read_bytes() == (stores[1] / name).read_bytes(), name
         assert case_edges(stores[0]) == 9
 
+    def test_ingest_cases_leaves_the_knowledge_layer_file_untouched(self, built_store, tmp_path):
+        store = tmp_path / "store"
+        shutil.copytree(built_store, store)
+        knowledge = store / "hyperedges.jsonl"
+        before = knowledge.stat(), knowledge.read_bytes()
+        assert run_cli(["ingest-cases", FIXTURES / "cases.jsonl", "--store", store])[0] == 0
+        after = knowledge.stat(), knowledge.read_bytes()
+        assert (after[0].st_ino, after[0].st_mtime_ns) == (before[0].st_ino, before[0].st_mtime_ns)
+        assert after[1] == before[1]
+        for f in built_store.iterdir():
+            assert (store / f.name).read_bytes() == f.read_bytes(), f.name
+
+    def test_three_ingest_orders_load_and_save_the_same_graph(self, tmp_path):
+        docs = ["ingest-docs", FIXTURES / "docs.jsonl"]
+        cases = ["ingest-cases", FIXTURES / "cases.jsonl"]
+        eeg = ["ingest-eeg", FIXTURES / "eeg"]
+        graphs = []
+        for name, commands in (
+            ("docs-cases-eeg", (docs, cases, eeg)),
+            ("cases-docs-eeg", (cases, docs, eeg)),
+            ("docs-cases-docs", (docs, cases, docs)),
+        ):
+            store = tmp_path / name
+            for argv in commands:
+                assert run_cli([*argv, "--store", store])[0] == 0
+            graph = BipartiteStore.load(store, 256)
+            files = {n: (store / n).read_bytes() for n in GRAPH_FILES}
+            vectors = {hid: e.embedding.tobytes() for hid, e in graph.hyperedges.items()}
+            graphs.append((name, graph, vectors, files))
+        _, want, want_vectors, want_files = graphs[0]
+        assert any(e.layer == "case" for e in want.hyperedges.values())
+        for name, graph, vectors, files in graphs[1:]:
+            assert graph.entities == want.entities, name
+            assert graph.hyperedges.keys() == want.hyperedges.keys(), name
+            for hid, edge in want.hyperedges.items():
+                got = graph.hyperedges[hid]
+                assert (got.description, got.members, got.layer) == (edge.description, edge.members, edge.layer)
+            assert vectors == want_vectors, name
+            assert graph.incidence == want.incidence, name
+            assert graph.case_members == want.case_members, name
+            assert files == want_files, name
+
+    @pytest.mark.parametrize(
+        "name, other", [("case_edges.jsonl", "hyperedges.jsonl"), ("hyperedges.jsonl", "case_edges.jsonl")]
+    )
+    def test_a_row_in_the_other_layers_file_exits_2_naming_its_line(self, built_store, tmp_path, name, other):
+        store = tmp_path / "store"
+        shutil.copytree(built_store, store)
+        path = store / name
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        stray = (store / other).read_text(encoding="utf-8").splitlines(keepends=True)[0]
+        path.write_text("".join(lines) + stray, encoding="utf-8")
+        layer = json.loads(stray)["layer"]
+        commands = [QUERY_ARGS, ["ingest-docs", FIXTURES / "docs.jsonl"]]
+        if name == "case_edges.jsonl":
+            commands.append(["ingest-cases", FIXTURES / "cases.jsonl"])
+        for argv in commands:
+            code, err = run_cli([*argv, "--store", store])
+            assert code == 2
+            assert f"error: {path}: line {len(lines) + 1}: layer {layer!r} is not this file's layer " in err
+
+    def test_format_version_2_store_asks_for_a_re_ingest(self, built_store, tmp_path):
+        # format 2 kept both layers in hyperedges.jsonl and counted them in meta.json
+        store = tmp_path / "store"
+        shutil.copytree(built_store, store)
+        case_rows = (store / "case_edges.jsonl").read_text(encoding="utf-8")
+        (store / "case_edges.jsonl").unlink()
+        with (store / "hyperedges.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write(case_rows)
+        meta = json.loads((store / "meta.json").read_text(encoding="utf-8"))
+        meta.update(format_version=2, hyperedge_count=22)
+        (store / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        for argv in (QUERY_ARGS, ["ingest-cases", FIXTURES / "cases.jsonl"], ["ingest-docs", FIXTURES / "docs.jsonl"]):
+            code, err = run_cli([*argv, "--store", store])
+            assert code == 2
+            assert f"error: {store / 'meta.json'}: unsupported store format version 2; " in err
+            assert "re-run the ingest commands into an empty store directory" in err
+
     def test_format_version_1_store_asks_for_a_re_ingest(self, built_store, tmp_path):
         store = tmp_path / "store"
         shutil.copytree(built_store, store)
@@ -265,9 +343,9 @@ class TestIngest:
     def test_repeated_case_layer_description_exits_2_naming_its_line(self, built_store, tmp_path):
         store = tmp_path / "store"
         shutil.copytree(built_store, store)
-        path = store / "hyperedges.jsonl"
+        path = store / "case_edges.jsonl"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        row = next(r for r in map(json.loads, lines) if r["layer"] == "case")
+        row = json.loads(lines[0])
         stale = {**row, "id": row["id"] ^ 1, "members": row["members"][:1]}
         path.write_text("".join(lines) + json.dumps(stale) + "\n", encoding="utf-8")
         code, err = run_cli([*QUERY_ARGS, "--store", store])
@@ -280,8 +358,11 @@ class TestIngest:
         assert "n_segments 20 != configured 10" in capsys.readouterr().err
 
 
+GRAPH_FILES = ("meta.json", "entities.jsonl", "hyperedges.jsonl", "case_edges.jsonl", "cases.jsonl")
+
+
 def case_edges(store) -> int:
-    with (store / "hyperedges.jsonl").open(encoding="utf-8") as fh:
+    with (store / "case_edges.jsonl").open(encoding="utf-8") as fh:
         return sum(json.loads(line)["layer"] == "case" for line in fh)
 
 
@@ -508,7 +589,7 @@ class TestQuery:
             lines = (json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n" for row in rows)
             path.write_text("".join(lines), encoding="utf-8")
         names = sorted(p.name for p in store.glob("*.jsonl"))
-        assert names == ["cases.jsonl", "entities.jsonl", "evd.jsonl", "hyperedges.jsonl"]
+        assert names == ["case_edges.jsonl", "cases.jsonl", "entities.jsonl", "evd.jsonl", "hyperedges.jsonl"]
         assert b'"embedding": [0.0, ' in (store / "hyperedges.jsonl").read_bytes()
         old, new = (Pipeline.from_directory(d, PipelineConfig()) for d in (store, built_store))
         assert old.store.entities == new.store.entities

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from eegrag.cases import CaseStore
 from eegrag.config import PipelineConfig
 from eegrag.eeg import EegVectorDatabase
-from eegrag.hypergraph import BipartiteStore
+from eegrag.hypergraph import LAYER_FILES, BipartiteStore
 from eegrag.pipeline import save_stores
 
 from conftest import FIXTURES, run_cli
@@ -35,15 +35,16 @@ INGEST = {
     "rec-001.json": "ingest-eeg",
 }
 INPUT = {"ingest-docs": "docs.jsonl", "ingest-cases": "cases.jsonl", "ingest-eeg": "rec-001.json"}
-GRAPH = ["meta.json", "entities.jsonl", "hyperedges.jsonl"]
+GRAPH = ["meta.json", "entities.jsonl", "hyperedges.jsonl", "case_edges.jsonl"]
+CASE_GRAPH = ["meta.json", "entities.jsonl", "case_edges.jsonl"]
 # the store files each command reads, and those each ingest writes
 READS = {
     "query": [*GRAPH, "cases.jsonl", "evd.jsonl"],
     "ingest-docs": [*GRAPH, "cases.jsonl"],
-    "ingest-cases": [*GRAPH, "cases.jsonl"],
+    "ingest-cases": [*CASE_GRAPH, "cases.jsonl"],
     "ingest-eeg": ["evd.jsonl"],
 }
-WRITES = {"ingest-docs": GRAPH, "ingest-cases": [*GRAPH, "cases.jsonl"], "ingest-eeg": ["evd.jsonl"]}
+WRITES = {"ingest-docs": GRAPH, "ingest-cases": [*CASE_GRAPH, "cases.jsonl"], "ingest-eeg": ["evd.jsonl"]}
 # one of each JSON type, for a type swap
 JSON_TYPES = [None, True, 7, 1.5, "x", [], {}]
 
@@ -100,12 +101,14 @@ def mutate_file(path: Path, draw) -> None:
 
 
 def assert_store_round_trips(store: Path, command: str) -> None:
-    """The store files ``command`` wrote load and save back byte-identical."""
+    """The store files ``command`` wrote load and save back byte-identical;
+    the hypergraph loads only the layers whose files ``command`` wrote."""
     config = PipelineConfig()
+    layers = [layer for layer, name in LAYER_FILES.items() if name in WRITES[command]]
     with tempfile.TemporaryDirectory() as again:
         save_stores(
             again,
-            store=BipartiteStore.load(store, config.embedding_dim) if "meta.json" in WRITES[command] else None,
+            store=BipartiteStore.load(store, config.embedding_dim, layers) if "meta.json" in WRITES[command] else None,
             case_store=CaseStore.load(store) if "cases.jsonl" in WRITES[command] else None,
             evd=EegVectorDatabase.load(store, config.paa_segments) if "evd.jsonl" in WRITES[command] else None,
         )

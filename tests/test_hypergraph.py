@@ -10,9 +10,9 @@ from eegrag.errors import (
     ReferentialError,
     StoreSealedError,
 )
-from eegrag.hypergraph import BipartiteStore
+from eegrag.hypergraph import LAYER_FILES, BipartiteStore
 
-from conftest import add_edge, hyperedges_jsonl_oracle, oracle_words, random_store, reference_bfs, rewrite_row
+from conftest import add_edge, layer_file_oracle, oracle_words, random_store, reference_bfs, rewrite_row
 
 
 def make_path_store():
@@ -180,7 +180,7 @@ class TestAddHyperedges:
         assert batched.case_members == one_by_one.case_members
         for store, directory in ((one_by_one, "one"), (batched, "batch")):
             store.save(tmp_path / directory)
-        for name in ("entities.jsonl", "hyperedges.jsonl", "meta.json"):
+        for name in ("entities.jsonl", "hyperedges.jsonl", "case_edges.jsonl", "meta.json"):
             assert (tmp_path / "batch" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
     def test_a_row_repeated_in_the_batch_keeps_the_first_embedding(self):
@@ -387,7 +387,7 @@ class TestLifecycleAndPersistence:
         store.save(tmp_path / "store")
         loaded = BipartiteStore.load(tmp_path / "store", store.embedding_dim)
         loaded.save(tmp_path / "store2")
-        for name in ("entities.jsonl", "hyperedges.jsonl", "meta.json"):
+        for name in ("entities.jsonl", "hyperedges.jsonl", "case_edges.jsonl", "meta.json"):
             assert (tmp_path / "store" / name).read_bytes() == (
                 tmp_path / "store2" / name
             ).read_bytes()
@@ -438,7 +438,8 @@ class TestLifecycleAndPersistence:
                 members = set(rng.choice(entity_ids, size=min(2, len(entity_ids)), replace=False).tolist())
                 store.add_hyperedge(f"{text} {trial}", members, vector, ("knowledge", "case")[j % 2])
             store.save(tmp_path / str(trial))
-            assert (tmp_path / str(trial) / "hyperedges.jsonl").read_bytes() == hyperedges_jsonl_oracle(store)
+            for layer, name in LAYER_FILES.items():
+                assert (tmp_path / str(trial) / name).read_bytes() == layer_file_oracle(store, layer), name
 
     @pytest.mark.parametrize(
         "field, value, error",
@@ -469,7 +470,42 @@ class TestLifecycleAndPersistence:
         once, twice = build(1), build(2)
         once.save(tmp_path / "once")
         twice.save(tmp_path / "twice")
-        for name in ("entities.jsonl", "hyperedges.jsonl", "meta.json"):
+        for name in ("entities.jsonl", "hyperedges.jsonl", "case_edges.jsonl", "meta.json"):
             assert (tmp_path / "once" / name).read_bytes() == (
                 tmp_path / "twice" / name
             ).read_bytes()
+
+    def test_a_store_loaded_with_the_case_layer_only_keeps_to_it(self, tmp_path):
+        store = random_store(np.random.default_rng(20), cases=True)
+        store.save(tmp_path)
+        knowledge = tmp_path / "hyperedges.jsonl"
+        before = knowledge.stat()
+        partial = BipartiteStore.load(tmp_path, store.embedding_dim, layers=("case",))
+        assert partial.layers == ("case",)
+        assert partial.entities == store.entities
+        case_edges = {hid: e for hid, e in store.hyperedges.items() if e.layer == "case"}
+        assert case_edges and len(case_edges) < len(store.hyperedges)
+        assert partial.hyperedges.keys() == case_edges.keys()
+        assert partial.case_members == store.case_members
+        member = next(iter(store.entities))
+        with pytest.raises(PreconditionError, match="layer 'knowledge' is not loaded"):
+            add_edge(partial, "a new fact", {member})
+        add_edge(partial, "a new case", {member}, layer="case")
+        with pytest.raises(PreconditionError, match="cannot be sealed"):
+            partial.seal()
+        assert not partial.sealed
+        partial.save(tmp_path)
+        after = knowledge.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        full = BipartiteStore.load(tmp_path, store.embedding_dim)
+        assert full.layers == ("knowledge", "case")
+        assert full.hyperedges.keys() == store.hyperedges.keys() | partial.hyperedges.keys()
+        full.seal()
+
+    def test_a_directory_without_meta_loads_holding_every_layer(self, tmp_path):
+        store = BipartiteStore.load(tmp_path, 4, layers=("case",))
+        assert store.layers == ("knowledge", "case") and not store.hyperedges
+        store.save(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["entities.jsonl", *LAYER_FILES.values(), "meta.json"]
+        )

@@ -179,7 +179,7 @@ class TestBuildKgh:
         assert second.entities_added == 0 and second.hyperedges_added == 0
         assert second.entities_merged > 0
         assert second.hyperedges_merged == first.hyperedges_added
-        for name in ("entities.jsonl", "hyperedges.jsonl", "meta.json"):
+        for name in ("entities.jsonl", "hyperedges.jsonl", "case_edges.jsonl", "meta.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_deterministic_build_independent_of_doc_order(self, tmp_path, corpus_dir):
@@ -193,7 +193,7 @@ class TestBuildKgh:
         store_b = BipartiteStore(embedding_dim=32)
         build_kgh(list(reversed(docs)), extractor, EMB, store_b)
         store_b.save(tmp_path / "b")
-        for name in ("entities.jsonl", "hyperedges.jsonl", "meta.json"):
+        for name in ("entities.jsonl", "hyperedges.jsonl", "case_edges.jsonl", "meta.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_sealed_store_rejected(self):

@@ -39,6 +39,9 @@ CONFIGS = {
     "closure_radius=0": {"closure_radius": "0"},
     "closure_radius=1": {"closure_radius": "1"},
     "closure_radius=2": {"closure_radius": "2"},
+    # a budget that the inner rings leave room in, so the outer ring's
+    # ascending-id order reaches the answers
+    "closure_radius=2,closure_budget=256": {"closure_radius": "2", "closure_budget": "256"},
     "channel_blocked_dtw=true": {"channel_blocked_dtw": "true"},
     "retrieval_layer=none": {"retrieval_layer": "none"},
     "cl=false": {"cl": "false"},
