@@ -6,13 +6,15 @@ of text, so cases live in the same semantic space as knowledge hyperedges;
 a case is embedded where its vector is used, and the stored vector is the
 one on its case-layer hyperedge. Incomplete records are compensated with
 synthetic pseudo-cases that copy missing attributes from the most similar
-complete neighbor; real cases are never mutated.
+other real case; real cases are never mutated, and the pseudo-cases are
+derived again from the real cases on each augmentation.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -25,6 +27,11 @@ from .hashing import collapse_whitespace, fnv1a64_text
 from .jsonl import read_jsonl, shown, str_field, str_list, write_jsonl
 
 SYNTHETIC_SUFFIX = "-s"
+
+# bytes one row block of the donor search's score matrix may take: 8 MiB
+# holds 4k rows of a 256-case store, or 100 rows of a 10k-case one, where
+# the whole 4.4k x 10k product would take ~350 MiB
+_DONOR_BYTES = 8 << 20
 
 
 @dataclass
@@ -91,8 +98,9 @@ class PatientCase:
 
     @cached_property
     def canonical(self) -> str:
-        """The attribute tuple's rendering, computed once; a stored case's
-        attributes do not change."""
+        """The attribute tuple's rendering, computed once: ``_put`` keeps the
+        one it hashes, and a loaded case renders it when first read. A stored
+        case's attributes do not change."""
         return serialize_case(self.attributes)
 
 
@@ -121,11 +129,12 @@ class CaseStore:
         return len(self.cases)
 
     def _put(self, case: PatientCase, content_hash: bool = False) -> bool:
-        """The one writer of ``cases``: check ``case``, copying its lists, and
+        """The one door of ``cases``: check ``case``, copying its lists, and
         insert it under a new hash into an unsealed store; returns whether
         it inserted. With ``content_hash``, ``h`` is first set to the hash
-        of the attribute tuple (marked when synthetic), and a case already
-        stored under it is left as it is, sealed store or not."""
+        of the attribute tuple's rendering (marked when synthetic), which
+        the case keeps as its ``canonical``, and a case already stored under
+        it is left as it is, sealed store or not."""
         if not isinstance(case.synthetic, bool):
             raise PreconditionError(f"synthetic is {shown(case.synthetic)}, not true or false")
         if not isinstance(case.attributes, dict):
@@ -136,7 +145,8 @@ class CaseStore:
             raise PreconditionError("case has no attributes")
         suffix = SYNTHETIC_SUFFIX if case.synthetic else ""
         if content_hash:
-            case.h = case_id(serialize_case(case.attributes)) + suffix
+            case.canonical = serialize_case(case.attributes)
+            case.h = case_id(case.canonical) + suffix
             if case.h in self.cases:
                 return False
         if self._sealed:
@@ -158,6 +168,13 @@ class CaseStore:
 
     def real_cases(self) -> list[PatientCase]:
         return [self.cases[h] for h in sorted(self.cases) if not self.cases[h].synthetic]
+
+    def drop_synthetic(self) -> None:
+        """Delete every synthetic case from an unsealed store."""
+        if self._sealed:
+            raise StoreSealedError("case store is sealed")
+        for h in [h for h, case in self.cases.items() if case.synthetic]:
+            del self.cases[h]
 
     # -- persistence ---------------------------------------------------------
 
@@ -197,56 +214,111 @@ def augment_pseudo_cases(
     store: CaseStore,
     embedder: Embedder,
     tau: float = 0.80,
+    vectors: Mapping[str, np.ndarray] | None = None,
 ) -> list[FillRecord]:
-    """Create synthetic pseudo-cases for records missing prevalent attributes;
-    returns one ``FillRecord`` per pseudo-case created.
+    """Derive the synthetic pseudo-cases from the real cases, replacing
+    every synthetic case stored before; returns one ``FillRecord`` per
+    pseudo-case stored.
 
     An attribute counts as missing when at least half of the real cases have
     it and this case does not. For each such case the nearest other real
-    case by cosine similarity of their ``embed_case`` vectors donates its
-    values, provided the similarity reaches ``tau``; the result is stored as
-    a new synthetic case (hash of the new tuple plus a synthetic marker
-    suffix).
+    case by the dot product of their ``embed_case`` vectors (``vectors`` by
+    case hash, or each real case embedded here) donates its values,
+    provided the similarity reaches ``tau``; the result is stored as a new
+    synthetic case (hash of the new tuple plus a synthetic marker suffix).
+    Two cases whose fills give one tuple store it once, with the first
+    one's record.
 
-    Real cases are never mutated or deleted. With fewer than two real cases
-    there is no donor, and nothing is created; a sealed store refuses the
-    first pseudo-case it would get.
+    The stored cases are thus a function of the set of real cases, however
+    they were batched. Real cases are never mutated or deleted; synthetic
+    ones are re-derived on each run, so a sealed store is refused before
+    anything changes.
     """
     if not 0.0 < tau <= 1.0:
         raise PreconditionError("tau must be in (0, 1]")
+    store.drop_synthetic()
     real = store.real_cases()
 
     threshold = len(real) / 2.0
     counts = Counter(name for c in real for name in c.attributes)
     prevalent = sorted(name for name, n in counts.items() if n >= threshold)
+    missing = [[a for a in prevalent if a not in c.attributes] for c in real]
+    incomplete = [i for i, names in enumerate(missing) if names]
+    # a case misses an attribute that at least half of the cases hold, so
+    # it has another real case to take a donor from
+    if not incomplete:
+        return []
+    if vectors is None:
+        vectors = {c.h: embed_case(c.h, c.canonical, embedder) for c in real}
 
     fills: list[FillRecord] = []
-    vectors = [embed_case(c.h, c.canonical, embedder) for c in real]
-    for case, vector in zip(real, vectors):
-        missing = [a for a in prevalent if a not in case.attributes]
-        if not missing:
+    donors = _nearest_others([vectors[c.h] for c in real], incomplete)
+    for i, (similarity, j) in zip(incomplete, donors):
+        if similarity < tau:
             continue
-        # embeddings are unit-norm, so the dot product is cosine; real cases
-        # iterate in ascending hash order, so the first occurrence of the
-        # best similarity wins ties deterministically
-        best: tuple[float, str] | None = None
-        for other, other_vector in zip(real, vectors):
-            if other.h == case.h:
-                continue
-            sim = float(np.dot(vector, other_vector))
-            if best is None or sim > best[0]:
-                best = (sim, other.h)
-        if best is None or best[0] < tau:
-            continue
-        donor = store.cases[best[1]]
-        fillable = [a for a in missing if a in donor.attributes]
+        case, donor = real[i], real[j]
+        fillable = [a for a in missing[i] if a in donor.attributes]
         if not fillable:
             continue
         new_attrs = {**case.attributes, **{a: donor.attributes[a] for a in fillable}}
         pseudo = PatientCase("", new_attrs, synthetic=True)
         if store._put(pseudo, content_hash=True):
-            fills.append(FillRecord(case.h, donor.h, fillable, best[0], pseudo.h))
+            fills.append(FillRecord(case.h, donor.h, fillable, similarity, pseudo.h))
     return fills
+
+
+def _nearest_others(vectors: list[np.ndarray], rows: list[int]) -> list[tuple[float, int]]:
+    """For each index ``i`` in ``rows``, ``(float(np.dot(vectors[i],
+    vectors[j])), j)`` of the other vector ``j`` that maximizes it, the
+    first such ``j`` on a tie; there must be at least two vectors.
+
+    The score matrix only filters. It is taken in blocks of as many rows as
+    ``_DONOR_BYTES`` holds (at least one), each row's own column masked,
+    and keeps the columns within twice ``_dot_bound`` of the row's best.
+    Those are scored again with ``np.dot``, in ascending order with a strict
+    ``>``, so the result is that of one ``np.dot`` per pair: the column
+    that wins, or ties, is never cut (``retrieve_hyperedges``' rule).
+    """
+    matrix = np.asarray(vectors)
+    norms = np.linalg.norm(matrix, axis=1)
+    slack = 2.0 * _dot_bound(matrix.shape[1], matrix.dtype) * norms * norms.max()
+    step = max(1, _DONOR_BYTES // (matrix.itemsize * len(matrix)))
+    nearest = []
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        approx = _dots(matrix[block], matrix)
+        approx[np.arange(len(block)), block] = -np.inf
+        # ``~(x < cut)`` also keeps NaN scores, and a NaN cut keeps every
+        # column, which is then scored as the pairwise loop has it
+        cuts = approx.max(axis=1) - slack[block]
+        for i, scores, cut in zip(block, approx, cuts):
+            best: tuple[float, int] | None = None
+            for j in np.flatnonzero(~(scores < cut)).tolist():
+                if j != i:
+                    sim = float(np.dot(vectors[i], vectors[j]))
+                    if best is None or sim > best[0]:
+                        best = (sim, j)
+            nearest.append(best)
+    return nearest
+
+
+def _dots(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Each of ``rows`` dotted with each row of ``matrix``, in one matrix
+    product: the donor filter's scores."""
+    return rows @ matrix.T
+
+
+def _dot_bound(dim: int, dtype: np.dtype) -> float:
+    """Bound, per unit of ``||v|| * ||w||``, on how far two dot products of
+    the same ``dim``-vectors of ``dtype``, summed in any order, can differ.
+
+    Each lies within gamma_dim = dim * u / (1 - dim * u) of the true product,
+    u being half of ``dtype``'s epsilon, with or without fused multiply-adds;
+    ``(dim + 2) * eps`` covers twice that while ``dim * (dim + 2) * eps`` is
+    at most 4 (``dim`` up to 10**8 in float64). Gradual underflow is not
+    covered, so vectors with norms below about 1e-150 are outside the bound.
+    """
+    return (dim + 2) * float(np.finfo(dtype).eps)
 
 
 def load_records(path: str | Path) -> list[PatientRecord]:

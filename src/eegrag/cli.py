@@ -11,7 +11,10 @@ import argparse
 import json
 import logging
 import sys
+from collections.abc import Mapping
 from pathlib import Path
+
+import numpy as np
 
 from .cases import CaseStore, augment_pseudo_cases, embed_case, load_records
 from .config import PipelineConfig
@@ -46,18 +49,26 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def link_case_layer(store: BipartiteStore, case_store: CaseStore, embedder: Embedder) -> int:
+def link_case_layer(
+    store: BipartiteStore,
+    case_store: CaseStore,
+    embedder: Embedder,
+    vectors: Mapping[str, np.ndarray] | None = None,
+) -> int:
     """Rebuild the case layer: one edge per case over the entities its
-    attribute tuple mentions, if any. Every ingest that changes the cases or
-    the entities calls this, so the links never depend on ingest order.
-    Returns the layer's edge count."""
+    attribute tuple mentions, if any, carrying the case's ``embed_case``
+    vector (from ``vectors`` by case hash when it is there). Every ingest
+    that changes the cases or the entities calls this, so the links never
+    depend on ingest order. Returns the layer's edge count."""
     store.drop_layer(CASE_LAYER)
+    vectors = vectors or {}
     rows = []
     for h in sorted(case_store.cases):
         case = case_store.cases[h]
         members = {m.entity_id for m in find_entity_mentions(case.canonical, store)}
         if members:
-            rows.append((case.canonical, members, embed_case(h, case.canonical, embedder), CASE_LAYER))
+            vector = vectors[h] if h in vectors else embed_case(h, case.canonical, embedder)
+            rows.append((case.canonical, members, vector, CASE_LAYER))
     before = len(store.hyperedges)
     store.add_hyperedges(rows)
     return len(store.hyperedges) - before
@@ -95,8 +106,11 @@ def cmd_ingest_cases(args: argparse.Namespace) -> int:
         case_store.add_record(record)
     added = len(case_store) - before
 
-    fills = len(augment_pseudo_cases(case_store, embedder, tau=config.pseudo_tau))
-    linked = link_case_layer(store, case_store, embedder)
+    # each real case is embedded once, for its donor search and its link;
+    # link_case_layer embeds only the pseudo-cases
+    vectors = {c.h: embed_case(c.h, c.canonical, embedder) for c in case_store.real_cases()}
+    fills = len(augment_pseudo_cases(case_store, embedder, tau=config.pseudo_tau, vectors=vectors))
+    linked = link_case_layer(store, case_store, embedder, vectors)
     save_stores(args.store, store=store, case_store=case_store)
     print(
         json.dumps(

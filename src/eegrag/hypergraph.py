@@ -22,8 +22,9 @@ sliced by ``incident_spans``), which fusion counts; queries only read.
 On disk each hyperedge layer has its own file (``LAYER_FILES``), next to
 ``entities.jsonl`` and ``meta.json``. An ingest that changes one layer
 loads the entities and that layer only (``load(..., layers=...)``) and
-saves back only those files, so the other layers' files stay as they were;
-such a partial store is never sealed.
+saves back only that layer's file and ``meta.json``, so the entities and
+the other layers' files stay as they were; such a partial store takes no
+new entity and is never sealed.
 """
 
 from __future__ import annotations
@@ -199,8 +200,8 @@ class BipartiteStore:
 
     ``layers`` names the hyperedge layers the store holds, in ``LAYERS``
     order: every layer unless it was loaded with fewer. A store that holds
-    fewer takes no edge of another layer, saves only its layers' files and
-    cannot be sealed.
+    fewer takes no entity and no edge of another layer, saves only its
+    layers' files and ``meta.json``, and cannot be sealed.
     """
 
     def __init__(self, embedding_dim: int = 256, layers: Iterable[str] = LAYERS):
@@ -330,7 +331,13 @@ class BipartiteStore:
 
     def add_entity(self, name: str, etype: str = "", definition: str = "") -> int:
         """Register an entity; re-adding the same normalized name merges its
-        text fields, the newest non-empty one winning."""
+        text fields, the newest non-empty one winning. A store that holds
+        fewer than every layer refuses it, since it does not save
+        ``entities.jsonl``."""
+        if self.layers != LAYERS:
+            raise PreconditionError(
+                f"a store that holds only the {self.layers} layers takes no entity; load every layer"
+            )
         entity = Entity(0, collapse_whitespace(str_field(name, "name")), etype, definition)
         self._put_entity(entity, content_id=True)
         return entity.id
@@ -423,8 +430,9 @@ class BipartiteStore:
 
     def save(self, directory: str | Path) -> None:
         """Write ``entities.jsonl``, then each held layer's ``LAYER_FILES``
-        file, then ``meta.json``; a layer the store does not hold keeps its
-        file as it is.
+        file, then ``meta.json``. A store that holds fewer than every layer
+        took no entity, so it writes neither ``entities.jsonl`` nor a layer
+        it does not hold: those files stay as they are.
 
         Rows are sorted by id and sets are serialized sorted, so identical
         stores serialize byte-identically. Each file is replaced whole, in
@@ -433,18 +441,19 @@ class BipartiteStore:
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        write_jsonl(
-            directory / "entities.jsonl",
-            (
-                {
-                    "id": ent.id,
-                    "name": ent.name,
-                    "etype": ent.etype,
-                    "definition": ent.definition,
-                }
-                for _, ent in sorted(self.entities.items())
-            ),
-        )
+        if self.layers == LAYERS:
+            write_jsonl(
+                directory / "entities.jsonl",
+                (
+                    {
+                        "id": ent.id,
+                        "name": ent.name,
+                        "etype": ent.etype,
+                        "definition": ent.definition,
+                    }
+                    for _, ent in sorted(self.entities.items())
+                ),
+            )
         by_layer: dict[str, list[Hyperedge]] = {layer: [] for layer in self.layers}
         for _, edge in sorted(self.hyperedges.items()):
             by_layer[edge.layer].append(edge)

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import re
+import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eegrag.cases as cases_module
 from eegrag.cases import (
     CaseStore,
+    FillRecord,
     PatientCase,
     PatientRecord,
     augment_pseudo_cases,
@@ -16,10 +22,12 @@ from eegrag.cases import (
     load_records,
     serialize_case,
 )
+from eegrag.cli import main
 from eegrag.embedding import HashedTokenEmbedder
 from eegrag.errors import PreconditionError, StoreSealedError
+from eegrag.hashing import fnv1a64_text
 
-from conftest import rewrite_row
+from conftest import FIXTURES, rewrite_row
 
 EMB = HashedTokenEmbedder(64)
 
@@ -119,6 +127,10 @@ class TestEmbedCase:
         assert float(va @ vb) < 1.0 - 1e-6
 
 
+def case_rows(store: CaseStore) -> dict[str, tuple[dict, bool]]:
+    return {h: (c.attributes, c.synthetic) for h, c in store.cases.items()}
+
+
 def build_store(*records: PatientRecord) -> CaseStore:
     store = CaseStore()
     for rec in records:
@@ -167,16 +179,23 @@ class TestCaseStore:
         with pytest.raises(PreconditionError, match=re.escape(f"{path}: line 2: {message}")):
             CaseStore.load(tmp_path)
 
-    def test_canonical_is_serialized_once(self, monkeypatch):
+    def test_canonical_is_serialized_once(self, monkeypatch, tmp_path):
+        # a stored record keeps the rendering it was hashed by; a loaded
+        # case renders its tuple when first read
         import eegrag.cases as cases_module
 
-        (case,) = build_store(record(age="34", sex="F")).cases.values()
         calls = []
         monkeypatch.setattr(
             cases_module, "serialize_case", lambda attrs: calls.append(1) or serialize_case(attrs)
         )
-        assert [case.canonical for _ in range(3)] == ["age=34;sex=F"] * 3
+        store = build_store(record(age="34", sex="F"))
         assert len(calls) == 1
+        store.save(tmp_path)
+        (stored,) = store.cases.values()
+        (loaded,) = CaseStore.load(tmp_path).cases.values()
+        for case, renders in ((stored, 1), (loaded, 2)):
+            assert [case.canonical for _ in range(3)] == ["age=34;sex=F"] * 3
+            assert len(calls) == renders
 
     def test_sealed_rejects_mutation(self):
         store = build_store(record(age="1"))
@@ -275,15 +294,16 @@ class TestAugmentation:
         assert len(store) == 2
 
     def test_rerun_is_idempotent(self):
+        # a second run derives the same pseudo-cases again, in place of the first's
         store = build_store(
             record(age="30", sex="F", medication="x"), record(age="31", sex="F")
         )
         first = augment_pseudo_cases(store, EMB, tau=0.1)
-        size_after_first = len(store)
+        after_first = case_rows(store)
         second = augment_pseudo_cases(store, EMB, tau=0.1)
         assert len(first) == 1
-        assert len(second) == 0
-        assert len(store) == size_after_first
+        assert second == first
+        assert case_rows(store) == after_first
 
 
 class TestLoadRecords:
@@ -298,3 +318,192 @@ class TestLoadRecords:
         path.write_text('{"age": "34", "eeg_refs": ["rec-1", "rec-2"]}\n')
         (rec,) = load_records(path)
         assert rec == PatientRecord({"age": ["34"]})
+
+
+def pairwise_donors(vectors: list, rows: list[int]) -> list[tuple[float, int]]:
+    """(similarity, index) of each row's nearest other vector by one
+    ``float(np.dot)`` per pair, the first on a tie: the loop the blocked
+    donor search replaced (test oracle)."""
+    nearest = []
+    for i in rows:
+        best = None
+        for j, other in enumerate(vectors):
+            if j == i:
+                continue
+            sim = float(np.dot(vectors[i], other))
+            if best is None or sim > best[0]:
+                best = (sim, j)
+        nearest.append(best)
+    return nearest
+
+
+def augment_oracle(store: CaseStore, embedder, tau: float) -> tuple[list[FillRecord], dict]:
+    """The fills and case rows of ``augment_pseudo_cases`` as the pairwise
+    loop made them, on a fresh store of ``store``'s real cases (test oracle)."""
+    fresh = CaseStore()
+    for case in store.real_cases():
+        fresh.add_record(PatientRecord(case.attributes))
+    real = fresh.real_cases()
+    counts = Counter(name for c in real for name in c.attributes)
+    prevalent = sorted(name for name, n in counts.items() if n >= len(real) / 2.0)
+    vectors = [embed_case(c.h, c.canonical, embedder) for c in real]
+    fills = []
+    for i, case in enumerate(real):
+        missing = [a for a in prevalent if a not in case.attributes]
+        if not missing:
+            continue
+        ((similarity, j),) = pairwise_donors(vectors, [i])
+        donor = real[j]
+        fillable = [a for a in missing if a in donor.attributes]
+        if similarity < tau or not fillable:
+            continue
+        pseudo = PatientCase("", {**case.attributes, **{a: donor.attributes[a] for a in fillable}}, synthetic=True)
+        if fresh._put(pseudo, content_hash=True):
+            fills.append(FillRecord(case.h, donor.h, fillable, similarity, pseudo.h))
+    return fills, case_rows(fresh)
+
+
+def tie_vectors(rng, n: int, dim: int, scale: float = 1.0) -> list[np.ndarray]:
+    """``n`` vectors that tie exactly (copies), one ulp apart, as scaled
+    copies, point the opposite way, vanish, or are random; each times
+    ``scale``."""
+    base = rng.normal(size=(3, dim))
+    vectors = []
+    for _ in range(n):
+        kind = int(rng.integers(0, 6))
+        vec = base[rng.integers(3)].copy()
+        if kind == 1:
+            slot = rng.integers(dim)
+            vec[slot] = np.nextafter(vec[slot], rng.choice([-np.inf, np.inf]))
+        elif kind == 2:
+            vec *= rng.choice([0.5, 2.0, 3.0])
+        elif kind == 3:
+            vec = -vec
+        elif kind == 4:
+            vec = np.zeros(dim)
+        elif kind == 5:
+            vec = rng.normal(size=dim)
+        vectors.append(vec * scale)
+    return vectors
+
+
+class TableEmbedder:
+    """Embeds a case as the row of ``table`` its attribute tuple hashes to,
+    so distinct cases share vectors, not of unit norm (test stub)."""
+
+    def __init__(self, table: list[np.ndarray]):
+        self.table = table
+        self.dim = table[0].size
+
+    def embed(self, text: str) -> np.ndarray:
+        return self.table[fnv1a64_text(text.split(" | ", 1)[1]) % len(self.table)]
+
+
+def random_records(rng, n: int, values: dict[str, list[str]]) -> list[dict[str, str]]:
+    """``n`` records over ``values``' attributes, ~40% of them missing one."""
+    records = []
+    for _ in range(n):
+        row = {name: str(rng.choice(options)) for name, options in values.items()}
+        if rng.random() < 0.4:
+            del row[str(rng.choice(sorted(row)))]
+        records.append(row)
+    return records
+
+
+SMALL_VALUES = {"age": ["30", "40", "50"], "sex": ["F", "M"], "drug": ["x", "y", "z"], "dx": ["a", "b", "c", "d"]}
+
+
+class TestDonorSearch:
+    """The blocked filter-and-rescore donor search against the pairwise loop,
+    compared exactly: donors, similarities and fill records."""
+
+    @pytest.mark.parametrize("budget", [1, 3 * 8 * 40, cases_module._DONOR_BYTES])
+    def test_equals_the_pairwise_loop_on_tie_vectors(self, monkeypatch, budget):
+        monkeypatch.setattr(cases_module, "_DONOR_BYTES", budget)
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            dim = int(rng.choice([1, 2, 3, 8, 33]))
+            n = int(rng.integers(2, 40))
+            vectors = tie_vectors(rng, n, dim, scale=float(rng.choice([1e-3, 1.0, 7.0, 1e5])))
+            rows = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+            assert cases_module._nearest_others(vectors, rows) == pairwise_donors(vectors, rows)
+
+    def test_equals_the_pairwise_loop_when_the_filter_errs_by_its_bound(self, monkeypatch):
+        # each filter score pushed up or down by 3/4 of the bound the filter
+        # allows it to err by: the donor, a copy of others or not, must
+        # survive the cut
+        rng = np.random.default_rng(42)
+
+        def erring_dots(rows, matrix):
+            exact = np.array([[float(np.dot(r, w)) for w in matrix] for r in rows])
+            norms = np.outer(np.linalg.norm(rows, axis=1), np.linalg.norm(matrix, axis=1))
+            err = 0.75 * cases_module._dot_bound(matrix.shape[1], matrix.dtype) * norms
+            return exact + rng.choice([-1.0, 1.0], size=exact.shape) * err
+
+        monkeypatch.setattr(cases_module, "_dots", erring_dots)
+        monkeypatch.setattr(cases_module, "_DONOR_BYTES", 8 * 8 * 30)
+        for _ in range(60):
+            dim = int(rng.choice([3, 8, 33]))
+            n = int(rng.integers(2, 30))
+            base = rng.normal(size=(3, dim)) * 4.0
+            vectors = [base[rng.integers(3)].copy() for _ in range(n)]
+            rows = list(range(n))
+            assert cases_module._nearest_others(vectors, rows) == pairwise_donors(vectors, rows)
+
+    @pytest.mark.parametrize("tau", [1e-9, 0.3, 0.8, 1.0])
+    def test_fills_equal_the_pairwise_loop(self, monkeypatch, tau):
+        monkeypatch.setattr(cases_module, "_DONOR_BYTES", 8 * 8 * 5)
+        rng = np.random.default_rng(43)
+        for trial in range(30):
+            records = random_records(rng, int(rng.integers(0, 40)), SMALL_VALUES)
+            store = build_store(*(PatientRecord.from_raw(r) for r in records))
+            if trial % 2:
+                embedder = TableEmbedder(tie_vectors(rng, 7, 8, scale=3.0))
+            else:
+                embedder = EMB
+            want_fills, want_rows = augment_oracle(store, embedder, tau)
+            assert augment_pseudo_cases(store, embedder, tau=tau) == want_fills
+            assert case_rows(store) == want_rows
+
+    def test_given_vectors_replace_embedding(self):
+        store = build_store(record(age="30", sex="F", medication="x"), record(age="31", sex="F"))
+        vectors = {c.h: embed_case(c.h, c.canonical, EMB) for c in store.real_cases()}
+        want = augment_pseudo_cases(store, EMB, tau=0.1)
+
+        class NoEmbedder:
+            def embed(self, text):
+                raise AssertionError("embedded a case whose vector was given")
+
+        assert augment_pseudo_cases(store, NoEmbedder(), tau=0.1, vectors=vectors) == want
+
+
+def test_batching_does_not_change_the_stored_cases(tmp_path):
+    # the stored cases, and the case layer linked from them, are a function
+    # of the set of real records, however many ingest-cases brought them
+    values = {
+        "age": [str(a) for a in range(30, 80, 5)],
+        "sex": ["F", "M"],
+        "medication": ["valproate", "sertraline", "levodopa", "none"],
+        "diagnosis": ["epilepsy", "depression", "parkinson disease", "alzheimer disease", "insomnia"],
+    }
+    docs = tmp_path / "docs"
+    assert main(["ingest-docs", str(FIXTURES / "docs.jsonl"), "--store", str(docs)]) == 0
+    rng = np.random.default_rng(44)
+    for seed in range(3):
+        records = random_records(rng, 60, values)
+        stores = []
+        for k in (1, 2, 3):
+            store = tmp_path / f"{seed}-{k}"
+            shutil.copytree(docs, store)
+            for batch in range(k):
+                path = tmp_path / f"{seed}-{k}-{batch}.jsonl"
+                path.write_text("".join(json.dumps(r) + "\n" for r in records[batch::k]), encoding="utf-8")
+                argv = ["ingest-cases", str(path), "--store", str(store), "--set", "pseudo_tau=0.3"]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+            stores.append(store)
+        rows = (stores[0] / "cases.jsonl").read_text(encoding="utf-8").splitlines()
+        assert any(json.loads(row)["synthetic"] for row in rows)
+        for store in stores[1:]:
+            for name in ("cases.jsonl", "case_edges.jsonl"):
+                assert (store / name).read_bytes() == (stores[0] / name).read_bytes(), (seed, store.name, name)

@@ -216,7 +216,11 @@ class TestIngest:
             rewrite_row(cases, line, "embedding", vector.tolist())
         assert main(QUERY_ARGS + ["--store", str(store)]) == 0
         assert capsys.readouterr().out == (GOLDEN / "query_transcript.json").read_text(encoding="utf-8")
+        # ingest-cases leaves entities.jsonl as it is; ingest-docs rewrites it
+        old_entities = entities.read_bytes()
         assert main(["ingest-cases", str(FIXTURES / "cases.jsonl"), "--store", str(store)]) == 0
+        assert entities.read_bytes() == old_entities
+        assert main(["ingest-docs", str(FIXTURES / "docs.jsonl"), "--store", str(store)]) == 0
         for f in built_store.iterdir():
             assert (store / f.name).read_bytes() == f.read_bytes(), f.name
 
@@ -252,16 +256,31 @@ class TestIngest:
         assert case_edges(stores[0]) == 9
 
     def test_ingest_cases_leaves_the_knowledge_layer_file_untouched(self, built_store, tmp_path):
+        # nor entities.jsonl: linking cases adds no entity
         store = tmp_path / "store"
         shutil.copytree(built_store, store)
-        knowledge = store / "hyperedges.jsonl"
-        before = knowledge.stat(), knowledge.read_bytes()
+        files = [store / "hyperedges.jsonl", store / "entities.jsonl"]
+        before = [(f.stat(), f.read_bytes()) for f in files]
         assert run_cli(["ingest-cases", FIXTURES / "cases.jsonl", "--store", store])[0] == 0
-        after = knowledge.stat(), knowledge.read_bytes()
-        assert (after[0].st_ino, after[0].st_mtime_ns) == (before[0].st_ino, before[0].st_mtime_ns)
-        assert after[1] == before[1]
+        for f, (stat, data) in zip(files, before):
+            after = f.stat()
+            assert (after.st_ino, after.st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns), f.name
+            assert f.read_bytes() == data, f.name
         for f in built_store.iterdir():
             assert (store / f.name).read_bytes() == f.read_bytes(), f.name
+
+    def test_ingest_cases_embeds_each_stored_case_once(self, tmp_path, monkeypatch):
+        # the donor search and the case layer share one vector per real
+        # case; only the pseudo-cases are embedded for their links
+        store = tmp_path / "store"
+        assert run_cli(["ingest-docs", FIXTURES / "docs.jsonl", "--store", store])[0] == 0
+        texts = []
+        embed = HashedTokenEmbedder.embed
+        monkeypatch.setattr(HashedTokenEmbedder, "embed", lambda self, text: texts.append(text) or embed(self, text))
+        assert run_cli(["ingest-cases", FIXTURES / "cases.jsonl", "--store", store])[0] == 0
+        cases = CaseStore.load(store).cases
+        assert any(case.synthetic for case in cases.values())
+        assert sorted(texts) == sorted(f"{h} | {case.canonical}" for h, case in cases.items())
 
     def test_three_ingest_orders_load_and_save_the_same_graph(self, tmp_path):
         docs = ["ingest-docs", FIXTURES / "docs.jsonl"]

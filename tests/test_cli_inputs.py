@@ -44,7 +44,11 @@ READS = {
     "ingest-cases": [*CASE_GRAPH, "cases.jsonl"],
     "ingest-eeg": ["evd.jsonl"],
 }
-WRITES = {"ingest-docs": GRAPH, "ingest-cases": [*CASE_GRAPH, "cases.jsonl"], "ingest-eeg": ["evd.jsonl"]}
+WRITES = {
+    "ingest-docs": GRAPH,
+    "ingest-cases": ["meta.json", "case_edges.jsonl", "cases.jsonl"],
+    "ingest-eeg": ["evd.jsonl"],
+}
 # one of each JSON type, for a type swap
 JSON_TYPES = [None, True, 7, 1.5, "x", [], {}]
 

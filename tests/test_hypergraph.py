@@ -478,8 +478,8 @@ class TestLifecycleAndPersistence:
     def test_a_store_loaded_with_the_case_layer_only_keeps_to_it(self, tmp_path):
         store = random_store(np.random.default_rng(20), cases=True)
         store.save(tmp_path)
-        knowledge = tmp_path / "hyperedges.jsonl"
-        before = knowledge.stat()
+        knowledge, entities = tmp_path / "hyperedges.jsonl", tmp_path / "entities.jsonl"
+        before, entities_before = knowledge.stat(), entities.stat()
         partial = BipartiteStore.load(tmp_path, store.embedding_dim, layers=("case",))
         assert partial.layers == ("case",)
         assert partial.entities == store.entities
@@ -491,12 +491,16 @@ class TestLifecycleAndPersistence:
         with pytest.raises(PreconditionError, match="layer 'knowledge' is not loaded"):
             add_edge(partial, "a new fact", {member})
         add_edge(partial, "a new case", {member}, layer="case")
+        with pytest.raises(PreconditionError, match=r"holds only the \('case',\) layers takes no entity"):
+            partial.add_entity("a new entity")
         with pytest.raises(PreconditionError, match="cannot be sealed"):
             partial.seal()
         assert not partial.sealed
         partial.save(tmp_path)
-        after = knowledge.stat()
-        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        # neither the knowledge layer's file nor entities.jsonl is written
+        for path, stat in ((knowledge, before), (entities, entities_before)):
+            after = path.stat()
+            assert (after.st_ino, after.st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns), path.name
         full = BipartiteStore.load(tmp_path, store.embedding_dim)
         assert full.layers == ("knowledge", "case")
         assert full.hyperedges.keys() == store.hyperedges.keys() | partial.hyperedges.keys()
